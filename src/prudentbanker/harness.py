@@ -134,6 +134,8 @@ def run(config: RunConfig, table: LossTable | None = None,
 
     A pre-built (table, delays) pair can be passed in to share one realized
     environment across learners; by default it is generated from the seed.
+    An exception raised inside round t propagates as the same object, with
+    "round t" appended to its ``__notes__``.
     """
     config.validate()
     if table is None or delays is None:
@@ -157,18 +159,21 @@ def run(config: RunConfig, table: LossTable | None = None,
     for t in range(1, T + 1):
         try:
             dist, arm = learner.act(t)
+            stage_col[t - 1] = getattr(learner, "stage", 1)
+            phase_col[t - 1] = getattr(learner, "phase", 1)
+            alpha_col[t - 1] = getattr(learner, "alpha", 1.0)
+            pl_col[t - 1] = pseudo_loss(dist, table.row(t))
+            queue.enqueue(FeedbackEvent(origin_round=t, arm=arm,
+                                        loss_value=float(table.row(t)[arm]),
+                                        arrival_round=t + delays.delay(t)))
+            events = queue.step(t)
+            arrived_col[t - 1] = len(events)
+            learner.receive(events, t)
         except Exception as exc:
-            raise type(exc)(f"round {t}: {exc}") from exc
-        stage_col[t - 1] = getattr(learner, "stage", 1)
-        phase_col[t - 1] = getattr(learner, "phase", 1)
-        alpha_col[t - 1] = getattr(learner, "alpha", 1.0)
-        pl_col[t - 1] = pseudo_loss(dist, table.row(t))
-        queue.enqueue(FeedbackEvent(origin_round=t, arm=arm,
-                                    loss_value=float(table.row(t)[arm]),
-                                    arrival_round=t + delays.delay(t)))
-        events = queue.step(t)
-        arrived_col[t - 1] = len(events)
-        learner.receive(events, t)
+            # keep the exception object and its type, and note the round on it
+            # as BaseException.add_note would (Python 3.11+; 3.10 lacks it)
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"round {t}"]
+            raise
 
     loss_B = np.cumsum(pl_col)
     loss_c = np.cumsum(table.losses @ xc)

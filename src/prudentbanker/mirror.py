@@ -6,8 +6,9 @@ Two mirror maps are supported:
 * 1/2-Tsallis        Psi(x) = -2 sum_i sqrt(x_i),     grad_i = -1/sqrt(x_i)
 
 The simplex-constrained conjugate map for negative entropy is the softmax
-(computed with a max shift); for Tsallis it has no closed form and is found
-by bisection over the normalization multiplier.
+(computed with a max shift); for Tsallis it has no closed form, and the
+normalization multiplier is found by a monotone Newton solve, also after a
+max shift.
 """
 from __future__ import annotations
 
@@ -93,30 +94,30 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
         return x, dual
 
     # Tsallis: x_i = 1/(lam - theta_i)^2 with lam > max theta the root of
-    # f(lam) = sum_i 1/(lam - theta_i)^2 = 1. f is strictly decreasing;
-    # f(max+1) >= 1 (the max coordinate alone contributes 1) and
-    # f(max+sqrt(A)) <= A/A = 1, so [max+1, max+sqrt(A)] brackets the root.
-    tmax = theta.max()
-    lo, hi = tmax + 1.0, tmax + np.sqrt(reg.arms)
-
-    def f(lam: float) -> float:
-        return float(np.sum(1.0 / (lam - theta) ** 2))
-
-    lam = hi
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        val = f(lam)
-        if abs(val - 1.0) <= 1e-13:
+    # f(lam) = sum_i (lam - theta_i)^-2 = 1. After the max shift the root lies
+    # in [1, sqrt(A)]: the max coordinate alone gives f(1) >= 1, and
+    # f(sqrt(A)) <= A/A = 1. The shift also keeps lam - theta_i at full
+    # precision: unshifted, at |theta| ~ 1e4 the ulp of lam alone moves f by
+    # more than the tolerance, and the solve fails on well-posed input.
+    #
+    # Newton runs on h(lam) = f(lam)^(-1/2), solving h = 1 from lam = 1. h is a
+    # power mean (exponent -2) of the affine maps lam - theta_i, so it is
+    # concave and increasing: each tangent lies above h and crosses 1 at or
+    # left of the root, so the iterates rise monotonically and never leave the
+    # bracket. h is exactly linear when theta is constant (one step).
+    shifted = theta - theta.max()
+    lam = 1.0
+    for _ in range(50):  # 3-4 steps are typical
+        r = 1.0 / (lam - shifted)
+        r2 = r * r
+        f = float(r2.sum())
+        if abs(f - 1.0) <= 1e-13:
             break
-        if val > 1.0:
-            lo = lam
-        else:
-            hi = lam
-    if abs(f(lam) - 1.0) > 1e-12:
-        raise NumericalError("tsallis conjugate bisection did not converge")
-    x = 1.0 / (lam - theta) ** 2
-    x /= x.sum()  # remove the residual normalization error
-    dual = theta - lam
+        lam += f * (f ** 0.5 - 1.0) / float(np.dot(r2, r))
+    if abs(f - 1.0) > 1e-12:
+        raise NumericalError("tsallis conjugate Newton solve did not converge")
+    x = r2 / f  # remove the residual normalization error
+    dual = shifted - lam
     return x, dual
 
 

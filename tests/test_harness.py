@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prudentbanker.errors import ConfigError
+from prudentbanker import harness
+from prudentbanker.errors import ConfigError, NumericalError
 from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
                                    load_config_file, parse_csv, pseudo_loss,
@@ -178,3 +179,55 @@ def test_load_config_file(tmp_path):
     p.write_text("no equals sign\n")
     with pytest.raises(ConfigError):
         load_config_file(p)
+
+
+# -- errors raised inside a round -------------------------------------------
+
+class TwoArgError(Exception):
+    """Its constructor does not take a single message, so it cannot be rebuilt."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+
+
+class FailingLearner:
+    """Plays arm 0; raises `exc` from act or receive at round `at`."""
+
+    def __init__(self, exc, at, where):
+        self.exc, self.at, self.where = exc, at, where
+
+    def act(self, t):
+        if self.where == "act" and t == self.at:
+            raise self.exc
+        return np.array([1.0, 0.0, 0.0, 0.0]), 0
+
+    def receive(self, events, t):
+        if self.where == "receive" and t == self.at:
+            raise self.exc
+
+
+@pytest.mark.parametrize("where", ["act", "receive"])
+@pytest.mark.parametrize("make_exc", [lambda: TwoArgError(7, "bad state"),
+                                      lambda: NumericalError("no convergence")],
+                         ids=["two-arg", "numerical"])
+def test_round_error_keeps_object_and_type(monkeypatch, where, make_exc):
+    exc = make_exc()
+    args = exc.args
+    monkeypatch.setattr(harness, "make_learner", lambda *a: FailingLearner(exc, 5, where))
+    with pytest.raises(type(exc)) as info:
+        run(small_cfg(horizon=20))
+    assert info.value is exc
+    assert info.value.args == args
+    assert info.value.__notes__ == ["round 5"]
+
+
+def test_round_note_appends_to_existing_notes(monkeypatch):
+    exc = TwoArgError(1, "x")
+    exc.__notes__ = ["earlier"]
+    monkeypatch.setattr(harness, "make_learner",
+                        lambda *a: FailingLearner(exc, 2, "receive"))
+    with pytest.raises(TwoArgError) as info:
+        run(small_cfg(horizon=10))
+    assert info.value.code == 1
+    assert info.value.__notes__ == ["earlier", "round 2"]

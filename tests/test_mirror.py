@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prudentbanker.errors import ConfigError, DomainError
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
@@ -92,6 +94,31 @@ def test_tsallis_normalization_and_positivity():
         assert x.min() > 0.0
 
 
+def test_tsallis_conjugate_large_max_coordinate():
+    # well posed, but without the max shift the ulp of lam ~ 1e5 alone
+    # moves f by more than the convergence tolerance
+    for A in (2, 10, 100):
+        reg = Regularizer(TSALLIS_HALF, A, 1.0 / A)
+        theta = np.zeros(A)
+        theta[0] = 1e5
+        x = grad_psi_star_constrained(reg, theta)
+        assert abs(x.sum() - 1.0) <= 1e-12 and x.min() > 0.0
+        # lam = 1 + O(1e-10), so the other arms each get 1/(1e5 + 1)^2
+        assert x[0] == pytest.approx(1.0 - (A - 1) / (1e5 + 1.0) ** 2, abs=1e-15)
+
+
+def test_tsallis_conjugate_large_offset():
+    rng = np.random.default_rng(6)
+    for A in (2, 10, 1000):
+        reg = Regularizer(TSALLIS_HALF, A, 1.0 / A)
+        for _ in range(20):
+            theta = rng.normal(scale=rng.choice([0.1, 10.0, 1e3]), size=A)
+            theta = np.round(theta * 2.0**30) / 2.0**30  # so theta + 1e6 is exact
+            a = grad_psi_star_constrained(reg, theta)
+            b = grad_psi_star_constrained(reg, theta + 1e6)
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+
 def test_dual_output_matches_gradient():
     rng = np.random.default_rng(3)
     for reg in regs(arms=4):
@@ -132,3 +159,55 @@ def test_diameter_bound():
             y = rng.dirichlet(np.ones(arms))
             assert bregman(ent, y, ent.x0) <= np.log(arms) + 1e-9
             assert bregman(tsa, y, tsa.x0) <= 2.0 * (np.sqrt(arms) - 1.0) + 1e-9
+
+
+# -- differential check of the Tsallis conjugate against bisection ----------
+
+def tsallis_conjugate_by_bisection(theta):
+    """Slow reference: bisect f(lam) = sum (lam - theta_i)^-2 = 1 to the last ulp.
+
+    Works after the max shift, where the root lies in [1, sqrt(A)] and the
+    bisection can resolve it; returns (x, dual) like grad_psi_star_with_dual.
+    """
+    shifted = theta - theta.max()
+    lo, hi = 1.0, max(1.0, np.sqrt(theta.size))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if np.sum((mid - shifted) ** -2.0) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    f_lo, f_hi = (np.sum((lam - shifted) ** -2.0) for lam in (lo, hi))
+    lam = lo if abs(f_lo - 1.0) <= abs(f_hi - 1.0) else hi
+    x = (lam - shifted) ** -2.0
+    return x / x.sum(), shifted - lam
+
+
+@st.composite
+def ingest_duals(draw):
+    """theta = grad_psi(x) - c e_a, built as BankerOMD.ingest builds it, plus an offset."""
+    A = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    concentration = 10.0 ** draw(st.floats(-2, 2))
+    x = rng.dirichlet(np.full(A, concentration))
+    x = np.maximum(x, 1e-300)
+    reg = Regularizer(TSALLIS_HALF, A, 1.0 / A)
+    theta = grad_psi(reg, x)
+    theta[draw(st.integers(0, A - 1))] -= 10.0 ** draw(st.floats(-3, 6))
+    theta += draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-3, 6))
+    return reg, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(ingest_duals())
+def test_tsallis_conjugate_matches_bisection(case):
+    reg, theta = case
+    x, dual = grad_psi_star_with_dual(reg, theta)
+    x_ref, dual_ref = tsallis_conjugate_by_bisection(theta)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12
+    shift = dual - dual_ref
+    assert np.ptp(shift) <= 1e-10 * max(1.0, np.max(np.abs(dual_ref)))
+    assert abs(x.sum() - 1.0) <= 1e-12
+    assert x.min() > 0.0
