@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class Kahan:
 
 @dataclass
 class RoundRecord:
-    u: int
     sigma: float
     v: float
     x: np.ndarray  # played distribution
@@ -121,7 +120,7 @@ class BankerOMD:
             raise ProtocolError("commit without a matching begin_round")
         _, sigma = self._pending
         self._pending = None
-        self.records[t] = RoundRecord(u=t, sigma=sigma, v=sigma, x=np.asarray(played, float), arm=arm)
+        self.records[t] = RoundRecord(sigma=sigma, v=sigma, x=np.asarray(played, float), arm=arm)
         self.missing.add(t)
         self._missing_sigma.add(sigma)
 

@@ -6,14 +6,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import lowerbound as lb
 from .errors import ConfigError
 from .harness import (SCALES, RunConfig, build_environment, emit,
                       load_config_file, run)
 from .mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer
-from .protocol import DelaySequence, EnvironmentConfig, outstanding_counters
+from .protocol import (DELAY_MODELS, DelaySequence, EnvironmentConfig,
+                       outstanding_counters)
 from .prudent import PrudentBanker, build_comparator
 from .rng import TapeSampler, stream
 
@@ -24,33 +23,44 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int)
     p.add_argument("--arms", type=int)
     p.add_argument("--blocks", type=int)
-    p.add_argument("--delay-model", default="none",
-                   choices=("none", "fixed-one-step", "geometric", "lomax"))
+    p.add_argument("--delay-model", default="none", choices=DELAY_MODELS)
     p.add_argument("--learner", default="prudent-banker")
     p.add_argument("--regularizer", default=NEG_ENTROPY,
                    choices=(NEG_ENTROPY, TSALLIS_HALF))
-    p.add_argument("--delta", type=float, default=0.01)
+    p.add_argument("--delta", type=float)
     p.add_argument("--alpha-safe", type=float, default=0.1)
-    p.add_argument("--threshold-scale", type=float, default=1.0)
+    p.add_argument("--threshold-scale", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out/run")
 
 
-def _config_from_args(args, seed=None, learner=None, delay_model=None) -> RunConfig:
-    T, A, B = SCALES[args.scale]
-    overrides = load_config_file(args.config) if args.config else {}
+#: keys a --config file may set, with their types; each is also a flag
+CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
+               "threshold_scale": float}
 
-    def pick(name, flag_value, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if name in overrides:
-            return cast(overrides[name])
-        return default
+
+def _config_from_args(args, seed=None, learner=None, delay_model=None) -> RunConfig:
+    """Build the run config; a flag beats a --config file, which beats the profile."""
+    T, A, B = SCALES[args.scale]
+    values = {"horizon": T, "arms": A, "blocks": B, "delta": RunConfig.delta,
+              "threshold_scale": RunConfig.threshold_scale}
+    if args.config:
+        for key, raw in load_config_file(args.config).items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{args.config}: unknown key {key!r} "
+                                  f"(allowed: {', '.join(CONFIG_KEYS)})")
+            try:
+                values[key] = CONFIG_KEYS[key](raw)
+            except ValueError:
+                raise ConfigError(f"{args.config}: bad value {raw!r} for {key!r}") from None
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
 
     env = EnvironmentConfig(
-        horizon=pick("horizon", args.horizon, int, T),
-        arms=pick("arms", args.arms, int, A),
-        blocks=pick("blocks", args.blocks, int, B),
+        horizon=values["horizon"],
+        arms=values["arms"],
+        blocks=values["blocks"],
         delay_model=delay_model or args.delay_model,
         seed=seed if seed is not None else args.seed,
     )
@@ -58,9 +68,9 @@ def _config_from_args(args, seed=None, learner=None, delay_model=None) -> RunCon
         env=env,
         learner=learner or args.learner,
         regularizer=args.regularizer,
-        delta=pick("delta", None, float, args.delta),
+        delta=values["delta"],
         alpha_safe=args.alpha_safe,
-        threshold_scale=pick("threshold_scale", None, float, args.threshold_scale),
+        threshold_scale=values["threshold_scale"],
         seed=env.seed,
     )
 
@@ -175,21 +185,9 @@ def cmd_verify(args) -> int:
     config = RunConfig(env=EnvironmentConfig(horizon=2000, arms=5, blocks=10,
                                              delay_model="geometric", seed=args.seed),
                        delta=0.05)
-    table, delays = build_environment(config.env)
-    trace = run(config, table=table, delays=delays)
-    # re-run to reach into the learner for ledger diagnostics
-    from .harness import make_learner, best_fixed_arm
-    istar, _ = best_fixed_arm(table)
-    learner = make_learner(config, table, istar, 0.5)
-    from .protocol import FeedbackEvent, FeedbackQueue
-    queue = FeedbackQueue(config.env.horizon)
-    for t in range(1, config.env.horizon + 1):
-        _, arm = learner.act(t)
-        queue.enqueue(FeedbackEvent(t, arm, float(table.row(t)[arm]),
-                                    t + delays.delay(t)))
-        learner.receive(queue.step(t), t)
-    resid = learner.base.max_conservation_residual
-    credit_ok = resid <= 1e-9 and learner.base.min_credit_seen >= -1e-12
+    base = run(config, keep_learner=True).learner.base
+    resid = base.max_conservation_residual
+    credit_ok = resid <= 1e-9 and base.min_credit_seen >= -1e-12
     print(f"credit conservation: {'pass' if credit_ok else 'FAIL'} "
           f"(max residual {resid:.2e})")
     ok &= credit_ok

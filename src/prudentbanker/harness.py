@@ -6,7 +6,6 @@ the master seed, so swapping learners never perturbs the environment.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses,
                        sample_delays)
-from .prudent import PrudentBanker, ThresholdFunctions, build_comparator
+from .prudent import PrudentBanker, build_comparator
 from .rng import RngSampler, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
@@ -101,7 +100,7 @@ def build_environment(env: EnvironmentConfig) -> tuple[LossTable, DelaySequence]
     return table, delays
 
 
-def make_learner(config: RunConfig, table: LossTable, istar: int, r0: float):
+def make_learner(config: RunConfig, istar: int, r0: float):
     A, T = config.env.arms, config.env.horizon
     sampler = RngSampler(stream(config.seed, f"action:{config.learner}"))
     name = config.learner
@@ -128,54 +127,78 @@ def make_learner(config: RunConfig, table: LossTable, istar: int, r0: float):
     raise ConfigError(name)
 
 
-def run(config: RunConfig, table: LossTable | None = None,
-        delays: DelaySequence | None = None, keep_learner: bool = False) -> RunTrace:
-    """Execute one full run and collect the per-round trace.
+@dataclass
+class PlayColumns:
+    """Per-round columns of one played game; entry t - 1 belongs to round t."""
 
-    A pre-built (table, delays) pair can be passed in to share one realized
-    environment across learners; by default it is generated from the seed.
-    An exception raised inside round t propagates as the same object, with
-    "round t" appended to its ``__notes__``.
+    stage: np.ndarray
+    phase: np.ndarray
+    alpha: np.ndarray
+    loss: np.ndarray  # pseudo-loss <p_t, l_t> of the played distribution
+    arrived: np.ndarray  # feedback events delivered at the end of the round
+    arm: np.ndarray
+
+
+def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
+    """Play the delayed game; round t's feedback arrives at the end of t + d_t.
+
+    Stage, phase and alpha are read right after ``act`` (1 if the learner
+    has none). An exception raised inside round t propagates as the same
+    object, with "round t" appended to its ``__notes__``.
     """
-    config.validate()
-    if table is None or delays is None:
-        table, delays = build_environment(config.env)
-    T, A = config.env.horizon, config.env.arms
-
-    istar, star_curve = best_fixed_arm(table)
-    # oracle-derived default reward: mean reward of the hindsight-best arm
-    r0 = float(np.mean(1.0 - table.losses[:, istar]))
-    xc = build_comparator(A, config.delta, istar)
-    learner = make_learner(config, table, istar, r0)
-
+    T = table.horizon
+    if len(delays) != T:
+        raise ConfigError(f"{len(delays)} delays for a horizon of {T} rounds")
     queue = FeedbackQueue(T)
-    t_col = np.arange(1, T + 1, dtype=np.int64)
-    stage_col = np.ones(T, dtype=np.int64)
-    phase_col = np.ones(T, dtype=np.int64)
-    alpha_col = np.ones(T)
-    pl_col = np.zeros(T)
-    arrived_col = np.zeros(T, dtype=np.int64)
-
+    stage, phase = np.ones(T, dtype=np.int64), np.ones(T, dtype=np.int64)
+    alpha, loss = np.ones(T), np.zeros(T)
+    arrived, arms = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
     for t in range(1, T + 1):
         try:
             dist, arm = learner.act(t)
-            stage_col[t - 1] = getattr(learner, "stage", 1)
-            phase_col[t - 1] = getattr(learner, "phase", 1)
-            alpha_col[t - 1] = getattr(learner, "alpha", 1.0)
-            pl_col[t - 1] = pseudo_loss(dist, table.row(t))
+            stage[t - 1] = getattr(learner, "stage", 1)
+            phase[t - 1] = getattr(learner, "phase", 1)
+            alpha[t - 1] = getattr(learner, "alpha", 1.0)
+            arms[t - 1] = arm
+            row = table.row(t)
+            loss[t - 1] = pseudo_loss(dist, row)
             queue.enqueue(FeedbackEvent(origin_round=t, arm=arm,
-                                        loss_value=float(table.row(t)[arm]),
+                                        loss_value=float(row[arm]),
                                         arrival_round=t + delays.delay(t)))
             events = queue.step(t)
-            arrived_col[t - 1] = len(events)
+            arrived[t - 1] = len(events)
             learner.receive(events, t)
         except Exception as exc:
             # keep the exception object and its type, and note the round on it
             # as BaseException.add_note would (Python 3.11+; 3.10 lacks it)
             exc.__notes__ = [*getattr(exc, "__notes__", ()), f"round {t}"]
             raise
+    return PlayColumns(stage, phase, alpha, loss, arrived, arms)
 
-    loss_B = np.cumsum(pl_col)
+
+def run(config: RunConfig, table: LossTable | None = None,
+        delays: DelaySequence | None = None, keep_learner: bool = False) -> RunTrace:
+    """Execute one full run and collect the per-round trace.
+
+    A pre-built (table, delays) pair can be passed in to share one realized
+    environment across learners; by default it is generated from the seed.
+    Errors inside a round carry a "round t" note (see ``play``).
+    """
+    config.validate()
+    if table is None or delays is None:
+        table, delays = build_environment(config.env)
+    T, A = config.env.horizon, config.env.arms
+    if table.horizon != T:
+        raise ConfigError(f"loss table of {table.horizon} rounds for a horizon of {T}")
+
+    istar, star_curve = best_fixed_arm(table)
+    # oracle-derived default reward: mean reward of the hindsight-best arm
+    r0 = float(np.mean(1.0 - table.losses[:, istar]))
+    xc = build_comparator(A, config.delta, istar)
+    learner = make_learner(config, istar, r0)
+    cols = play(learner, table, delays)
+
+    loss_B = np.cumsum(cols.loss)
     loss_c = np.cumsum(table.losses @ xc)
     restarts = getattr(learner, "restarts", [])
     n_hard = sum(1 for r in restarts if r.kind == "hard")
@@ -193,15 +216,16 @@ def run(config: RunConfig, table: LossTable | None = None,
         "comparator_anchor_source": "oracle (hindsight best arm)",
         "stages": n_hard + 1,
         "phases": n_soft + n_hard + 1,
-        "final_alpha": float(alpha_col[-1]),
+        "final_alpha": float(cols.alpha[-1]),
         "final_delay_estimate": int(getattr(learner, "delay_estimate", 0)),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
-    trace = RunTrace(config=config, t=t_col, stage=stage_col, phase=phase_col,
-                     alpha=alpha_col, loss_B=loss_B, loss_star=star_curve,
-                     loss_c=loss_c, arrived=arrived_col, summary=summary)
+    trace = RunTrace(config=config, t=np.arange(1, T + 1, dtype=np.int64),
+                     stage=cols.stage, phase=cols.phase, alpha=cols.alpha,
+                     loss_B=loss_B, loss_star=star_curve, loss_c=loss_c,
+                     arrived=cols.arrived, summary=summary)
     if keep_learner:
         trace.learner = learner
     return trace

@@ -10,12 +10,13 @@ deterministic 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, SimulationIntegrityError
-from .protocol import DelaySequence, FeedbackEvent, FeedbackQueue, LossTable
+from .harness import play
+from .protocol import DelaySequence, FeedbackEvent, LossTable
 
 #: index of the biased ("special") arm in hard instances
 SPECIAL_ARM = 1
@@ -209,18 +210,9 @@ def batched_simulate(learner_factory, delays: DelaySequence,
     d = delays.delays
 
     # --- native run -------------------------------------------------------
-    native = learner_factory()
-    queue = FeedbackQueue(T)
-    actions_native: list[int] = []
-    loss_native = 0.0
-    for t in range(1, T + 1):
-        _, arm = native.act(t)
-        actions_native.append(arm)
-        loss_native += table.row(t)[arm]
-        queue.enqueue(FeedbackEvent(origin_round=t, arm=arm,
-                                    loss_value=float(table.row(t)[arm]),
-                                    arrival_round=t + int(d[t - 1])))
-        native.receive(queue.step(t), t)
+    arms_native = play(learner_factory(), table, delays).arm
+    # summed left to right (accumulate, not np.sum), exactly as loss_batched
+    loss_native = float(np.add.accumulate(table.losses[np.arange(T), arms_native])[-1])
 
     # --- batched (wrapped) run --------------------------------------------
     wrapped = learner_factory()
@@ -263,7 +255,7 @@ def batched_simulate(learner_factory, delays: DelaySequence,
     comparator = np.asarray(comparator, dtype=float)
     loss_comp = float(np.sum(table.losses @ comparator))
     return SimulationResult(
-        actions_native=actions_native,
+        actions_native=arms_native.tolist(),
         actions_batched=actions_batched,
         regret_native=loss_native - loss_comp,
         regret_batched=loss_batched - loss_comp,

@@ -6,13 +6,13 @@ round t + d_t and is first usable for the decision at round t + d_t + 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
 
-DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax", "explicit")
+DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,12 @@ class FeedbackEvent:
 class EnvironmentConfig:
     horizon: int = 20000
     arms: int = 10
-    loss_model: str = "block"  # "block" | "custom"
     blocks: int = 100
     delay_model: str = "none"
     p_active: float = 0.03
     q_geo: float = 0.4
     lomax_shape: float = 2.5
     lomax_scale: float = 1.0
-    explicit_delays: np.ndarray | None = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -103,9 +101,8 @@ class EnvironmentConfig:
             raise ConfigError("horizon must be positive")
         if self.arms < 1:
             raise ConfigError("arms must be positive")
-        if self.loss_model == "block":
-            if self.blocks < 1 or self.blocks > self.horizon:
-                raise ConfigError("need 1 <= blocks <= horizon")
+        if self.blocks < 1 or self.blocks > self.horizon:
+            raise ConfigError("need 1 <= blocks <= horizon")
         if self.delay_model not in DELAY_MODELS:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
         if not (0.0 <= self.p_active <= 1.0):
@@ -114,11 +111,6 @@ class EnvironmentConfig:
             raise ConfigError("q_geo must lie in (0, 1]")
         if self.lomax_shape <= 0 or self.lomax_scale <= 0:
             raise ConfigError("lomax shape and scale must be positive")
-        if self.delay_model == "explicit":
-            if self.explicit_delays is None:
-                raise ConfigError("explicit delay model needs a sequence")
-            if len(self.explicit_delays) != self.horizon:
-                raise ConfigError("explicit delay sequence length != horizon")
 
 
 def block_index(t: int, horizon: int, blocks: int) -> int:
@@ -176,8 +168,6 @@ def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelayS
         # inverse CDF of Lomax(shape, scale): z = scale * ((1-u)^(-1/shape) - 1)
         z = config.lomax_scale * ((1.0 - u) ** (-1.0 / config.lomax_shape) - 1.0)
         d[active] = 1 + np.floor(z).astype(np.int64)
-    elif model == "explicit":
-        d = np.asarray(config.explicit_delays, dtype=np.int64)
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(model)
     return DelaySequence(delays=d)

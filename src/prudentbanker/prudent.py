@@ -14,11 +14,11 @@ Three control layers sit on top of the base learner:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .banker import BankerOMD, Kahan
+from .banker import BankerOMD
 from .errors import ConfigError
 from .mirror import Regularizer
 from .protocol import FeedbackEvent
@@ -177,36 +177,30 @@ class PrudentBanker:
         if self.stage_delay <= self.delay_estimate:
             return False
         trigger = self.stage_delay
-        new_estimate = next_delay_estimate(trigger)
-        self.restarts.append(RestartRecord(
-            round=t, kind="hard", trigger=float(trigger),
-            old_estimate=self.delay_estimate, new_estimate=new_estimate,
-            new_phase=1, new_alpha=min(1.0 / self.tf.rhat(new_estimate), 1.0)))
         self.stage += 1
-        self.delay_estimate = new_estimate
         self.stage_start = t + 1
         self.stage_delay = 0
-        self.phase = 1
-        self.phase_start = t + 1
-        self.alpha = min(1.0 / self.tf.rhat(new_estimate), 1.0)
-        self.base.reset(t + 1)
-        self._g[:] = 0.0
-        self._g_comp[:] = 0.0
+        self._restart(t, "hard", float(trigger), next_delay_estimate(trigger), 1)
         return True
 
     def _check_soft_restart(self, t: int) -> None:
         if self.alpha >= 1.0:
             return
-        threshold = self.tf.restart_threshold(self.delay_estimate)
-        if self.gap <= threshold:
+        gap = self.gap
+        if gap <= self.tf.restart_threshold(self.delay_estimate):
             return
-        self.phase += 1
-        self.alpha = min(2.0 ** (self.phase - 1) / self.tf.rhat(self.delay_estimate), 1.0)
-        self.phase_start = t + 1
+        self._restart(t, "soft", gap, self.delay_estimate, self.phase + 1)
+
+    def _restart(self, t: int, kind: str, trigger: float, estimate: int, phase: int) -> None:
+        """Log the restart and start `phase` at round t + 1 under `estimate`."""
+        alpha = min(2.0 ** (phase - 1) / self.tf.rhat(estimate), 1.0)
         self.restarts.append(RestartRecord(
-            round=t, kind="soft", trigger=self.gap,
-            old_estimate=self.delay_estimate, new_estimate=self.delay_estimate,
-            new_phase=self.phase, new_alpha=self.alpha))
+            round=t, kind=kind, trigger=trigger, old_estimate=self.delay_estimate,
+            new_estimate=estimate, new_phase=phase, new_alpha=alpha))
+        self.delay_estimate = estimate
+        self.phase = phase
+        self.phase_start = t + 1
+        self.alpha = alpha
         self.base.reset(t + 1)
         self._g[:] = 0.0
         self._g_comp[:] = 0.0

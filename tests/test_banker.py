@@ -8,11 +8,12 @@ from prudentbanker.banker import (ARRIVED, BankerOMD, RoundRecord,
                                   expected_mirror_step_divergence, step_size)
 from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ProtocolError
+from prudentbanker.harness import play
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
-                                    FeedbackEvent, FeedbackQueue, LossTable,
-                                    sample_delays)
+                                    FeedbackEvent, LossTable,
+                                    generate_block_losses, sample_delays)
 from prudentbanker.rng import RngSampler, stream
 
 ENT = Regularizer(NEG_ENTROPY, 4, 0.1)
@@ -21,7 +22,7 @@ ENT = Regularizer(NEG_ENTROPY, 4, 0.1)
 def plant_arrived(bomd, u, credit, z=None):
     """Insert an already-arrived donor record with the given remaining credit."""
     z = bomd.reg.x0 if z is None else np.asarray(z, float)
-    rec = RoundRecord(u=u, sigma=credit, v=credit, x=z.copy(), arm=0, status=ARRIVED)
+    rec = RoundRecord(sigma=credit, v=credit, x=z.copy(), arm=0, status=ARRIVED)
     rec.z = z
     rec.dual_z = grad_psi(bomd.reg, z)
     bomd.records[u] = rec
@@ -166,15 +167,9 @@ def delayed_run(seed=0, T=1500, arms=4, kind=NEG_ENTROPY):
     learner = BankerOMDLearner(reg, RngSampler(stream(seed, "act")))
     env = EnvironmentConfig(horizon=T, arms=arms, blocks=10,
                             delay_model="geometric", seed=seed)
-    from prudentbanker.protocol import generate_block_losses
     table = generate_block_losses(env, stream(seed, "losses"))
     delays = sample_delays(env, stream(seed, "delays"))
-    queue = FeedbackQueue(T)
-    for t in range(1, T + 1):
-        _, arm = learner.act(t)
-        queue.enqueue(FeedbackEvent(t, arm, float(table.row(t)[arm]),
-                                    t + delays.delay(t)))
-        learner.receive(queue.step(t), t)
+    play(learner, table, delays)
     return learner.base, table, delays
 
 
@@ -215,13 +210,8 @@ def test_stationary_two_arm_regret_sanity():
     learner = BankerOMDLearner(reg, RngSampler(stream(0, "act")))
     losses = np.tile(np.array([0.3, 0.5]), (T, 1))
     table = LossTable(horizon=T, arms=2, losses=losses)
-    queue = FeedbackQueue(T)
-    regret = 0.0
-    for t in range(1, T + 1):
-        dist, arm = learner.act(t)
-        regret += float(np.dot(dist, table.row(t))) - 0.3
-        queue.enqueue(FeedbackEvent(t, arm, float(table.row(t)[arm]), t))
-        learner.receive(queue.step(t), t)
+    no_delay = DelaySequence(delays=np.zeros(T, dtype=np.int64))
+    regret = float(np.sum(play(learner, table, no_delay).loss)) - 0.3 * T
     c1, c2 = reg.constants()
     assert regret <= (c1 + 2 * c2) * math.sqrt(T)
     assert regret >= 0.0

@@ -1,0 +1,77 @@
+import pytest
+
+from prudentbanker import cli
+
+
+@pytest.fixture
+def configs(monkeypatch):
+    """The run configs the CLI builds, recorded as it hands them to `run`."""
+    seen = []
+    real_run = cli.run
+
+    def recording_run(config, *args, **kwargs):
+        seen.append(config)
+        return real_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    return seen
+
+
+def run_main(tmp_path, *argv, config_text=None):
+    flags = ["run", "--out", str(tmp_path / "out" / "run")]
+    if config_text is not None:
+        path = tmp_path / "cfg"
+        path.write_text(config_text)
+        flags += ["--config", str(path)]
+    return cli.main([*flags, *argv])
+
+
+SHORT = "horizon=200\nblocks=4\n"
+
+
+def test_flags_beat_config_file(configs, tmp_path):
+    text = SHORT + "delta=0.05\nthreshold_scale=0.5\narms=5\n"
+    assert run_main(tmp_path, "--delta", "0.02", "--threshold-scale", "0.25",
+                    "--horizon", "150", config_text=text) == 0
+    cfg, = configs
+    assert cfg.delta == 0.02 and cfg.threshold_scale == 0.25
+    assert cfg.env.horizon == 150
+    assert cfg.env.arms == 5 and cfg.env.blocks == 4  # from the file
+
+
+def test_config_file_beats_profile(configs, tmp_path):
+    text = SHORT + "delta=0.05\nthreshold_scale=0.5\n"
+    assert run_main(tmp_path, config_text=text) == 0
+    cfg, = configs
+    assert cfg.delta == 0.05 and cfg.threshold_scale == 0.5
+    assert (cfg.env.horizon, cfg.env.arms, cfg.env.blocks) == (200, 10, 4)
+
+
+def test_absent_flags_leave_the_profile(configs, tmp_path):
+    assert run_main(tmp_path, "--horizon", "100", "--blocks", "4") == 0
+    cfg, = configs
+    assert cfg.delta == 0.01 and cfg.threshold_scale == 1.0
+    assert cfg.env.arms == 10
+
+
+@pytest.mark.parametrize("line", ["learnr=safe-exp3ix", "delay_model=geometric"])
+def test_unknown_config_key_exits_2(configs, tmp_path, capsys, line):
+    assert run_main(tmp_path, config_text=SHORT + line + "\n") == 2
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert configs == []
+
+
+def test_bad_config_value_exits_2(configs, tmp_path, capsys):
+    assert run_main(tmp_path, config_text="horizon=lots\n") == 2
+    assert "horizon" in capsys.readouterr().err
+    assert configs == []
+
+
+def test_verify_passes(capsys):
+    assert cli.main(["verify", "--seed", "0"]) == 0
+    assert "credit conservation: pass" in capsys.readouterr().out
+
+
+def test_lowerbound_identity_passes(capsys):
+    assert cli.main(["lowerbound", "--trials", "2000"]) == 0
+    assert "delayed-vs-batched identity: pass" in capsys.readouterr().out

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prudentbanker import harness
+from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ConfigError, NumericalError
 from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
-                                   load_config_file, parse_csv, pseudo_loss,
-                                   run)
-from prudentbanker.protocol import EnvironmentConfig, LossTable
+                                   load_config_file, parse_csv, play,
+                                   pseudo_loss, run)
+from prudentbanker.mirror import NEG_ENTROPY, Regularizer
+from prudentbanker.protocol import (DelaySequence, EnvironmentConfig, LossTable,
+                                    outstanding_counters)
+from prudentbanker.prudent import PrudentBanker, build_comparator
+from prudentbanker.rng import RngSampler, stream
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):
@@ -89,6 +96,77 @@ def test_alpha_nondecreasing_within_stage():
 def test_no_delay_every_round_arrives():
     trace = run(small_cfg(horizon=100, delay_model="none"))
     np.testing.assert_array_equal(trace.arrived, 1)
+
+
+def test_environment_of_another_horizon_is_rejected():
+    table, delays = build_environment(small_cfg(horizon=200).env)
+    with pytest.raises(ConfigError):
+        run(small_cfg(horizon=300), table, delays)
+    learner = harness.make_learner(small_cfg(), 0, 0.5)
+    with pytest.raises(ConfigError):
+        play(learner, table, DelaySequence(delays=delays.delays[:-1]))
+
+
+def test_play_columns_build_the_trace():
+    cfg = small_cfg(horizon=300)
+    table, delays = build_environment(cfg.env)
+    trace = run(cfg, table, delays, keep_learner=True)
+    istar, _ = best_fixed_arm(table)
+    cols = play(harness.make_learner(cfg, istar, trace.summary["r0"]), table, delays)
+    np.testing.assert_array_equal(cols.stage, trace.stage)
+    np.testing.assert_array_equal(cols.alpha, trace.alpha)
+    np.testing.assert_array_equal(np.cumsum(cols.loss), trace.loss_B)
+    # the played arm's loss is the feedback the learner saw
+    base = trace.learner.base
+    for u, rec in base.records.items():
+        assert rec.arm == cols.arm[u - 1]
+
+
+# -- properties through play on hand-built delay sequences ------------------
+
+@st.composite
+def delay_sequences(draw):
+    """T <= 120 rounds, delays up to 3T: dense, sparse or non-increasing."""
+    T = draw(st.integers(1, 120))
+    d = draw(st.lists(st.integers(0, 3 * T), min_size=T, max_size=T))
+    shape = draw(st.sampled_from(["dense", "sparse", "decreasing"]))
+    if shape == "sparse":
+        keep = draw(st.lists(st.integers(0, 9), min_size=T, max_size=T))
+        d = [x if k == 0 else 0 for x, k in zip(d, keep)]
+    elif shape == "decreasing":
+        d = sorted(d, reverse=True)
+    return DelaySequence(delays=np.array(d, dtype=np.int64))
+
+
+def random_table(T, seed, arms=3):
+    return LossTable(horizon=T, arms=arms,
+                     losses=np.random.default_rng(seed).random((T, arms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays=delay_sequences(), seed=st.integers(0, 2**16))
+def test_banker_outstanding_sum_matches_reference(delays, seed):
+    T = len(delays)
+    learner = BankerOMDLearner(Regularizer(NEG_ENTROPY, 3, 0.1),
+                               RngSampler(stream(seed, "act")))
+    play(learner, random_table(T, seed), delays)
+    assert learner.base.outstanding_sum == outstanding_counters(delays, 1, T)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays=delay_sequences(), seed=st.integers(0, 2**16))
+def test_prudent_stage_bound_and_doubling(delays, seed):
+    T = len(delays)
+    learner = PrudentBanker(Regularizer(NEG_ENTROPY, 3, 0.1), build_comparator(3, 0.1, 0),
+                            T, RngSampler(stream(seed, "act")), threshold_scale=0.01)
+    cols = play(learner, random_table(T, seed), delays)
+    hard = [r for r in learner.restarts if r.kind == "hard"]
+    for r in hard:
+        assert r.trigger <= r.new_estimate < 2 * r.trigger
+        assert r.new_estimate >= 2 * r.old_estimate
+    # ceil(log2 D) + 1 in exact integers; a single stage when D <= 1
+    bound = (max(delays.total, 1) - 1).bit_length() + 1
+    assert learner.stage == len(hard) + 1 == cols.stage[-1] <= bound
 
 
 # -- serialization ----------------------------------------------------------

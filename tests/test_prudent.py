@@ -228,7 +228,7 @@ def test_missing_count_bound_during_run():
     from prudentbanker.harness import best_fixed_arm, make_learner as build
     table, delays = build_environment(cfg.env)
     istar, _ = best_fixed_arm(table)
-    learner = build(cfg, table, istar, 0.5)
+    learner = build(cfg, istar, 0.5)
     queue = FeedbackQueue(cfg.env.horizon)
     for t in range(1, cfg.env.horizon + 1):
         _, arm = learner.act(t)
@@ -247,7 +247,7 @@ def test_gap_stays_below_threshold_inside_phases():
     from prudentbanker.harness import best_fixed_arm, make_learner as build
     table, delays = build_environment(cfg.env)
     istar, _ = best_fixed_arm(table)
-    learner = build(cfg, table, istar, 0.5)
+    learner = build(cfg, istar, 0.5)
     queue = FeedbackQueue(cfg.env.horizon)
     for t in range(1, cfg.env.horizon + 1):
         _, arm = learner.act(t)
