@@ -18,9 +18,6 @@ from .errors import ProtocolError
 from .mirror import Regularizer, bregman, grad_psi, grad_psi_star_with_dual
 from .protocol import FeedbackEvent
 
-MISSING = "missing"
-ARRIVED = "arrived"
-
 _GRAD_FLOOR = 1e-300  # defensive floor before evaluating grad_psi on played points
 
 
@@ -46,11 +43,7 @@ class RoundRecord:
     v: float
     x: np.ndarray  # played distribution
     arm: int
-    status: str = MISSING
-    est_weight: float | None = None  # importance-weighted loss at the played arm
-    z: np.ndarray | None = None
-    dual_z: np.ndarray | None = None
-    donated: float = 0.0
+    dual_z: np.ndarray | None = None  # dual of the post-update point, set on arrival
 
 
 def step_size(reg: Regularizer, t: int, phase_start: int, d_t: int, DD_t: int) -> float:
@@ -75,7 +68,9 @@ class BankerOMD:
     """One phase-scoped Banker-OMD learner over a ledger of round records.
 
     The ledger covers only rounds >= phase_start; `reset` starts a fresh phase
-    (feedback for earlier rounds is dropped on arrival).
+    (feedback for earlier rounds is dropped on arrival). A round is outstanding
+    exactly when it is in `missing`; `begin_round` deletes an arrived record
+    once its credit is spent.
     """
 
     def __init__(self, reg: Regularizer):
@@ -108,7 +103,10 @@ class BankerOMD:
         allocation, b = self._allocate(t, sigma)
         theta = (b / sigma) * self._dual_x0
         for u, amount in allocation:
-            theta = theta + (amount / sigma) * self.records[u].dual_z
+            rec = self.records[u]
+            theta = theta + (amount / sigma) * rec.dual_z
+            if rec.v <= 0.0:
+                del self.records[u]
         xhat, _ = grad_psi_star_with_dual(self.reg, theta)
 
         self._pending = (t, sigma)
@@ -128,16 +126,15 @@ class BankerOMD:
         """Apply arrived feedback; returns the importance weight, or None if dropped.
 
         Feedback for rounds before the current phase start (orphaned by a
-        restart) is discarded without effect.
+        restart) is discarded without effect; feedback for any other round that
+        is not outstanding (never committed, or already arrived) is an error.
         """
         u = event.origin_round
         if u < self.phase_start:
             return None
-        rec = self.records.get(u)
-        if rec is None:
-            return None
-        if rec.status == ARRIVED:
-            raise ProtocolError(f"duplicate feedback for round {u}")
+        if u not in self.missing:
+            raise ProtocolError(f"feedback for round {u}, which is not outstanding")
+        rec = self.records[u]
         if rec.arm != event.arm:
             raise ProtocolError(f"feedback arm mismatch at round {u}")
         x_at_arm = float(rec.x[event.arm])
@@ -146,13 +143,10 @@ class BankerOMD:
         w = event.loss_value / x_at_arm
         theta = grad_psi(self.reg, np.maximum(rec.x, _GRAD_FLOOR)).copy()
         theta[event.arm] -= w / rec.sigma
-        rec.z, rec.dual_z = grad_psi_star_with_dual(self.reg, theta)
-        rec.est_weight = w
-        rec.status = ARRIVED
-        self.missing.discard(u)
+        _, rec.dual_z = grad_psi_star_with_dual(self.reg, theta)
+        self.missing.remove(u)
         self._missing_sigma.add(-rec.sigma)
-        if rec.v > 0.0:
-            heapq.heappush(self._credit_heap, u)
+        heapq.heappush(self._credit_heap, u)
         return w
 
     # -- internals ----------------------------------------------------------
@@ -163,12 +157,9 @@ class BankerOMD:
         allocation: list[tuple[int, float]] = []
         while b > 0.0 and self._credit_heap:
             u = heapq.heappop(self._credit_heap)
-            rec = self.records.get(u)
-            if rec is None or rec.status != ARRIVED or rec.v <= 0.0:
-                continue  # stale heap entry
+            rec = self.records[u]
             amount = min(rec.v, b)
             rec.v -= amount
-            rec.donated += amount
             b -= amount
             allocation.append((u, amount))
             self.min_credit_seen = min(self.min_credit_seen, rec.v)

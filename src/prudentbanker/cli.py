@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
     # credit conservation on a short delayed run
     config = RunConfig(env=EnvironmentConfig(horizon=2000, arms=5, blocks=10,
                                              delay_model="geometric", seed=args.seed),
-                       delta=0.05)
+                       delta=0.05, seed=args.seed)
     base = run(config, keep_learner=True).learner.base
     resid = base.max_conservation_residual
     credit_ok = resid <= 1e-9 and base.min_credit_seen >= -1e-12

@@ -53,7 +53,6 @@ class RunConfig:
     regularizer: str = NEG_ENTROPY
     delta: float = 0.01
     alpha_safe: float = 0.1
-    fixed_arm: int | None = None
     threshold_scale: float = 1.0
     seed: int = 0
 
@@ -120,9 +119,8 @@ def make_learner(config: RunConfig, istar: int, r0: float):
     if name == "play-comparator":
         return baselines.PlayDistribution(build_comparator(A, config.delta, istar), sampler)
     if name == "play-fixed-arm":
-        arm = istar if config.fixed_arm is None else config.fixed_arm
         dist = np.zeros(A)
-        dist[arm] = 1.0
+        dist[istar] = 1.0
         return baselines.PlayDistribution(dist, sampler)
     raise ConfigError(name)
 

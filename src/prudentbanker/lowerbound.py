@@ -108,12 +108,6 @@ class HardInstancePair:
     eps: tuple[float, ...]
 
     @property
-    def comparator(self) -> np.ndarray:
-        xc = np.full(self.arms, self.delta)
-        xc[0] = 1.0 - (self.arms - 1) * self.delta
-        return xc
-
-    @property
     def slots(self) -> int:
         return sum(self.lengths)
 

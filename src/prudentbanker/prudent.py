@@ -115,7 +115,6 @@ class PrudentBanker:
             raise ConfigError("comparator must have every coordinate >= delta")
         self.reg = reg
         self.xc = comparator
-        self.horizon = horizon
         self.sampler = sampler
         self.tf = ThresholdFunctions.for_regularizer(reg, horizon, scale=threshold_scale)
 
@@ -125,7 +124,6 @@ class PrudentBanker:
         self.stage_start = 1
         self.stage_delay = 0  # realized delay of arrived feedback, current stage
         self.phase = 1
-        self.phase_start = 1
         self.alpha = min(1.0 / self.tf.rhat(self.delay_estimate), 1.0)
 
         self._g = np.zeros(reg.arms)
@@ -199,7 +197,6 @@ class PrudentBanker:
             new_estimate=estimate, new_phase=phase, new_alpha=alpha))
         self.delay_estimate = estimate
         self.phase = phase
-        self.phase_start = t + 1
         self.alpha = alpha
         self.base.reset(t + 1)
         self._g[:] = 0.0

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ProtocolError
+
 
 def stream(seed: int, name: str) -> np.random.Generator:
     """Return an independent generator derived from (seed, name).
@@ -22,11 +24,17 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 def sample_arm(dist: np.ndarray, u: float) -> int:
-    """Inverse-CDF sampling of an arm index from a probability vector."""
+    """Inverse-CDF sampling of an arm index from a probability vector.
+
+    Raises ProtocolError unless `dist` is nonnegative and sums to 1 within 1e-9.
+    """
     cdf = np.cumsum(dist)
+    total = cdf.item(-1)
+    if not abs(total - 1.0) <= 1e-9 or dist.min() < 0.0:
+        raise ProtocolError(f"not a probability vector: {dist!r}")
     # Guard against cumulative rounding leaving cdf[-1] slightly below u.
-    cdf[-1] = max(cdf[-1], 1.0)
-    return int(np.searchsorted(cdf, u, side="right"))
+    cdf[-1] = max(total, 1.0)
+    return int(cdf.searchsorted(u, side="right"))
 
 
 class RngSampler:

@@ -67,6 +67,12 @@ def test_bad_config_value_exits_2(configs, tmp_path, capsys):
     assert configs == []
 
 
+def test_verify_seeds_the_learner(configs, capsys):
+    assert cli.main(["verify", "--seed", "3"]) == 0
+    cfg, = configs
+    assert cfg.seed == cfg.env.seed == 3
+
+
 def test_verify_passes(capsys):
     assert cli.main(["verify", "--seed", "0"]) == 0
     assert "credit conservation: pass" in capsys.readouterr().out

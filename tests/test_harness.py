@@ -150,7 +150,10 @@ def test_banker_outstanding_sum_matches_reference(delays, seed):
     learner = BankerOMDLearner(Regularizer(NEG_ENTROPY, 3, 0.1),
                                RngSampler(stream(seed, "act")))
     play(learner, random_table(T, seed), delays)
-    assert learner.base.outstanding_sum == outstanding_counters(delays, 1, T)[1]
+    base = learner.base
+    assert base.outstanding_sum == outstanding_counters(delays, 1, T)[1]
+    # a record lives only while its feedback is outstanding or it holds credit
+    assert all(u in base.missing or rec.v > 0.0 for u, rec in base.records.items())
 
 
 @settings(max_examples=300, deadline=None)

@@ -91,7 +91,6 @@ def test_hard_instance_arithmetic():
     for e in inst.eps:
         assert e == pytest.approx(0.02552, abs=1e-5)
         assert e <= 0.25
-    np.testing.assert_allclose(inst.comparator, [0.75, 0.25])
 
 
 def test_hard_instance_preconditions():

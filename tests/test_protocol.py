@@ -8,7 +8,7 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
                                     block_index, generate_block_losses,
                                     outstanding_counters, sample_delays)
-from prudentbanker.rng import stream
+from prudentbanker.rng import sample_arm, stream
 
 
 def test_block_assignment_small():
@@ -120,6 +120,13 @@ def test_queue_discards_post_horizon_feedback():
     q.enqueue(FeedbackEvent(2, 0, 0.5, 5))
     q.step(1)
     assert q.step(2) == []
+
+
+@pytest.mark.parametrize("dist", [[np.nan, np.nan], [0.2, 0.2], [-0.2, 0.6, 0.6]],
+                         ids=["nan", "unnormalised", "negative"])
+def test_sample_arm_rejects_non_distributions(dist):
+    with pytest.raises(ProtocolError):
+        sample_arm(np.array(dist), 0.9)
 
 
 def test_outstanding_counters_examples():

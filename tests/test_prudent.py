@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prudentbanker.banker import BankerOMD
 from prudentbanker.errors import ConfigError
 from prudentbanker.harness import RunConfig, build_environment, run
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
@@ -101,7 +102,7 @@ def test_hard_restart_fires_and_resets():
     dist, _ = learner.act(5)
     assert learner.stage == 2
     assert learner.delay_estimate == 4
-    assert learner.stage_start == 6 and learner.phase_start == 6
+    assert learner.stage_start == 6 and learner.base.phase_start == 6
     assert learner.phase == 1 and learner.stage_delay == 0
     # restart round still plays the mixture anchored at the uniform base point
     expected = learner.alpha * learner.reg.x0 + (1 - learner.alpha) * learner.xc
@@ -147,7 +148,7 @@ def test_soft_restart_doubles_alpha():
     learner.receive([], 10)
     assert learner.phase == 2
     assert learner.alpha == pytest.approx(min(2 * a1, 1.0))
-    assert learner.phase_start == 11
+    assert learner.base.phase_start == 11
     assert np.all(learner._g == 0.0)
     assert learner.restarts[-1].kind == "soft"
 
@@ -179,17 +180,25 @@ def test_act_mixture_arithmetic():
     np.testing.assert_allclose(dist, 0.5 * np.array([0.5, 0.5]) + 0.5 * learner.xc)
 
 
-def test_played_probabilities_floor_and_weight_cap():
+def test_played_probabilities_floor_and_weight_cap(monkeypatch):
+    weights = []
+    real_ingest = BankerOMD.ingest
+
+    def recording_ingest(self, event):
+        w = real_ingest(self, event)
+        if w is not None:
+            weights.append(w)
+        return w
+
+    monkeypatch.setattr(BankerOMD, "ingest", recording_ingest)
     cfg = RunConfig(env=EnvironmentConfig(horizon=800, arms=5, blocks=8,
                                           delay_model="geometric", seed=2),
                     delta=0.05, seed=2)
-    trace = run(cfg, keep_learner=True)
-    learner = trace.learner
+    trace = run(cfg)
     assert np.all(trace.alpha <= 0.5)
     # whenever alpha <= 1/2 every importance weight is at most 2/delta
-    for rec in learner.base.records.values():
-        if rec.est_weight is not None:
-            assert rec.est_weight <= 2.0 / 0.05 + 1e-9
+    assert weights
+    assert max(weights) <= 2.0 / 0.05 + 1e-9
 
 
 # -- run-level invariants ---------------------------------------------------
