@@ -51,20 +51,15 @@ class ConservativeUCB:
     whose mean reward r0 is known.
     """
 
-    def __init__(self, arms: int, default_arm: int, r0: float,
-                 alpha_safe: float = 0.1, delta_ucb: float | None = None,
-                 horizon: int | None = None):
+    def __init__(self, arms: int, default_arm: int, r0: float, horizon: int,
+                 alpha_safe: float = 0.1):
         if not (0.0 <= alpha_safe <= 1.0):
             raise ConfigError("alpha_safe must lie in [0, 1]")
-        if delta_ucb is None:
-            if horizon is None:
-                raise ConfigError("need delta_ucb or horizon")
-            delta_ucb = 1.0 / max(horizon, 2)
         self.arms = arms
         self.default_arm = default_arm
         self.r0 = r0
         self.alpha_safe = alpha_safe
-        self.delta_ucb = delta_ucb
+        self.delta_ucb = 1.0 / max(horizon, 2)
         self.n_obs = np.zeros(arms, dtype=np.int64)
         self.sums = np.zeros(arms)
         self.n_play = np.zeros(arms, dtype=np.int64)

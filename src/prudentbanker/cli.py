@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
                "threshold_scale": float}
 
 
-def _config_from_args(args, seed=None, learner=None, delay_model=None) -> RunConfig:
+def _config_from_args(args) -> RunConfig:
     """Build the run config; a flag beats a --config file, which beats the profile."""
     T, A, B = SCALES[args.scale]
     values = {"horizon": T, "arms": A, "blocks": B, "delta": RunConfig.delta,
@@ -61,12 +62,12 @@ def _config_from_args(args, seed=None, learner=None, delay_model=None) -> RunCon
         horizon=values["horizon"],
         arms=values["arms"],
         blocks=values["blocks"],
-        delay_model=delay_model or args.delay_model,
-        seed=seed if seed is not None else args.seed,
+        delay_model=args.delay_model,
+        seed=args.seed,
     )
     return RunConfig(
         env=env,
-        learner=learner or args.learner,
+        learner=args.learner,
         regularizer=args.regularizer,
         delta=values["delta"],
         alpha_safe=args.alpha_safe,
@@ -85,18 +86,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad --seeds {args.seeds!r}: need comma-separated integers") from None
     learners = args.learners.split(",")
     delay_models = args.delay_models.split(",")
+    base = _config_from_args(args)
     out_dir = Path(args.out)
     summaries = []
     for delay_model in delay_models:
         for seed in seeds:
-            env_cfg = _config_from_args(args, seed=seed, delay_model=delay_model)
-            table, delays = build_environment(env_cfg.env)
+            env = dataclasses.replace(base.env, delay_model=delay_model, seed=seed)
+            table, delays = build_environment(env)
             for learner in learners:
-                config = _config_from_args(args, seed=seed, learner=learner,
-                                           delay_model=delay_model)
+                config = dataclasses.replace(base, env=env, learner=learner, seed=seed)
                 trace = run(config, table=table, delays=delays)
                 name = f"{learner}_{delay_model}_s{seed}"
                 emit(trace, out_dir / name)

@@ -17,7 +17,7 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to converge to its stated tolerance."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(ConfigError):
     """A documented precondition of a construction does not hold for the given input."""
 
 

@@ -68,7 +68,6 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    config: RunConfig
     t: np.ndarray
     stage: np.ndarray
     phase: np.ndarray
@@ -111,8 +110,7 @@ def make_learner(config: RunConfig, istar: int, r0: float):
         reg = Regularizer(kind=config.regularizer, arms=A, delta=config.delta)
         return baselines.BankerOMDLearner(reg, sampler)
     if name == "conservative-ucb":
-        return baselines.ConservativeUCB(A, istar, r0, alpha_safe=config.alpha_safe,
-                                         horizon=T)
+        return baselines.ConservativeUCB(A, istar, r0, T, alpha_safe=config.alpha_safe)
     if name == "safe-exp3ix":
         return baselines.SafeExp3IX(A, T, istar, r0, sampler,
                                     alpha_safe=config.alpha_safe)
@@ -179,15 +177,18 @@ def run(config: RunConfig, table: LossTable | None = None,
     """Execute one full run and collect the per-round trace.
 
     A pre-built (table, delays) pair can be passed in to share one realized
-    environment across learners; by default it is generated from the seed.
+    environment across learners; by default both are generated from the seed.
     Errors inside a round carry a "round t" note (see ``play``).
     """
     config.validate()
-    if table is None or delays is None:
+    if (table is None) != (delays is None):
+        raise ConfigError("pass both table and delays, or neither")
+    if table is None:
         table, delays = build_environment(config.env)
     T, A = config.env.horizon, config.env.arms
-    if table.horizon != T:
-        raise ConfigError(f"loss table of {table.horizon} rounds for a horizon of {T}")
+    if table.losses.shape != (T, A):
+        raise ConfigError(f"loss table of shape {table.losses.shape} for a horizon of "
+                          f"{T} rounds and {A} arms")
 
     istar, star_curve = best_fixed_arm(table)
     # oracle-derived default reward: mean reward of the hindsight-best arm
@@ -220,7 +221,7 @@ def run(config: RunConfig, table: LossTable | None = None,
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
-    trace = RunTrace(config=config, t=np.arange(1, T + 1, dtype=np.int64),
+    trace = RunTrace(t=np.arange(1, T + 1, dtype=np.int64),
                      stage=cols.stage, phase=cols.phase, alpha=cols.alpha,
                      loss_B=loss_B, loss_star=star_curve, loss_c=loss_c,
                      arrived=cols.arrived, summary=summary)
@@ -229,26 +230,18 @@ def run(config: RunConfig, table: LossTable | None = None,
     return trace
 
 
-def emit(trace: RunTrace, out_base: str | Path, formats=("csv", "json-summary")) -> list[Path]:
-    """Write the trace to <out_base>.csv and/or <out_base>.json."""
+def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
+    """Write the trace to <out_base>.csv and its summary to <out_base>.json."""
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
+    summary = json.dumps(trace.summary, indent=2, sort_keys=True) + "\n"
     written = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = out_base.with_suffix(".csv")
-            try:
-                path.write_text(trace.csv_string())
-            except OSError as exc:
-                raise OSError(f"writing {path}: {exc}") from exc
-        elif fmt == "json-summary":
-            path = out_base.with_suffix(".json")
-            try:
-                path.write_text(json.dumps(trace.summary, indent=2, sort_keys=True) + "\n")
-            except OSError as exc:
-                raise OSError(f"writing {path}: {exc}") from exc
-        else:
-            raise ConfigError(f"unknown emit format {fmt!r}")
+    for path, text in ((out_base.with_suffix(".csv"), trace.csv_string()),
+                       (out_base.with_suffix(".json"), summary)):
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise OSError(f"writing {path}: {exc}") from exc
         written.append(path)
     return written
 

@@ -179,7 +179,7 @@ def _full_loss_table(decomp: BucketDecomposition, block_losses: list[np.ndarray]
     for m in range(j, decomp.count + 1):
         rows = decomp.bucket(m)
         losses[rows.start - 1:rows.stop - 1, :] = block_losses[m - j]
-    return LossTable(horizon=T, arms=arms, losses=losses)
+    return LossTable(losses)
 
 
 def batched_simulate(learner_factory, delays: DelaySequence,

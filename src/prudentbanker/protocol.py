@@ -19,19 +19,19 @@ DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
 class LossTable:
     """Full horizon-by-arms loss matrix with entries in [0, 1]."""
 
-    horizon: int
-    arms: int
     losses: np.ndarray
 
     def __post_init__(self):
         losses = np.asarray(self.losses, dtype=float)
-        if losses.shape != (self.horizon, self.arms):
-            raise ConfigError(
-                f"loss matrix shape {losses.shape} != ({self.horizon}, {self.arms})"
-            )
+        if losses.ndim != 2:
+            raise ConfigError(f"loss matrix must be 2-D, got shape {losses.shape}")
         if losses.size and (losses.min() < 0.0 or losses.max() > 1.0):
             raise ConfigError("loss entries must lie in [0, 1]")
         object.__setattr__(self, "losses", losses)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.losses)
 
     def row(self, t: int) -> np.ndarray:
         """Loss vector of 1-indexed round t."""
@@ -84,16 +84,17 @@ class FeedbackEvent:
         return self.arrival_round - self.origin_round
 
 
+#: the delay models' constants: activation probability of a delayed round,
+#: Geom(Q_GEO) delays on {1, 2, ...}, and the Lomax shape and scale
+P_ACTIVE, Q_GEO, LOMAX_SHAPE, LOMAX_SCALE = 0.03, 0.4, 2.5, 1.0
+
+
 @dataclass
 class EnvironmentConfig:
     horizon: int = 20000
     arms: int = 10
     blocks: int = 100
     delay_model: str = "none"
-    p_active: float = 0.03
-    q_geo: float = 0.4
-    lomax_shape: float = 2.5
-    lomax_scale: float = 1.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -105,12 +106,6 @@ class EnvironmentConfig:
             raise ConfigError("need 1 <= blocks <= horizon")
         if self.delay_model not in DELAY_MODELS:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
-        if not (0.0 <= self.p_active <= 1.0):
-            raise ConfigError("p_active must lie in [0, 1]")
-        if not (0.0 < self.q_geo <= 1.0):
-            raise ConfigError("q_geo must lie in (0, 1]")
-        if self.lomax_shape <= 0 or self.lomax_scale <= 0:
-            raise ConfigError("lomax shape and scale must be positive")
 
 
 def block_index(t: int, horizon: int, blocks: int) -> int:
@@ -124,27 +119,31 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
 
     Each arm/block pair gets a mean ~ Unif(0,1) and a stddev ~ Unif(0.1,0.2);
     per-round losses are normal draws truncated to [0, 1] (rejection sampling
-    with at most 100 attempts, then clamping the stragglers).
+    with at most 100 attempts, then clamping the stragglers). Block b holds
+    rows [b w, (b + 1) w) with w = floor(T/B) + 1 (see ``block_index``).
     """
     config.validate()
     T, A, B = config.horizon, config.arms, config.blocks
     means = rng.uniform(0.0, 1.0, size=(A, B))
     sds = rng.uniform(0.1, 0.2, size=(A, B))
-    blocks0 = np.array([block_index(t, T, B) - 1 for t in range(1, T + 1)])
-    M = means[:, blocks0].T  # (T, A)
-    S = sds[:, blocks0].T
+    width = T // B + 1  # B * width > T, so block_index never needs its cap
 
-    samples = rng.normal(M, S)
-    bad = (samples < 0.0) | (samples > 1.0)
+    losses = np.empty((T, A))
+    for b, start in enumerate(range(0, T, width)):
+        rows = losses[start:start + width]
+        rows[:] = rng.normal(means[:, b], sds[:, b], size=rows.shape)
+    # out-of-range entries in row-major order, the order of the redraws
+    r, a = np.nonzero((losses < 0.0) | (losses > 1.0))
     for _ in range(100):
-        if not bad.any():
+        if not len(r):
             break
-        redraw = rng.normal(M[bad], S[bad])
-        samples[bad] = redraw
-        bad[bad] = (redraw < 0.0) | (redraw > 1.0)
-    if bad.any():
-        samples = np.clip(samples, 0.0, 1.0)
-    return LossTable(horizon=T, arms=A, losses=samples)
+        redraw = rng.normal(means[a, r // width], sds[a, r // width])
+        losses[r, a] = redraw
+        out = (redraw < 0.0) | (redraw > 1.0)
+        r, a = r[out], a[out]
+    if len(r):
+        np.clip(losses, 0.0, 1.0, out=losses)
+    return LossTable(losses)
 
 
 def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelaySequence:
@@ -155,18 +154,18 @@ def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelayS
     if model == "none":
         d = np.zeros(T, dtype=np.int64)
     elif model == "fixed-one-step":
-        d = (rng.random(T) < config.p_active).astype(np.int64)
+        d = (rng.random(T) < P_ACTIVE).astype(np.int64)
     elif model == "geometric":
-        active = rng.random(T) < config.p_active
+        active = rng.random(T) < P_ACTIVE
         d = np.zeros(T, dtype=np.int64)
         # Geom(q) on {1, 2, ...}
-        d[active] = rng.geometric(config.q_geo, size=int(active.sum()))
+        d[active] = rng.geometric(Q_GEO, size=int(active.sum()))
     elif model == "lomax":
-        active = rng.random(T) < config.p_active
+        active = rng.random(T) < P_ACTIVE
         d = np.zeros(T, dtype=np.int64)
         u = rng.random(int(active.sum()))
         # inverse CDF of Lomax(shape, scale): z = scale * ((1-u)^(-1/shape) - 1)
-        z = config.lomax_scale * ((1.0 - u) ** (-1.0 / config.lomax_shape) - 1.0)
+        z = LOMAX_SCALE * ((1.0 - u) ** (-1.0 / LOMAX_SHAPE) - 1.0)
         d[active] = 1 + np.floor(z).astype(np.int64)
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(model)

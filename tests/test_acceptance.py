@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
-                                   emit, make_learner, run)
+                                   emit, make_learner, play, run)
 from prudentbanker.lowerbound import (corollary_delays, greedy_buckets,
                                       make_hard_instance, batched_simulate,
                                       safety_gap_probe)
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   bregman, grad_psi, grad_psi_star_constrained)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
-                                    FeedbackEvent, FeedbackQueue,
                                     outstanding_counters)
 from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
                                    build_comparator, gap_statistic)
@@ -115,15 +114,17 @@ def test_criterion_4_missing_count_bound():
         table, delays = build_environment(env)
         istar, _ = best_fixed_arm(table)
         learner = make_learner(cfg, istar, 0.5)
-        queue = FeedbackQueue(env.horizon)
-        for t in range(1, env.horizon + 1):
-            _, arm = learner.act(t)
-            queue.enqueue(FeedbackEvent(t, arm, float(table.row(t)[arm]),
-                                        t + delays.delay(t)))
-            learner.receive(queue.step(t), t)
+        receive, held = learner.receive, []
+
+        def checked_receive(events, t):
+            receive(events, t)
             m = len(learner.base.missing)
             realized = sum(delays.delay(u) for u in learner.base.missing)
-            ok = ok and m * (m + 1) // 2 <= realized
+            held.append(m * (m + 1) // 2 <= realized)
+
+        learner.receive = checked_receive
+        play(learner, table, delays)
+        ok = ok and len(held) == env.horizon and all(held)
     report(4, "missing-count versus realized-delay bound", ok)
 
 
@@ -271,6 +272,6 @@ def test_criterion_12_byte_determinism(tmp_path):
     blobs = []
     for rep in range(2):
         trace = run(desk_config("geometric", 0, scale=1.0))
-        path, = emit(trace, tmp_path / f"rep{rep}", formats=("csv",))
+        path, _ = emit(trace, tmp_path / f"rep{rep}")
         blobs.append(path.read_bytes())
     report(12, "byte-identical CSV across repeated runs", blobs[0] == blobs[1])

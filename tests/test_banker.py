@@ -214,7 +214,7 @@ def test_stationary_two_arm_regret_sanity():
     reg = Regularizer(NEG_ENTROPY, 2, 0.25)
     learner = BankerOMDLearner(reg, RngSampler(stream(0, "act")))
     losses = np.tile(np.array([0.3, 0.5]), (T, 1))
-    table = LossTable(horizon=T, arms=2, losses=losses)
+    table = LossTable(losses)
     no_delay = DelaySequence(delays=np.zeros(T, dtype=np.int64))
     regret = float(np.sum(play(learner, table, no_delay).loss)) - 0.3 * T
     c1, c2 = reg.constants()

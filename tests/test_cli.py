@@ -81,3 +81,14 @@ def test_verify_passes(capsys):
 def test_lowerbound_identity_passes(capsys):
     assert cli.main(["lowerbound", "--trials", "2000"]) == 0
     assert "delayed-vs-batched identity: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["lowerbound", "--q", "0"],
+                                  ["lowerbound", "--delta", "0.9", "--trials", "10"],
+                                  ["sweep", "--seeds", "x"]],
+                         ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds"])
+def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert configs == []

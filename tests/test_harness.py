@@ -43,11 +43,11 @@ def test_pseudo_loss_matches_sampling_mean():
 
 def test_best_fixed_arm():
     losses = np.array([[0.9, 0.1], [0.9, 0.1], [0.0, 1.0]])
-    istar, curve = best_fixed_arm(LossTable(horizon=3, arms=2, losses=losses))
+    istar, curve = best_fixed_arm(LossTable(losses))
     assert istar == 1
     np.testing.assert_allclose(curve, [0.1, 0.2, 1.2])
     # ties resolve to the lowest index
-    flat = LossTable(horizon=2, arms=3, losses=np.full((2, 3), 0.5))
+    flat = LossTable(np.full((2, 3), 0.5))
     assert best_fixed_arm(flat)[0] == 0
 
 
@@ -139,8 +139,7 @@ def delay_sequences(draw):
 
 
 def random_table(T, seed, arms=3):
-    return LossTable(horizon=T, arms=arms,
-                     losses=np.random.default_rng(seed).random((T, arms)))
+    return LossTable(np.random.default_rng(seed).random((T, arms)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,7 +174,7 @@ def test_prudent_stage_bound_and_doubling(delays, seed):
 # -- serialization ----------------------------------------------------------
 
 def test_empty_trace_csv_is_header_only():
-    trace = RunTrace(config=small_cfg(), t=np.array([], dtype=np.int64),
+    trace = RunTrace(t=np.array([], dtype=np.int64),
                      stage=np.array([], dtype=np.int64),
                      phase=np.array([], dtype=np.int64), alpha=np.array([]),
                      loss_B=np.array([]), loss_star=np.array([]),
@@ -186,7 +185,7 @@ def test_empty_trace_csv_is_header_only():
 
 def test_csv_round_trip_exact(tmp_path):
     trace = run(small_cfg(horizon=50))
-    path, = emit(trace, tmp_path / "out", formats=("csv",))
+    path, _ = emit(trace, tmp_path / "out")
     cols = parse_csv(path)
     np.testing.assert_array_equal(cols["t"], trace.t)
     np.testing.assert_array_equal(cols["stage"], trace.stage)
@@ -204,8 +203,6 @@ def test_emit_json_summary(tmp_path):
     assert csv_path.suffix == ".csv" and json_path.suffix == ".json"
     summary = json.loads(json_path.read_text())
     assert summary == trace.summary
-    with pytest.raises(ConfigError):
-        emit(trace, tmp_path / "bad", formats=("parquet",))
 
 
 def test_parse_csv_rejects_foreign_header(tmp_path):
@@ -219,7 +216,7 @@ def test_run_is_byte_deterministic(tmp_path):
     texts = []
     for rep in range(2):
         trace = run(small_cfg(horizon=200))
-        path, = emit(trace, tmp_path / f"rep{rep}", formats=("csv",))
+        path, _ = emit(trace, tmp_path / f"rep{rep}")
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
 
@@ -235,6 +232,18 @@ def test_environment_shared_across_learners():
     tr_a = run(cfg_a, ta, da)
     tr_b = run(cfg_b, tb, db)
     np.testing.assert_array_equal(tr_a.loss_c, tr_b.loss_c)
+
+
+def test_run_rejects_a_lone_or_mismatched_environment():
+    cfg = small_cfg(horizon=100)
+    table, delays = build_environment(cfg.env)
+    with pytest.raises(ConfigError, match="both"):
+        run(cfg, table=table)
+    with pytest.raises(ConfigError, match="both"):
+        run(cfg, delays=delays)
+    wide = LossTable(np.hstack([table.losses, table.losses]))
+    with pytest.raises(ConfigError, match="4 arms"):
+        run(cfg, wide, delays)
 
 
 # -- config handling --------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prudentbanker import protocol
 from prudentbanker.errors import ConfigError, ProtocolError
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
@@ -35,6 +36,42 @@ def test_block_losses_range_and_segments():
     assert blocks == sorted(blocks)
 
 
+def reference_block_losses(T, A, B, rng):
+    """Per-round (T, A) mean and sd arrays, then one draw of the whole table."""
+    means = rng.uniform(0.0, 1.0, size=(A, B))
+    sds = rng.uniform(0.1, 0.2, size=(A, B))
+    blocks0 = np.array([block_index(t, T, B) - 1 for t in range(1, T + 1)])
+    M = means[:, blocks0].T
+    S = sds[:, blocks0].T
+    samples = rng.normal(M, S)
+    bad = (samples < 0.0) | (samples > 1.0)
+    for _ in range(100):
+        if not bad.any():
+            break
+        redraw = rng.normal(M[bad], S[bad])
+        samples[bad] = redraw
+        bad[bad] = (redraw < 0.0) | (redraw > 1.0)
+    if bad.any():
+        samples = np.clip(samples, 0.0, 1.0)
+    return samples
+
+
+# (T, A, B): single round, B = T, and 20000/500 with 12 empty trailing blocks
+SHAPES = [(1, 1, 1), (1, 4, 1), (2, 3, 2), (6, 2, 2), (10, 3, 10), (97, 5, 13),
+          (200, 3, 5), (1000, 10, 1000), (20000, 10, 500)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("T,A,B", SHAPES)
+def test_block_losses_match_reference(T, A, B, seed):
+    ref_rng, rng = stream(seed, "losses"), stream(seed, "losses")
+    expected = reference_block_losses(T, A, B, ref_rng)
+    cfg = EnvironmentConfig(horizon=T, arms=A, blocks=B, seed=seed)
+    table = generate_block_losses(cfg, rng)
+    assert table.losses.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_block_losses_config_errors():
     with pytest.raises(ConfigError):
         generate_block_losses(EnvironmentConfig(horizon=5, blocks=6), stream(0, "x"))
@@ -44,21 +81,23 @@ def test_block_losses_config_errors():
 
 def test_loss_table_invariants():
     with pytest.raises(ConfigError):
-        LossTable(horizon=2, arms=2, losses=np.array([[0.1, 1.2], [0.0, 0.5]]))
+        LossTable(np.array([[0.1, 1.2], [0.0, 0.5]]))
     with pytest.raises(ConfigError):
-        LossTable(horizon=3, arms=2, losses=np.zeros((2, 2)))
+        LossTable(np.zeros(2))
+    assert LossTable(np.zeros((3, 2))).horizon == 3
 
 
-def test_delays_none_and_degenerate():
+def test_delays_none_and_degenerate(monkeypatch):
     cfg = EnvironmentConfig(horizon=100, delay_model="none")
     assert sample_delays(cfg, stream(0, "delays")).total == 0
-    cfg = EnvironmentConfig(horizon=100, delay_model="fixed-one-step", p_active=1.0)
+    monkeypatch.setattr(protocol, "P_ACTIVE", 1.0)
+    cfg = EnvironmentConfig(horizon=100, delay_model="fixed-one-step")
     d = sample_delays(cfg, stream(0, "delays"))
     assert np.all(d.delays == 1) and d.total == 100
 
 
 def test_delays_fixed_one_step_concentration():
-    cfg = EnvironmentConfig(horizon=50000, delay_model="fixed-one-step", p_active=0.03)
+    cfg = EnvironmentConfig(horizon=50000, delay_model="fixed-one-step")
     d = sample_delays(cfg, stream(11, "delays"))
     # binomial mean 1500, sd ~38; 10 sd band
     assert 1120 <= d.total <= 1880

@@ -5,9 +5,9 @@ import pytest
 
 from prudentbanker.banker import BankerOMD
 from prudentbanker.errors import ConfigError
-from prudentbanker.harness import RunConfig, build_environment, run
+from prudentbanker.harness import RunConfig, build_environment, play, run
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
-from prudentbanker.protocol import EnvironmentConfig, FeedbackEvent, FeedbackQueue
+from prudentbanker.protocol import EnvironmentConfig, FeedbackEvent
 from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
                                    build_comparator, gap_statistic,
                                    next_delay_estimate)
@@ -238,15 +238,16 @@ def test_missing_count_bound_during_run():
     table, delays = build_environment(cfg.env)
     istar, _ = best_fixed_arm(table)
     learner = build(cfg, istar, 0.5)
-    queue = FeedbackQueue(cfg.env.horizon)
-    for t in range(1, cfg.env.horizon + 1):
-        _, arm = learner.act(t)
-        queue.enqueue(FeedbackEvent(t, arm, float(table.row(t)[arm]),
-                                    t + delays.delay(t)))
-        learner.receive(queue.step(t), t)
+    receive = learner.receive
+
+    def checked_receive(events, t):
+        receive(events, t)
         m = len(learner.base.missing)
         realized = sum(delays.delay(u) for u in learner.base.missing)
         assert m * (m + 1) // 2 <= realized
+
+    learner.receive = checked_receive
+    play(learner, table, delays)
 
 
 def test_gap_stays_below_threshold_inside_phases():
@@ -257,12 +258,13 @@ def test_gap_stays_below_threshold_inside_phases():
     table, delays = build_environment(cfg.env)
     istar, _ = best_fixed_arm(table)
     learner = build(cfg, istar, 0.5)
-    queue = FeedbackQueue(cfg.env.horizon)
-    for t in range(1, cfg.env.horizon + 1):
-        _, arm = learner.act(t)
-        queue.enqueue(FeedbackEvent(t, arm, float(table.row(t)[arm]),
-                                    t + delays.delay(t)))
+    receive = learner.receive
+
+    def checked_receive(events, t):
         phase_before = (learner.stage, learner.phase)
-        learner.receive(queue.step(t), t)
+        receive(events, t)
         if (learner.stage, learner.phase) == phase_before and learner.alpha < 1.0:
             assert learner.gap <= learner.tf.restart_threshold(learner.delay_estimate)
+
+    learner.receive = checked_receive
+    play(learner, table, delays)
