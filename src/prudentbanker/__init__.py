@@ -8,8 +8,7 @@ experiment harness.
 
 from .banker import BankerOMD, step_size
 from .harness import RunConfig, RunTrace, best_fixed_arm, emit, pseudo_loss, run
-from .mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer, bregman, grad_psi,
-                     grad_psi_star_constrained)
+from .mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer, grad_psi
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses,
                        outstanding_counters, sample_delays)
@@ -19,8 +18,7 @@ from .prudent import (PrudentBanker, ThresholdFunctions, build_comparator,
 __all__ = [
     "BankerOMD", "step_size",
     "RunConfig", "RunTrace", "best_fixed_arm", "emit", "pseudo_loss", "run",
-    "NEG_ENTROPY", "TSALLIS_HALF", "Regularizer", "bregman", "grad_psi",
-    "grad_psi_star_constrained",
+    "NEG_ENTROPY", "TSALLIS_HALF", "Regularizer", "grad_psi",
     "DelaySequence", "EnvironmentConfig", "FeedbackEvent", "FeedbackQueue",
     "LossTable", "generate_block_losses", "outstanding_counters", "sample_delays",
     "PrudentBanker", "ThresholdFunctions", "build_comparator", "gap_statistic",

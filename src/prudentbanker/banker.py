@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError
-from .mirror import Regularizer, bregman, grad_psi, grad_psi_star_with_dual
+from .mirror import Regularizer, grad_psi, grad_psi_star_with_dual
 from .protocol import FeedbackEvent
 
 _GRAD_FLOOR = 1e-300  # defensive floor before evaluating grad_psi on played points
@@ -176,22 +176,3 @@ class BankerOMD:
         self.max_conservation_residual = max(self.max_conservation_residual, residual)
         return allocation, b
 
-
-def expected_mirror_step_divergence(reg: Regularizer, x: np.ndarray, sigma: float,
-                                    loss: float = 1.0) -> float:
-    """E_a~x [ sigma * D_Psi(x, z(a)) ] for a unit-scale importance-weighted step.
-
-    z(a) is the constrained mirror step from x with estimator (loss/x_a) e_a and
-    step size 1/sigma. The expectation is computed exactly over the finite arm set.
-    """
-    x = np.asarray(x, dtype=float)
-    base = grad_psi(reg, x)
-    total = 0.0
-    for a in range(reg.arms):
-        if x[a] <= 0.0:
-            continue
-        theta = base.copy()
-        theta[a] -= (loss / x[a]) / sigma
-        z, _ = grad_psi_star_with_dual(reg, theta)
-        total += x[a] * sigma * bregman(reg, x, np.maximum(z, 1e-300))
-    return total

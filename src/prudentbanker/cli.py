@@ -15,23 +15,22 @@ from .mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer
 from .protocol import (DELAY_MODELS, DelaySequence, EnvironmentConfig,
                        outstanding_counters)
 from .prudent import PrudentBanker, build_comparator
-from .rng import TapeSampler, stream
+from .rng import RngSampler, stream
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The flags `run` and `sweep` share; `sweep` takes its grid instead of
+    `run`'s --learner, --delay-model and --seed."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--scale", choices=sorted(SCALES), default="desk")
     p.add_argument("--horizon", type=int)
     p.add_argument("--arms", type=int)
     p.add_argument("--blocks", type=int)
-    p.add_argument("--delay-model", default="none", choices=DELAY_MODELS)
-    p.add_argument("--learner", default="prudent-banker")
     p.add_argument("--regularizer", default=NEG_ENTROPY,
                    choices=(NEG_ENTROPY, TSALLIS_HALF))
     p.add_argument("--delta", type=float)
     p.add_argument("--alpha-safe", type=float, default=0.1)
     p.add_argument("--threshold-scale", type=float)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out/run")
 
 
@@ -40,7 +39,9 @@ CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
                "threshold_scale": float}
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, learner: str = RunConfig.learner,
+                      delay_model: str = EnvironmentConfig.delay_model,
+                      seed: int = 0) -> RunConfig:
     """Build the run config; a flag beats a --config file, which beats the profile."""
     T, A, B = SCALES[args.scale]
     values = {"horizon": T, "arms": A, "blocks": B, "delta": RunConfig.delta,
@@ -62,12 +63,12 @@ def _config_from_args(args) -> RunConfig:
         horizon=values["horizon"],
         arms=values["arms"],
         blocks=values["blocks"],
-        delay_model=args.delay_model,
-        seed=args.seed,
+        delay_model=delay_model,
+        seed=seed,
     )
     return RunConfig(
         env=env,
-        learner=args.learner,
+        learner=learner,
         regularizer=args.regularizer,
         delta=values["delta"],
         alpha_safe=args.alpha_safe,
@@ -77,7 +78,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.learner, args.delay_model, args.seed)
     trace = run(config)
     paths = emit(trace, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -114,8 +115,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     q, N = args.q, args.n
+    # everything a bad flag can break is built before the report starts
     delays = lb.corollary_delays(q, N)
     decomp = lb.greedy_buckets(delays)
+    instance = lb.make_hard_instance(decomp.lengths, args.delta, arms=2)
+    if args.trials < 1:
+        raise ConfigError("trials must be positive")
     T = len(delays)
     print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
     print(f"bucket boundaries: {decomp.boundaries}")
@@ -134,8 +139,6 @@ def cmd_lowerbound(args) -> int:
     print(f"quadratic dominance: {'pass' if dom else 'FAIL'}")
     print(f"suffix dominance:    {'pass' if suffix else 'FAIL'}")
 
-    delta = args.delta
-    instance = lb.make_hard_instance(decomp.lengths, delta, arms=2)
     print(f"hard instance: gamma={instance.gamma:.5f}, V={instance.V}, "
           f"eps={tuple(round(e, 5) for e in instance.eps)}")
     rng = stream(args.seed, "lowerbound-probe")
@@ -151,11 +154,10 @@ def cmd_lowerbound(args) -> int:
     # coupled delayed-vs-batched identity with the full learner
     reg = Regularizer(kind=NEG_ENTROPY, arms=2, delta=0.25)
     xc = build_comparator(2, 0.25, 0)
-    tape = stream(args.seed, "lowerbound-tape").random(T)
     blocks = instance.block_losses(+1, stream(args.seed, "lowerbound-losses"))
 
-    def factory():
-        return PrudentBanker(reg, xc, T, TapeSampler(tape))
+    def factory():  # both runs draw their actions from the same stream
+        return PrudentBanker(reg, xc, T, RngSampler(stream(args.seed, "lowerbound-tape")))
 
     sim = lb.batched_simulate(factory, delays, blocks[:decomp.count], xc)
     identical = sim.actions_native == sim.actions_batched
@@ -210,11 +212,16 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single configured run")
-    _add_run_flags(p_run)
+    _add_config_flags(p_run)
+    p_run.add_argument("--delay-model", default="none", choices=DELAY_MODELS)
+    p_run.add_argument("--learner", default="prudent-banker")
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="grid over seeds/delay models/learners")
-    _add_run_flags(p_sweep)
+    # no abbreviations: --seed, --learner and --delay-model would match the grid flags
+    p_sweep = sub.add_parser("sweep", help="grid over seeds/delay models/learners",
+                             allow_abbrev=False)
+    _add_config_flags(p_sweep)
     p_sweep.add_argument("--seeds", default="0,1,2,3,4")
     p_sweep.add_argument("--learners", default="prudent-banker,safe-exp3ix")
     p_sweep.add_argument("--delay-models", default="none,geometric")
@@ -236,7 +243,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the notes say where a run failed ("round t")
+        print("\n".join([f"error: {exc}", *getattr(exc, "__notes__", ())]), file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses,
                        sample_delays)
-from .prudent import PrudentBanker, build_comparator
+from .prudent import PrudentBanker, build_comparator, restart_columns
 from .rng import RngSampler, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
@@ -127,34 +127,32 @@ def make_learner(config: RunConfig, istar: int, r0: float):
 class PlayColumns:
     """Per-round columns of one played game; entry t - 1 belongs to round t."""
 
-    stage: np.ndarray
-    phase: np.ndarray
-    alpha: np.ndarray
     loss: np.ndarray  # pseudo-loss <p_t, l_t> of the played distribution
     arrived: np.ndarray  # feedback events delivered at the end of the round
     arm: np.ndarray
 
 
+def _add_note(exc: BaseException, note: str) -> None:
+    """BaseException.add_note (Python 3.11+; 3.10 lacks it)."""
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
 def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     """Play the delayed game; round t's feedback arrives at the end of t + d_t.
 
-    Stage, phase and alpha are read right after ``act`` (1 if the learner
-    has none). An exception raised inside round t propagates as the same
-    object, with "round t" appended to its ``__notes__``.
+    The learner is driven only through ``act(t)`` and ``receive(events, t)``.
+    An exception raised inside round t propagates as the same object, with
+    "round t" appended to its ``__notes__``.
     """
     T = table.horizon
     if len(delays) != T:
         raise ConfigError(f"{len(delays)} delays for a horizon of {T} rounds")
     queue = FeedbackQueue(T)
-    stage, phase = np.ones(T, dtype=np.int64), np.ones(T, dtype=np.int64)
-    alpha, loss = np.ones(T), np.zeros(T)
+    loss = np.zeros(T)
     arrived, arms = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
     for t in range(1, T + 1):
         try:
             dist, arm = learner.act(t)
-            stage[t - 1] = getattr(learner, "stage", 1)
-            phase[t - 1] = getattr(learner, "phase", 1)
-            alpha[t - 1] = getattr(learner, "alpha", 1.0)
             arms[t - 1] = arm
             row = table.row(t)
             loss[t - 1] = pseudo_loss(dist, row)
@@ -165,11 +163,9 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
             arrived[t - 1] = len(events)
             learner.receive(events, t)
         except Exception as exc:
-            # keep the exception object and its type, and note the round on it
-            # as BaseException.add_note would (Python 3.11+; 3.10 lacks it)
-            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"round {t}"]
+            _add_note(exc, f"round {t}")  # keeps the object and its type
             raise
-    return PlayColumns(stage, phase, alpha, loss, arrived, arms)
+    return PlayColumns(loss, arrived, arms)
 
 
 def run(config: RunConfig, table: LossTable | None = None,
@@ -195,11 +191,13 @@ def run(config: RunConfig, table: LossTable | None = None,
     r0 = float(np.mean(1.0 - table.losses[:, istar]))
     xc = build_comparator(A, config.delta, istar)
     learner = make_learner(config, istar, r0)
+    alpha0 = getattr(learner, "alpha", 1.0)
     cols = play(learner, table, delays)
 
     loss_B = np.cumsum(cols.loss)
     loss_c = np.cumsum(table.losses @ xc)
     restarts = getattr(learner, "restarts", [])
+    stage, phase, alpha = restart_columns(restarts, alpha0, T)
     n_hard = sum(1 for r in restarts if r.kind == "hard")
     n_soft = sum(1 for r in restarts if r.kind == "soft")
     summary = {
@@ -215,14 +213,14 @@ def run(config: RunConfig, table: LossTable | None = None,
         "comparator_anchor_source": "oracle (hindsight best arm)",
         "stages": n_hard + 1,
         "phases": n_soft + n_hard + 1,
-        "final_alpha": float(cols.alpha[-1]),
+        "final_alpha": float(alpha[-1]),
         "final_delay_estimate": int(getattr(learner, "delay_estimate", 0)),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
     trace = RunTrace(t=np.arange(1, T + 1, dtype=np.int64),
-                     stage=cols.stage, phase=cols.phase, alpha=cols.alpha,
+                     stage=stage, phase=phase, alpha=alpha,
                      loss_B=loss_B, loss_star=star_curve, loss_c=loss_c,
                      arrived=cols.arrived, summary=summary)
     if keep_learner:
@@ -244,24 +242,6 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
             raise OSError(f"writing {path}: {exc}") from exc
         written.append(path)
     return written
-
-
-def parse_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Re-read an emitted CSV into column arrays (exact round trip)."""
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header {lines[0]!r}")
-    cols = {name: [] for name in CSV_HEADER.split(",")}
-    for line in lines[1:]:
-        for name, val in zip(cols, line.split(",")):
-            cols[name].append(val)
-    out = {}
-    for name, vals in cols.items():
-        if name in ("t", "stage", "phase", "arrived"):
-            out[name] = np.array([int(v) for v in vals], dtype=np.int64)
-        else:
-            out[name] = np.array([float(v) for v in vals])
-    return out
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:

@@ -188,10 +188,11 @@ def batched_simulate(learner_factory, delays: DelaySequence,
     """Run a delayed learner natively and inside the batched wrapper.
 
     `learner_factory()` must build a fresh learner each call; couple the two
-    runs by giving the factory a round-indexed action tape. The wrapper only
-    learns a round's loss when its bucket ends (zero prefix rounds are known
-    immediately) and delivers stored feedback at availability time
-    tau_u = u + d_u + 1, i.e. just before the round that may first use it.
+    runs by giving each learner a fresh sampler on the same seeded stream (a
+    learner that draws once per round then sees the same uniforms in both).
+    The wrapper only learns a round's loss when its bucket ends (zero prefix
+    rounds are known immediately) and delivers stored feedback at availability
+    time tau_u = u + d_u + 1, i.e. just before the round that may first use it.
     """
     decomp = greedy_buckets(delays)
     if not (1 <= j <= decomp.count):

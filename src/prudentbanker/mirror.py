@@ -1,4 +1,4 @@
-"""Regularizers on the simplex: gradients, constrained conjugates, Bregman divergences.
+"""Regularizers on the simplex: gradients and constrained conjugates.
 
 Two mirror maps are supported:
 
@@ -58,15 +58,6 @@ def _require_interior(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def psi_value(reg: Regularizer, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if reg.kind == NEG_ENTROPY:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(x > 0.0, x * np.log(np.maximum(x, _INTERIOR_TOL)), 0.0)
-        return float(np.sum(terms))
-    return float(-2.0 * np.sum(np.sqrt(x)))
-
-
 def grad_psi(reg: Regularizer, x: np.ndarray) -> np.ndarray:
     """Componentwise gradient of the regularizer; requires an interior point."""
     x = _require_interior(x)
@@ -120,15 +111,3 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
     dual = shifted - lam
     return x, dual
 
-
-def grad_psi_star_constrained(reg: Regularizer, theta: np.ndarray) -> np.ndarray:
-    """Simplex-constrained conjugate map (see grad_psi_star_with_dual)."""
-    return grad_psi_star_with_dual(reg, theta)[0]
-
-
-def bregman(reg: Regularizer, x: np.ndarray, y: np.ndarray) -> float:
-    """D_Psi(x, y) = Psi(x) - Psi(y) - <grad Psi(y), x - y>; y must be interior."""
-    x = np.asarray(x, dtype=float)
-    gy = grad_psi(reg, y)  # raises DomainError on boundary y
-    val = psi_value(reg, x) - psi_value(reg, y) - float(np.dot(gy, x - np.asarray(y, dtype=float)))
-    return max(val, 0.0)

@@ -108,25 +108,20 @@ class EnvironmentConfig:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
 
 
-def block_index(t: int, horizon: int, blocks: int) -> int:
-    """1-indexed block id of round t: 1 + min{floor((t-1)/(floor(T/B)+1)), B-1}."""
-    width = horizon // blocks + 1
-    return 1 + min((t - 1) // width, blocks - 1)
-
-
 def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -> LossTable:
     """Block-nonstationary losses: per (arm, block) truncated-normal draws.
 
     Each arm/block pair gets a mean ~ Unif(0,1) and a stddev ~ Unif(0.1,0.2);
     per-round losses are normal draws truncated to [0, 1] (rejection sampling
     with at most 100 attempts, then clamping the stragglers). Block b holds
-    rows [b w, (b + 1) w) with w = floor(T/B) + 1 (see ``block_index``).
+    rows [b w, (b + 1) w) with w = floor(T/B) + 1; B w > T, so the last blocks
+    may be short or empty.
     """
     config.validate()
     T, A, B = config.horizon, config.arms, config.blocks
     means = rng.uniform(0.0, 1.0, size=(A, B))
     sds = rng.uniform(0.1, 0.2, size=(A, B))
-    width = T // B + 1  # B * width > T, so block_index never needs its cap
+    width = T // B + 1
 
     losses = np.empty((T, A))
     for b, start in enumerate(range(0, T, width)):

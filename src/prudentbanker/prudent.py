@@ -103,6 +103,30 @@ class RestartRecord:
     new_alpha: float
 
 
+def restart_columns(restarts: list[RestartRecord], alpha0: float,
+                    horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-round stage, phase and alpha of a game, rebuilt from its restart log.
+
+    Entry t - 1 is the state that round t plays under. A hard restart happens
+    in act(t), so it shows from round t; a soft restart happens in
+    receive(t), so it shows from round t + 1. alpha0 is the alpha before the
+    game; a learner without restarts plays stage 1, phase 1 throughout.
+    """
+    stage, phase = np.ones(horizon, dtype=np.int64), np.ones(horizon, dtype=np.int64)
+    alpha = np.full(horizon, alpha0)
+    n_stage = 1
+    for r in restarts:
+        if r.kind == "hard":
+            n_stage += 1
+            start = r.round - 1
+        else:
+            start = r.round
+        stage[start:] = n_stage
+        phase[start:] = r.new_phase
+        alpha[start:] = r.new_alpha
+    return stage, phase, alpha
+
+
 class PrudentBanker:
     """The full learner; exposes the standard act/receive interface."""
 

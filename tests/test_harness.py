@@ -8,13 +8,14 @@ from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ConfigError, NumericalError
 from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
-                                   load_config_file, parse_csv, play,
-                                   pseudo_loss, run)
+                                   load_config_file, play, pseudo_loss, run)
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig, LossTable,
                                     outstanding_counters)
-from prudentbanker.prudent import PrudentBanker, build_comparator
+from prudentbanker.prudent import PrudentBanker, build_comparator, restart_columns
 from prudentbanker.rng import RngSampler, stream
+
+from reference import parse_csv
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):
@@ -107,14 +108,38 @@ def test_environment_of_another_horizon_is_rejected():
         play(learner, table, DelaySequence(delays=delays.delays[:-1]))
 
 
+def watch_restart_state(learner) -> list[tuple[int, int, float]]:
+    """Record the learner's (stage, phase, alpha) right after each act."""
+    readings = []
+    real_act = learner.act
+
+    def act(t):
+        out = real_act(t)
+        readings.append((learner.stage, learner.phase, learner.alpha))
+        return out
+
+    learner.act = act
+    return readings
+
+
+def assert_columns_match(readings, stage, phase, alpha):
+    want_stage, want_phase, want_alpha = (np.array(c) for c in zip(*readings))
+    np.testing.assert_array_equal(stage, want_stage)
+    np.testing.assert_array_equal(phase, want_phase)
+    np.testing.assert_array_equal(alpha, want_alpha)
+
+
 def test_play_columns_build_the_trace():
-    cfg = small_cfg(horizon=300)
+    # the desk geometric run at threshold_scale 0.02 has both kinds of restart
+    cfg = RunConfig(env=EnvironmentConfig(delay_model="geometric"), threshold_scale=0.02)
     table, delays = build_environment(cfg.env)
     trace = run(cfg, table, delays, keep_learner=True)
+    assert {r.kind for r in trace.learner.restarts} == {"hard", "soft"}
     istar, _ = best_fixed_arm(table)
-    cols = play(harness.make_learner(cfg, istar, trace.summary["r0"]), table, delays)
-    np.testing.assert_array_equal(cols.stage, trace.stage)
-    np.testing.assert_array_equal(cols.alpha, trace.alpha)
+    learner = harness.make_learner(cfg, istar, trace.summary["r0"])
+    readings = watch_restart_state(learner)
+    cols = play(learner, table, delays)
+    assert_columns_match(readings, trace.stage, trace.phase, trace.alpha)
     np.testing.assert_array_equal(np.cumsum(cols.loss), trace.loss_B)
     # the played arm's loss is the feedback the learner saw
     base = trace.learner.base
@@ -161,14 +186,18 @@ def test_prudent_stage_bound_and_doubling(delays, seed):
     T = len(delays)
     learner = PrudentBanker(Regularizer(NEG_ENTROPY, 3, 0.1), build_comparator(3, 0.1, 0),
                             T, RngSampler(stream(seed, "act")), threshold_scale=0.01)
-    cols = play(learner, random_table(T, seed), delays)
+    alpha0 = learner.alpha
+    readings = watch_restart_state(learner)
+    play(learner, random_table(T, seed), delays)
+    stage, phase, alpha = restart_columns(learner.restarts, alpha0, T)
+    assert_columns_match(readings, stage, phase, alpha)
     hard = [r for r in learner.restarts if r.kind == "hard"]
     for r in hard:
         assert r.trigger <= r.new_estimate < 2 * r.trigger
         assert r.new_estimate >= 2 * r.old_estimate
     # ceil(log2 D) + 1 in exact integers; a single stage when D <= 1
     bound = (max(delays.total, 1) - 1).bit_length() + 1
-    assert learner.stage == len(hard) + 1 == cols.stage[-1] <= bound
+    assert learner.stage == len(hard) + 1 == stage[-1] <= bound
 
 
 # -- serialization ----------------------------------------------------------

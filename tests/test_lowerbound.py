@@ -8,7 +8,7 @@ from prudentbanker.errors import PreconditionError
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence
 from prudentbanker.prudent import PrudentBanker, build_comparator
-from prudentbanker.rng import TapeSampler, stream
+from prudentbanker.rng import RngSampler, stream
 
 
 def random_admissible(rng, T):
@@ -130,8 +130,7 @@ def simulate_once(seed, j=1):
     blocks = inst.block_losses(+1, stream(seed, "bl"))
     reg = Regularizer(NEG_ENTROPY, 2, 0.25)
     xc = build_comparator(2, 0.25, 0)
-    tape = stream(seed, "tape").random(len(delays))
-    factory = lambda: PrudentBanker(reg, xc, len(delays), TapeSampler(tape))
+    factory = lambda: PrudentBanker(reg, xc, len(delays), RngSampler(stream(seed, "tape")))
     return lb.batched_simulate(factory, delays, blocks, xc, j=j)
 
 

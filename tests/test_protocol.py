@@ -7,9 +7,11 @@ from prudentbanker import protocol
 from prudentbanker.errors import ConfigError, ProtocolError
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
-                                    block_index, generate_block_losses,
-                                    outstanding_counters, sample_delays)
+                                    generate_block_losses, outstanding_counters,
+                                    sample_delays)
 from prudentbanker.rng import sample_arm, stream
+
+from reference import block_index
 
 
 def test_block_assignment_small():
