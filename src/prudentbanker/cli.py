@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import lowerbound as lb
+from .baselines import BankerOMDLearner
 from .errors import ConfigError
 from .harness import (SCALES, RunConfig, build_environment, emit,
-                      load_config_file, run)
+                      load_config_file, play, run)
 from .mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer
-from .protocol import (DELAY_MODELS, DelaySequence, EnvironmentConfig,
+from .protocol import (DELAY_MODELS, DelaySequence, EnvironmentConfig, LossTable,
                        outstanding_counters)
 from .prudent import PrudentBanker, build_comparator
 from .rng import RngSampler, stream
@@ -66,7 +68,7 @@ def _config_from_args(args, learner: str = RunConfig.learner,
         delay_model=delay_model,
         seed=seed,
     )
-    return RunConfig(
+    config = RunConfig(
         env=env,
         learner=learner,
         regularizer=args.regularizer,
@@ -75,6 +77,8 @@ def _config_from_args(args, learner: str = RunConfig.learner,
         threshold_scale=values["threshold_scale"],
         seed=env.seed,
     )
+    config.validate()  # a bad flag exits 2 before anything runs
+    return config
 
 
 def cmd_run(args) -> int:
@@ -94,6 +98,10 @@ def cmd_sweep(args) -> int:
     learners = args.learners.split(",")
     delay_models = args.delay_models.split(",")
     base = _config_from_args(args)
+    # the whole grid is checked before the first environment is built
+    for learner, delay_model in itertools.product(learners, delay_models):
+        env = dataclasses.replace(base.env, delay_model=delay_model)
+        dataclasses.replace(base, env=env, learner=learner).validate()
     out_dir = Path(args.out)
     summaries = []
     for delay_model in delay_models:
@@ -125,16 +133,7 @@ def cmd_lowerbound(args) -> int:
     print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
     print(f"bucket boundaries: {decomp.boundaries}")
     print(f"bucket lengths:    {decomp.lengths}")
-    lengths = decomp.lengths
-    mono = all(lengths[i] >= lengths[i + 1] for i in range(len(lengths) - 1))
-    dom = all(
-        lengths[m] ** 2 >= sum(delays.delays[t - 1] for t in decomp.bucket(m + 2))
-        for m in range(decomp.count - 1))
-    suffix = all(
-        decomp.suffix_mass(j) >= sum(int(delays.delays[t - 1])
-                                     for mm in range(j + 1, decomp.count + 1)
-                                     for t in decomp.bucket(mm))
-        for j in range(1, decomp.count + 1))
+    mono, dom, suffix = lb.bucket_inequalities(decomp, delays)
     print(f"length monotonicity: {'pass' if mono else 'FAIL'}")
     print(f"quadratic dominance: {'pass' if dom else 'FAIL'}")
     print(f"suffix dominance:    {'pass' if suffix else 'FAIL'}")
@@ -159,7 +158,7 @@ def cmd_lowerbound(args) -> int:
     def factory():  # both runs draw their actions from the same stream
         return PrudentBanker(reg, xc, T, RngSampler(stream(args.seed, "lowerbound-tape")))
 
-    sim = lb.batched_simulate(factory, delays, blocks[:decomp.count], xc)
+    sim = lb.batched_simulate(factory, delays, blocks, xc)
     identical = sim.actions_native == sim.actions_batched
     print(f"delayed-vs-batched identity: {'pass' if identical else 'FAIL'} "
           f"(regret {sim.regret_native:+.4f} vs {sim.regret_batched:+.4f})")
@@ -171,7 +170,10 @@ def cmd_verify(args) -> int:
     ok = True
     rng = stream(args.seed, "verify")
 
-    # outstanding-mass bound and double-counting identity on random sequences
+    # outstanding-mass bound and double-counting identity on random sequences,
+    # and the ledger's running outstanding count on the same delays
+    reg = Regularizer(kind=NEG_ENTROPY, arms=2, delta=0.25)
+    sampler = RngSampler(stream(args.seed, "verify-ledger"))
     worst = True
     for _ in range(200):
         T = int(rng.integers(1, 60))
@@ -183,7 +185,10 @@ def cmd_verify(args) -> int:
         window = range(start, end + 1)
         total = sum(int(d[r - 1]) for r in window)
         ident = sum(min(int(d[r - 1]), end - r) for r in window)
-        worst &= DD <= total and DD == ident
+        learner = BankerOMDLearner(reg, sampler)
+        play(learner, LossTable([[0.0, 0.0]] * T), seq)
+        worst &= (DD <= total and DD == ident
+                  and learner.base.outstanding_sum == outstanding_counters(seq, 1, T)[1])
     print(f"delay-counter identities: {'pass' if worst else 'FAIL'}")
     ok &= worst
 

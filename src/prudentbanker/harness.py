@@ -64,6 +64,8 @@ class RunConfig:
             raise ConfigError("delta must lie in (0, 1/arms]")
         if self.threshold_scale <= 0.0:
             raise ConfigError("threshold_scale must be positive")
+        if not (0.0 <= self.alpha_safe <= 1.0):
+            raise ConfigError("alpha_safe must lie in [0, 1]")
 
 
 @dataclass
@@ -80,15 +82,9 @@ class RunTrace:
     learner: object | None = None  # populated when run(..., keep_learner=True)
 
     def csv_string(self) -> str:
-        lines = [CSV_HEADER]
-        for i in range(len(self.t)):
-            lines.append(
-                f"{self.t[i]},{self.stage[i]},{self.phase[i]},"
-                f"{float(self.alpha[i])!r},{float(self.loss_B[i])!r},"
-                f"{float(self.loss_star[i])!r},{float(self.loss_c[i])!r},"
-                f"{self.arrived[i]}"
-            )
-        return "\n".join(lines) + "\n"
+        # integer columns print as ints, float columns in repr's round-trip form
+        columns = (map(repr, getattr(self, name).tolist()) for name in CSV_HEADER.split(","))
+        return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def build_environment(env: EnvironmentConfig) -> tuple[LossTable, DelaySequence]:

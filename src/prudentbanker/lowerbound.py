@@ -41,12 +41,6 @@ class BucketDecomposition:
         """Rounds of 1-indexed bucket m."""
         return range(self.boundaries[m - 1], self.boundaries[m])
 
-    def bucket_of(self, t: int) -> int:
-        for m in range(1, self.count + 1):
-            if t < self.boundaries[m]:
-                return m
-        raise PreconditionError(f"round {t} beyond the horizon")
-
     def suffix_mass(self, j: int) -> int:
         """V_j = sum of L_m^2 over buckets m >= j (exact integers)."""
         return sum(L * L for L in self.lengths[j - 1:])
@@ -77,6 +71,23 @@ def greedy_buckets(delays: DelaySequence) -> BucketDecomposition:
     while boundaries[-1] <= T:
         boundaries.append(int(suffix_min[boundaries[-1] - 1]))
     return BucketDecomposition(boundaries=tuple(boundaries))
+
+
+def bucket_inequalities(decomp: BucketDecomposition,
+                        delays: DelaySequence) -> tuple[bool, bool, bool]:
+    """The lower bound's bucket facts, (mono, dom, suffix), in exact integers:
+    L_m >= L_{m+1}; L_m^2 >= the delay of bucket m + 1; V_j >= the delay after bucket j."""
+    lengths = decomp.lengths
+    mono = all(lengths[i] >= lengths[i + 1] for i in range(len(lengths) - 1))
+    dom = all(
+        lengths[m] ** 2 >= sum(delays.delays[t - 1] for t in decomp.bucket(m + 2))
+        for m in range(decomp.count - 1))
+    suffix = all(
+        decomp.suffix_mass(j) >= sum(int(delays.delays[t - 1])
+                                     for mm in range(j + 1, decomp.count + 1)
+                                     for t in decomp.bucket(mm))
+        for j in range(1, decomp.count + 1))
+    return mono, dom, suffix
 
 
 def corollary_delays(q: int, N: int) -> DelaySequence:
@@ -168,18 +179,17 @@ class SimulationResult:
     actions_batched: list[int]
     regret_native: float
     regret_batched: float
-    decomposition: BucketDecomposition
 
 
 def _full_loss_table(decomp: BucketDecomposition, block_losses: list[np.ndarray],
-                     j: int, arms: int) -> LossTable:
+                     j: int) -> LossTable:
     """The delayed-game loss table: zero prefix before bucket j, blocks after."""
-    T = decomp.boundaries[-1] - 1
-    losses = np.zeros((T, arms))
-    for m in range(j, decomp.count + 1):
-        rows = decomp.bucket(m)
-        losses[rows.start - 1:rows.stop - 1, :] = block_losses[m - j]
-    return LossTable(losses)
+    for m, block in enumerate(block_losses, start=j):
+        if len(block) != len(decomp.bucket(m)):
+            raise PreconditionError(f"loss block for bucket {m} has {len(block)} rows, "
+                                    f"the bucket {len(decomp.bucket(m))} rounds")
+    prefix = np.zeros((decomp.boundaries[j - 1] - 1, block_losses[0].shape[1]))
+    return LossTable(np.vstack([prefix, *block_losses]))
 
 
 def batched_simulate(learner_factory, delays: DelaySequence,
@@ -190,19 +200,17 @@ def batched_simulate(learner_factory, delays: DelaySequence,
     `learner_factory()` must build a fresh learner each call; couple the two
     runs by giving each learner a fresh sampler on the same seeded stream (a
     learner that draws once per round then sees the same uniforms in both).
-    The wrapper only learns a round's loss when its bucket ends (zero prefix
-    rounds are known immediately) and delivers stored feedback at availability
-    time tau_u = u + d_u + 1, i.e. just before the round that may first use it.
+    The wrapper learns a bucket's losses only when the bucket ends (the zero
+    prefix counts as buckets too) and, as `play` does, hands round u's
+    feedback to `receive(events, t)` at the end of round t = u + d_u.
     """
     decomp = greedy_buckets(delays)
     if not (1 <= j <= decomp.count):
         raise PreconditionError("suffix start bucket out of range")
     if len(block_losses) != decomp.count - j + 1:
         raise PreconditionError("need one loss block per suffix bucket")
-    arms = block_losses[0].shape[1]
-    table = _full_loss_table(decomp, block_losses, j, arms)
+    table = _full_loss_table(decomp, block_losses, j)
     T = table.horizon
-    d = delays.delays
 
     # --- native run -------------------------------------------------------
     arms_native = play(learner_factory(), table, delays).arm
@@ -211,41 +219,29 @@ def batched_simulate(learner_factory, delays: DelaySequence,
 
     # --- batched (wrapped) run --------------------------------------------
     wrapped = learner_factory()
-    prefix_end = decomp.boundaries[j - 1] - 1
-    store: dict[int, tuple[int, float]] = {}
-    due_at: dict[int, list[int]] = {}
+    bucket_ending_at = {decomp.boundaries[m] - 1: decomp.bucket(m)
+                        for m in range(1, decomp.count + 1)}
+    arriving_at: dict[int, list[int]] = {}
     for u in range(1, T + 1):
-        tau = u + int(d[u - 1]) + 1
-        if tau <= T:
-            due_at.setdefault(tau, []).append(u)
+        arriving_at.setdefault(u + delays.delay(u), []).append(u)
+    store: dict[int, tuple[int, float]] = {}  # revealed (arm, loss) per round
     actions_batched: list[int] = []
     loss_batched = 0.0
-    open_bucket: list[int] = []  # rounds of the current suffix bucket, pre-reveal
     for t in range(1, T + 1):
+        _, arm = wrapped.act(t)
+        actions_batched.append(arm)
+        for s in bucket_ending_at.get(t, ()):
+            arm_s = actions_batched[s - 1]
+            store[s] = (arm_s, float(table.losses[s - 1, arm_s]))
+            loss_batched += store[s][1]
         events = []
-        for u in due_at.get(t, []):
+        for u in arriving_at.get(t, ()):
             if u not in store:
                 raise SimulationIntegrityError(
                     f"round {u} feedback due at {t} before its bucket ended")
-            arm_u, loss_u = store[u]
-            events.append(FeedbackEvent(origin_round=u, arm=arm_u,
-                                        loss_value=loss_u, arrival_round=t - 1))
-        if t > 1:
-            wrapped.receive(events, t - 1)
-        _, arm = wrapped.act(t)
-        actions_batched.append(arm)
-        if t <= prefix_end:
-            store[t] = (arm, 0.0)  # zero prefix: loss known immediately
-        else:
-            open_bucket.append(arm)
-            m = decomp.bucket_of(t)
-            if t == decomp.boundaries[m] - 1:  # bucket m just ended: reveal
-                block = block_losses[m - j]
-                start = decomp.boundaries[m - 1]
-                for s, arm_s in enumerate(open_bucket):
-                    store[start + s] = (arm_s, float(block[s, arm_s]))
-                    loss_batched += float(block[s, arm_s])
-                open_bucket = []
+            events.append(FeedbackEvent(origin_round=u, arm=store[u][0],
+                                        loss_value=store[u][1], arrival_round=t))
+        wrapped.receive(events, t)
 
     comparator = np.asarray(comparator, dtype=float)
     loss_comp = float(np.sum(table.losses @ comparator))
@@ -254,7 +250,6 @@ def batched_simulate(learner_factory, delays: DelaySequence,
         actions_batched=actions_batched,
         regret_native=loss_native - loss_comp,
         regret_batched=loss_batched - loss_comp,
-        decomposition=decomp,
     )
 
 

@@ -12,9 +12,9 @@ import pytest
 
 from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
                                    emit, make_learner, play, run)
-from prudentbanker.lowerbound import (corollary_delays, greedy_buckets,
-                                      make_hard_instance, batched_simulate,
-                                      safety_gap_probe)
+from prudentbanker.lowerbound import (bucket_inequalities, corollary_delays,
+                                      greedy_buckets, make_hard_instance,
+                                      batched_simulate, safety_gap_probe)
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
@@ -177,23 +177,6 @@ def test_criterion_7_gap_statistic_oracle():
     report(7, "gap-statistic vertex oracle", ok)
 
 
-def _bucket_inequalities_hold(delays):
-    decomp = greedy_buckets(delays)
-    L = decomp.lengths
-    d = delays.delays
-    if any(L[i] < L[i + 1] for i in range(len(L) - 1)):
-        return False
-    for m in range(1, decomp.count):
-        if L[m - 1] ** 2 < sum(int(d[t - 1]) for t in decomp.bucket(m + 1)):
-            return False
-    for j in range(1, decomp.count + 1):
-        tail = sum(int(d[t - 1]) for m in range(j + 1, decomp.count + 1)
-                   for t in decomp.bucket(m))
-        if decomp.suffix_mass(j) < tail:
-            return False
-    return True
-
-
 def test_criterion_8_greedy_bucket_inequalities():
     rng = np.random.default_rng(8)
     ok = True
@@ -202,10 +185,11 @@ def test_criterion_8_greedy_bucket_inequalities():
         d = np.sort(rng.integers(1, T + 1, size=T))[::-1]
         caps = T + 1 - np.arange(1, T + 1)
         seq = DelaySequence(delays=np.minimum(d, caps).astype(np.int64))
-        ok = ok and _bucket_inequalities_hold(seq)
+        ok = ok and all(bucket_inequalities(greedy_buckets(seq), seq))
     for q in (1, 2, 5):
         for N in (1, 3):
-            ok = ok and _bucket_inequalities_hold(corollary_delays(q, N))
+            seq = corollary_delays(q, N)
+            ok = ok and all(bucket_inequalities(greedy_buckets(seq), seq))
     report(8, "greedy-bucket decomposition inequalities", ok)
 
 

@@ -86,8 +86,11 @@ def test_lowerbound_identity_passes(capsys):
 
 @pytest.mark.parametrize("argv", [["lowerbound", "--q", "0"],
                                   ["lowerbound", "--delta", "0.9", "--trials", "10"],
-                                  ["sweep", "--seeds", "x"]],
-                         ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds"])
+                                  ["sweep", "--seeds", "x"],
+                                  ["run", "--learner", "safe-exp3ix", "--alpha-safe", "5"],
+                                  ["run", "--learner", "safe-exp3ix", "--alpha-safe", "-1"]],
+                         ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
+                              "alpha-safe-above-1", "alpha-safe-below-0"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
@@ -113,6 +116,20 @@ def test_sweep_rejects_the_run_only_flags(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert all(flag in err for flag in ("--seed", "--learner", "--delay-model"))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", [["--learners", "play-comparator,nonsense",
+                                   "--delay-models", "none"],
+                                  ["--learners", "play-comparator",
+                                   "--delay-models", "none,bogus"]],
+                         ids=["learner", "delay-model"])
+def test_sweep_checks_the_grid_before_writing(configs, tmp_path, capsys, grid):
+    out = tmp_path / "D"
+    assert cli.main(["sweep", "--seeds", "0", *grid, "--horizon", "50", "--blocks", "5",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and err.count("\n") == 1
+    assert configs == [] and not out.exists()
 
 
 def test_round_note_reaches_stderr(monkeypatch, tmp_path, capsys):

@@ -42,28 +42,22 @@ def test_bucket_preconditions():
         lb.greedy_buckets(DelaySequence(delays=np.array([5, 2, 1])))  # d_1 > T
 
 
-def check_bucket_inequalities(delays):
-    decomp = lb.greedy_buckets(delays)
-    lengths = decomp.lengths
-    d = delays.delays
-    # length monotonicity
-    assert all(lengths[i] >= lengths[i + 1] for i in range(len(lengths) - 1))
-    # quadratic dominance over the next bucket
-    for m in range(1, decomp.count):
-        assert lengths[m - 1] ** 2 >= sum(int(d[t - 1]) for t in decomp.bucket(m + 1))
-    # suffix mass dominates the total delay outside the first j buckets
-    for j in range(1, decomp.count + 1):
-        complement_delay = sum(int(d[t - 1])
-                               for m in range(j + 1, decomp.count + 1)
-                               for t in decomp.bucket(m))
-        assert decomp.suffix_mass(j) >= complement_delay
-
-
 def test_bucket_inequalities_random():
     rng = np.random.default_rng(0)
     for _ in range(100):
         T = int(rng.integers(1, 60))
-        check_bucket_inequalities(random_admissible(rng, T))
+        delays = random_admissible(rng, T)
+        assert lb.bucket_inequalities(lb.greedy_buckets(delays), delays) == (True, True, True)
+
+
+@pytest.mark.parametrize("boundaries, d, expected", [
+    ((1, 2, 4), [0, 0, 0], (False, True, True)),  # lengths (1, 2) increase
+    ((1, 3, 4), [0, 0, 5], (True, False, True)),  # L_1^2 = 4 < 5, V_1 = 5 holds
+    ((1, 2, 3), [0, 9], (True, False, False)),    # V_1 = 2 < 9 (dom implies suffix)
+], ids=["mono", "dom", "suffix"])
+def test_bucket_inequalities_catch_a_broken_partition(boundaries, d, expected):
+    decomp = lb.BucketDecomposition(boundaries=boundaries)
+    assert lb.bucket_inequalities(decomp, DelaySequence(delays=np.array(d))) == expected
 
 
 # -- structured delays ------------------------------------------------------
@@ -139,6 +133,40 @@ def test_pathwise_identity_small():
         sim = simulate_once(seed)
         assert sim.actions_native == sim.actions_batched
         assert sim.regret_native == sim.regret_batched
+
+
+def test_wrapper_plays_the_native_distributions():
+    # the arms alone can agree even when feedback comes a round late
+    delays = lb.corollary_delays(3, 4)
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    xc = build_comparator(2, 0.25, 0)
+    played = []
+
+    def factory():
+        learner = PrudentBanker(Regularizer(NEG_ENTROPY, 2, 0.25), xc, len(delays),
+                                RngSampler(stream(0, "tape")))
+        act, dists = learner.act, []
+        played.append(dists)
+
+        def recording_act(t):
+            dist, arm = act(t)
+            dists.append(dist.copy())
+            return dist, arm
+
+        learner.act = recording_act
+        return learner
+
+    lb.batched_simulate(factory, delays, inst.block_losses(+1, stream(0, "bl")), xc)
+    native, wrapped = played
+    np.testing.assert_array_equal(native, wrapped)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_mis_sized_block_is_rejected(rows):
+    delays = lb.corollary_delays(2, 2)  # three buckets of two rounds
+    blocks = [np.full((2, 2), 0.5), np.full((rows, 2), 0.5), np.full((2, 2), 0.5)]
+    with pytest.raises(PreconditionError, match="bucket 2"):  # before any learner is built
+        lb.batched_simulate(None, delays, blocks, np.full(2, 0.5))
 
 
 def test_prefix_rounds_are_free():
