@@ -26,8 +26,8 @@ class Kahan:
 
     __slots__ = ("total", "_c")
 
-    def __init__(self, value: float = 0.0):
-        self.total = value
+    def __init__(self):
+        self.total = 0.0
         self._c = 0.0
 
     def add(self, x: float) -> None:
@@ -87,7 +87,6 @@ class BankerOMD:
         self.records: dict[int, RoundRecord] = {}
         self._credit_heap: list[int] = []
         self.missing: set[int] = set()
-        self._missing_sigma = Kahan()
         self.outstanding_sum = 0  # running sum of per-round outstanding counts
         self.borrow_total = Kahan()
         self._pending: tuple[int, float] | None = None
@@ -120,7 +119,6 @@ class BankerOMD:
         self._pending = None
         self.records[t] = RoundRecord(sigma=sigma, v=sigma, x=np.asarray(played, float), arm=arm)
         self.missing.add(t)
-        self._missing_sigma.add(sigma)
 
     def ingest(self, event: FeedbackEvent) -> float | None:
         """Apply arrived feedback; returns the importance weight, or None if dropped.
@@ -145,7 +143,6 @@ class BankerOMD:
         theta[event.arm] -= w / rec.sigma
         _, rec.dual_z = grad_psi_star_with_dual(self.reg, theta)
         self.missing.remove(u)
-        self._missing_sigma.add(-rec.sigma)
         heapq.heappush(self._credit_heap, u)
         return w
 
@@ -171,7 +168,8 @@ class BankerOMD:
             self.borrow_total.add(b)
             # snapshot for the borrow characterization check:
             # B_t should equal sigma_t + sum of sigma_u over currently missing u
-            self.last_borrow = (t, self.borrow_total.total, sigma, self._missing_sigma.total)
+            missing_sigma = math.fsum(self.records[u].sigma for u in self.missing)
+            self.last_borrow = (t, self.borrow_total.total, sigma, missing_sigma)
         residual = abs(math.fsum(a for _, a in allocation) + b - sigma)
         self.max_conservation_residual = max(self.max_conservation_residual, residual)
         return allocation, b

@@ -124,11 +124,10 @@ class SafeExp3IX:
         return w / w.sum()
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
-        t0 = t - 1
-        required = (1.0 - self.alpha_safe) * self.r0 * (t0 + 1)
+        required = (1.0 - self.alpha_safe) * self.r0 * t
         if self.budget >= required:
             q = self.distribution()
-            arm = self.sampler.draw(t, q)
+            arm = self.sampler.draw(q)
             self._q_played[t] = float(q[arm])
             return q, arm
         self.budget += self.r0
@@ -156,7 +155,7 @@ class BankerOMDLearner:
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
         x = self.base.begin_round(t)
-        arm = self.sampler.draw(t, x)
+        arm = self.sampler.draw(x)
         self.base.commit(t, x, arm)
         return x, arm
 
@@ -173,7 +172,7 @@ class PlayDistribution:
         self.sampler = sampler
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
-        return self.dist, self.sampler.draw(t, self.dist)
+        return self.dist, self.sampler.draw(self.dist)
 
     def receive(self, events: list[FeedbackEvent], t: int) -> None:
         pass

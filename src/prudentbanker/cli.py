@@ -99,9 +99,9 @@ def cmd_sweep(args) -> int:
     delay_models = args.delay_models.split(",")
     base = _config_from_args(args)
     # the whole grid is checked before the first environment is built
-    for learner, delay_model in itertools.product(learners, delay_models):
-        env = dataclasses.replace(base.env, delay_model=delay_model)
-        dataclasses.replace(base, env=env, learner=learner).validate()
+    for learner, delay_model, seed in itertools.product(learners, delay_models, seeds):
+        env = dataclasses.replace(base.env, delay_model=delay_model, seed=seed)
+        dataclasses.replace(base, env=env, learner=learner, seed=seed).validate()
     out_dir = Path(args.out)
     summaries = []
     for delay_model in delay_models:
@@ -123,32 +123,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     q, N = args.q, args.n
-    # everything a bad flag can break is built before the report starts
+    # the report is computed in full before it prints: a bad flag or seed prints nothing
     delays = lb.corollary_delays(q, N)
     decomp = lb.greedy_buckets(delays)
     instance = lb.make_hard_instance(decomp.lengths, args.delta, arms=2)
     if args.trials < 1:
         raise ConfigError("trials must be positive")
     T = len(delays)
-    print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
-    print(f"bucket boundaries: {decomp.boundaries}")
-    print(f"bucket lengths:    {decomp.lengths}")
     mono, dom, suffix = lb.bucket_inequalities(decomp, delays)
-    print(f"length monotonicity: {'pass' if mono else 'FAIL'}")
-    print(f"quadratic dominance: {'pass' if dom else 'FAIL'}")
-    print(f"suffix dominance:    {'pass' if suffix else 'FAIL'}")
-
-    print(f"hard instance: gamma={instance.gamma:.5f}, V={instance.V}, "
-          f"eps={tuple(round(e, 5) for e in instance.eps)}")
     rng = stream(args.seed, "lowerbound-probe")
-    all_ok = mono and dom and suffix
-    for policy in ("arm1", "arm2", "comparator"):
-        res = lb.safety_gap_probe(instance, policy, args.trials, rng)
-        print(f"probe {policy:>10}: E[regret]={res.mean_regret:+.5f} "
-              f"predicted={res.predicted_regret:+.5f} "
-              f"residual={res.residual_mean:+.2e} (3se={3 * res.residual_se:.2e}) "
-              f"{'pass' if res.ok else 'FAIL'}")
-        all_ok = all_ok and res.ok
+    probes = [(policy, lb.safety_gap_probe(instance, policy, args.trials, rng))
+              for policy in ("arm1", "arm2", "comparator")]
 
     # coupled delayed-vs-batched identity with the full learner
     reg = Regularizer(kind=NEG_ENTROPY, arms=2, delta=0.25)
@@ -159,11 +144,27 @@ def cmd_lowerbound(args) -> int:
         return PrudentBanker(reg, xc, T, RngSampler(stream(args.seed, "lowerbound-tape")))
 
     sim = lb.batched_simulate(factory, delays, blocks, xc)
-    identical = sim.actions_native == sim.actions_batched
-    print(f"delayed-vs-batched identity: {'pass' if identical else 'FAIL'} "
+
+    print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
+    print(f"bucket boundaries: {decomp.boundaries}")
+    print(f"bucket lengths:    {decomp.lengths}")
+    print(f"length monotonicity: {'pass' if mono else 'FAIL'}")
+    print(f"quadratic dominance: {'pass' if dom else 'FAIL'}")
+    print(f"suffix dominance:    {'pass' if suffix else 'FAIL'}")
+
+    print(f"hard instance: gamma={instance.gamma:.5f}, V={instance.V}, "
+          f"eps={tuple(round(e, 5) for e in instance.eps)}")
+    all_ok = mono and dom and suffix
+    for policy, res in probes:
+        print(f"probe {policy:>10}: E[regret]={res.mean_regret:+.5f} "
+              f"predicted={res.predicted_regret:+.5f} "
+              f"residual={res.residual_mean:+.2e} (3se={3 * res.residual_se:.2e}) "
+              f"{'pass' if res.ok else 'FAIL'}")
+        all_ok = all_ok and res.ok
+
+    print(f"delayed-vs-batched identity: {'pass' if sim.identical else 'FAIL'} "
           f"(regret {sim.regret_native:+.4f} vs {sim.regret_batched:+.4f})")
-    all_ok = all_ok and identical
-    return 0 if all_ok else 1
+    return 0 if all_ok and sim.identical else 1
 
 
 def cmd_verify(args) -> int:
@@ -180,11 +181,10 @@ def cmd_verify(args) -> int:
         d = rng.integers(0, 12, size=T)
         seq = DelaySequence(delays=d)
         start = int(rng.integers(1, T + 1))
-        end = T
-        _, DD = outstanding_counters(seq, start, end)
-        window = range(start, end + 1)
+        _, DD = outstanding_counters(seq, start, T)
+        window = range(start, T + 1)
         total = sum(int(d[r - 1]) for r in window)
-        ident = sum(min(int(d[r - 1]), end - r) for r in window)
+        ident = sum(min(int(d[r - 1]), T - r) for r in window)
         learner = BankerOMDLearner(reg, sampler)
         play(learner, LossTable([[0.0, 0.0]] * T), seq)
         worst &= (DD <= total and DD == ident

@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigError("threshold_scale must be positive")
         if not (0.0 <= self.alpha_safe <= 1.0):
             raise ConfigError("alpha_safe must lie in [0, 1]")
+        if min(self.seed, self.env.seed) < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass
@@ -194,8 +196,6 @@ def run(config: RunConfig, table: LossTable | None = None,
     loss_c = np.cumsum(table.losses @ xc)
     restarts = getattr(learner, "restarts", [])
     stage, phase, alpha = restart_columns(restarts, alpha0, T)
-    n_hard = sum(1 for r in restarts if r.kind == "hard")
-    n_soft = sum(1 for r in restarts if r.kind == "soft")
     summary = {
         "learner": config.learner,
         "seed": int(config.seed),
@@ -207,8 +207,8 @@ def run(config: RunConfig, table: LossTable | None = None,
         "r0": r0,
         "r0_source": "oracle (hindsight best arm)",
         "comparator_anchor_source": "oracle (hindsight best arm)",
-        "stages": n_hard + 1,
-        "phases": n_soft + n_hard + 1,
+        "stages": int(stage[-1]),
+        "phases": len(restarts) + 1,
         "final_alpha": float(alpha[-1]),
         "final_delay_estimate": int(getattr(learner, "delay_estimate", 0)),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SimulationIntegrityError
-from .harness import play
+from .harness import play, pseudo_loss
 from .protocol import DelaySequence, FeedbackEvent, LossTable
 
 #: index of the biased ("special") arm in hard instances
@@ -118,10 +118,6 @@ class HardInstancePair:
     V: int
     eps: tuple[float, ...]
 
-    @property
-    def slots(self) -> int:
-        return sum(self.lengths)
-
     def slot_eps(self) -> np.ndarray:
         """Per-slot bias, blocks concatenated in order."""
         return np.concatenate([np.full(L, e) for L, e in zip(self.lengths, self.eps)])
@@ -179,6 +175,15 @@ class SimulationResult:
     actions_batched: list[int]
     regret_native: float
     regret_batched: float
+    pseudo_native: np.ndarray  # per-round <p_t, l_t> of the played distributions
+    pseudo_batched: np.ndarray
+
+    @property
+    def identical(self) -> bool:
+        """The pathwise identity: same arms, regrets and per-round pseudo-losses."""
+        return (self.actions_native == self.actions_batched
+                and self.regret_native == self.regret_batched
+                and np.array_equal(self.pseudo_native, self.pseudo_batched))
 
 
 def _full_loss_table(decomp: BucketDecomposition, block_losses: list[np.ndarray],
@@ -213,9 +218,9 @@ def batched_simulate(learner_factory, delays: DelaySequence,
     T = table.horizon
 
     # --- native run -------------------------------------------------------
-    arms_native = play(learner_factory(), table, delays).arm
+    native = play(learner_factory(), table, delays)
     # summed left to right (accumulate, not np.sum), exactly as loss_batched
-    loss_native = float(np.add.accumulate(table.losses[np.arange(T), arms_native])[-1])
+    loss_native = float(np.add.accumulate(table.losses[np.arange(T), native.arm])[-1])
 
     # --- batched (wrapped) run --------------------------------------------
     wrapped = learner_factory()
@@ -224,32 +229,35 @@ def batched_simulate(learner_factory, delays: DelaySequence,
     arriving_at: dict[int, list[int]] = {}
     for u in range(1, T + 1):
         arriving_at.setdefault(u + delays.delay(u), []).append(u)
-    store: dict[int, tuple[int, float]] = {}  # revealed (arm, loss) per round
+    revealed: dict[int, float] = {}  # loss of each round whose bucket has ended
     actions_batched: list[int] = []
+    pseudo_batched = np.zeros(T)
     loss_batched = 0.0
     for t in range(1, T + 1):
-        _, arm = wrapped.act(t)
+        dist, arm = wrapped.act(t)
         actions_batched.append(arm)
+        pseudo_batched[t - 1] = pseudo_loss(dist, table.row(t))
         for s in bucket_ending_at.get(t, ()):
-            arm_s = actions_batched[s - 1]
-            store[s] = (arm_s, float(table.losses[s - 1, arm_s]))
-            loss_batched += store[s][1]
+            revealed[s] = float(table.losses[s - 1, actions_batched[s - 1]])
+            loss_batched += revealed[s]
         events = []
         for u in arriving_at.get(t, ()):
-            if u not in store:
+            if u not in revealed:
                 raise SimulationIntegrityError(
                     f"round {u} feedback due at {t} before its bucket ended")
-            events.append(FeedbackEvent(origin_round=u, arm=store[u][0],
-                                        loss_value=store[u][1], arrival_round=t))
+            events.append(FeedbackEvent(origin_round=u, arm=actions_batched[u - 1],
+                                        loss_value=revealed[u], arrival_round=t))
         wrapped.receive(events, t)
 
     comparator = np.asarray(comparator, dtype=float)
     loss_comp = float(np.sum(table.losses @ comparator))
     return SimulationResult(
-        actions_native=arms_native.tolist(),
+        actions_native=native.arm.tolist(),
         actions_batched=actions_batched,
         regret_native=loss_native - loss_comp,
         regret_batched=loss_batched - loss_comp,
+        pseudo_native=native.loss,
+        pseudo_batched=pseudo_batched,
     )
 
 
@@ -259,8 +267,6 @@ def batched_simulate(learner_factory, delays: DelaySequence,
 
 @dataclass(frozen=True)
 class ProbeResult:
-    policy: str
-    trials: int
     mean_regret: float
     mean_W: float
     predicted_regret: float  # gamma sqrt(V) (mean_W - delta)
@@ -287,7 +293,7 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     eps = instance.slot_eps()
     weights = np.concatenate([np.full(L, L / instance.V) for L in instance.lengths])
     delta = instance.delta
-    n_slots = instance.slots
+    n_slots = len(eps)
 
     # arm-2 losses under E+, one row per trial
     Z = (rng.random((trials, n_slots)) < 0.5 + eps).astype(float)
@@ -311,7 +317,6 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     residual = regret - scale * (W - delta)
     se = float(residual.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return ProbeResult(
-        policy=policy, trials=trials,
         mean_regret=float(regret.mean()), mean_W=float(W.mean()),
         predicted_regret=scale * (float(W.mean()) - delta),
         residual_mean=float(residual.mean()), residual_se=se,

@@ -147,23 +147,18 @@ def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelayS
     T = config.horizon
     model = config.delay_model
     if model == "none":
-        d = np.zeros(T, dtype=np.int64)
-    elif model == "fixed-one-step":
-        d = (rng.random(T) < P_ACTIVE).astype(np.int64)
-    elif model == "geometric":
-        active = rng.random(T) < P_ACTIVE
-        d = np.zeros(T, dtype=np.int64)
+        return DelaySequence(delays=np.zeros(T, dtype=np.int64))
+    # one activation draw for every delayed model; fixed-one-step stops here
+    active = rng.random(T) < P_ACTIVE
+    d = active.astype(np.int64)
+    if model == "geometric":
         # Geom(q) on {1, 2, ...}
         d[active] = rng.geometric(Q_GEO, size=int(active.sum()))
     elif model == "lomax":
-        active = rng.random(T) < P_ACTIVE
-        d = np.zeros(T, dtype=np.int64)
         u = rng.random(int(active.sum()))
         # inverse CDF of Lomax(shape, scale): z = scale * ((1-u)^(-1/shape) - 1)
         z = LOMAX_SCALE * ((1.0 - u) ** (-1.0 / LOMAX_SHAPE) - 1.0)
         d[active] = 1 + np.floor(z).astype(np.int64)
-    else:  # pragma: no cover - guarded by validate
-        raise ConfigError(model)
     return DelaySequence(delays=d)
 
 

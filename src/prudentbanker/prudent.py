@@ -179,7 +179,7 @@ class PrudentBanker:
             xhat = self.base.begin_round(t)
             commit = True
         x = self.alpha * xhat + (1.0 - self.alpha) * self.xc
-        arm = self.sampler.draw(t, x)
+        arm = self.sampler.draw(x)
         if commit:
             self.base.commit(t, x, arm)
         return x, arm

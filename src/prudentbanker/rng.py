@@ -10,15 +10,17 @@ import zlib
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
     """Return an independent generator derived from (seed, name).
 
     The name is hashed with CRC32, which is stable across platforms and
-    Python processes (unlike the builtin hash).
+    Python processes (unlike the builtin hash). The seed must be nonnegative.
     """
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     key = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), key]))
 
@@ -43,5 +45,5 @@ class RngSampler:
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
 
-    def draw(self, t: int, dist: np.ndarray) -> int:
+    def draw(self, dist: np.ndarray) -> int:
         return sample_arm(dist, self._rng.random())

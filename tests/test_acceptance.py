@@ -205,8 +205,7 @@ def test_criterion_9_batched_reduction_identity():
         factory = lambda: PrudentBanker(reg, xc, len(delays),
                                         RngSampler(stream(seed, "tape")))
         sim = batched_simulate(factory, delays, blocks, xc, j=1)
-        ok = ok and sim.actions_native == sim.actions_batched
-        ok = ok and sim.regret_native == sim.regret_batched
+        ok = ok and sim.identical
     report(9, "delayed-to-batched pathwise identity on 100 coupled seeds", ok)
 
 

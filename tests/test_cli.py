@@ -88,18 +88,26 @@ def test_lowerbound_identity_passes(capsys):
                                   ["lowerbound", "--delta", "0.9", "--trials", "10"],
                                   ["sweep", "--seeds", "x"],
                                   ["run", "--learner", "safe-exp3ix", "--alpha-safe", "5"],
-                                  ["run", "--learner", "safe-exp3ix", "--alpha-safe", "-1"]],
+                                  ["run", "--learner", "safe-exp3ix", "--alpha-safe", "-1"],
+                                  ["run", "--seed", "-1"],
+                                  ["sweep", "--seeds", "-1"],
+                                  ["lowerbound", "--seed", "-1"],
+                                  ["verify", "--seed", "-1"]],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
-                              "alpha-safe-above-1", "alpha-safe-below-0"])
+                              "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
+                              "sweep-negative-seed", "lowerbound-negative-seed",
+                              "verify-negative-seed"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert configs == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert configs == [] and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"]],
-                         ids=["q", "delta", "trials"])
+@pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"],
+                                  ["--seed", "-1"]],
+                         ids=["q", "delta", "trials", "seed"])
 def test_lowerbound_bad_flag_prints_no_report(capsys, argv):
     assert cli.main(["lowerbound", *argv]) == 2
     out, err = capsys.readouterr()
@@ -129,6 +137,15 @@ def test_sweep_checks_the_grid_before_writing(configs, tmp_path, capsys, grid):
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown ") and err.count("\n") == 1
+    assert configs == [] and not out.exists()
+
+
+def test_sweep_checks_every_seed_before_writing(configs, tmp_path, capsys):
+    out = tmp_path / "D"
+    assert cli.main(["sweep", "--seeds", "0,-1", "--learners", "play-comparator",
+                     "--delay-models", "none", "--horizon", "50", "--blocks", "5",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
     assert configs == [] and not out.exists()
 
 

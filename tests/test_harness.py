@@ -289,6 +289,12 @@ def test_config_validation():
     cfg = small_cfg(threshold_scale=-1.0)
     with pytest.raises(ConfigError):
         run(cfg)
+    cfg = small_cfg()
+    cfg.seed = -1
+    with pytest.raises(ConfigError, match="seed"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match="seed"):
+        small_cfg(env_seed=-1).validate()
 
 
 def test_load_config_file(tmp_path):

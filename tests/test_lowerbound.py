@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,16 @@ def test_pathwise_identity_small():
         sim = simulate_once(seed)
         assert sim.actions_native == sim.actions_batched
         assert sim.regret_native == sim.regret_batched
+        # on two arms <p_t, l_t> pins p_t wherever the arms' losses differ
+        np.testing.assert_array_equal(sim.pseudo_native, sim.pseudo_batched)
+        assert sim.identical
+
+
+def test_identity_sees_the_played_distributions():
+    sim = simulate_once(0)
+    late = sim.pseudo_batched.copy()
+    late[-1] += 1e-12  # same arms and regrets, another played distribution
+    assert not dataclasses.replace(sim, pseudo_batched=late).identical
 
 
 def test_wrapper_plays_the_native_distributions():
@@ -172,8 +183,7 @@ def test_mis_sized_block_is_rejected(rows):
 def test_prefix_rounds_are_free():
     # with a zero prefix (j=2), prefix rounds contribute no regret
     sim = simulate_once(0, j=2)
-    assert sim.actions_native == sim.actions_batched
-    assert sim.regret_native == sim.regret_batched
+    assert sim.identical
 
 
 # -- safety-gap probe -------------------------------------------------------

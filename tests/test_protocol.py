@@ -117,6 +117,17 @@ def test_delays_geometric_and_lomax_support():
         assert d.delays[active].min() >= 1
 
 
+def test_delayed_models_share_one_activation_draw():
+    # the same seed activates the same rounds; only the delay drawn for them differs
+    active = {}
+    for model in ("fixed-one-step", "geometric", "lomax"):
+        cfg = EnvironmentConfig(horizon=5000, delay_model=model)
+        active[model] = np.flatnonzero(sample_delays(cfg, stream(2, "delays")).delays > 0)
+    assert len(active["fixed-one-step"]) > 0
+    np.testing.assert_array_equal(active["geometric"], active["fixed-one-step"])
+    np.testing.assert_array_equal(active["lomax"], active["fixed-one-step"])
+
+
 def test_queue_immediate_delivery():
     q = FeedbackQueue(horizon=3)
     for t in range(1, 4):
@@ -168,6 +179,11 @@ def test_queue_discards_post_horizon_feedback():
 def test_sample_arm_rejects_non_distributions(dist):
     with pytest.raises(ProtocolError):
         sample_arm(np.array(dist), 0.9)
+
+
+def test_stream_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="nonnegative"):
+        stream(-1, "delays")
 
 
 def test_outstanding_counters_examples():
