@@ -15,26 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError
-from .mirror import Regularizer, grad_psi, grad_psi_star_with_dual
+from .mirror import GRAD_FLOOR, Regularizer, grad_psi, grad_psi_star_with_dual
 from .protocol import FeedbackEvent
-
-_GRAD_FLOOR = 1e-300  # defensive floor before evaluating grad_psi on played points
 
 
 class Kahan:
-    """Compensated running sum (float accumulators over long horizons)."""
+    """Compensated running sums, entry by entry, over a float array of `shape`."""
 
     __slots__ = ("total", "_c")
 
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
+    def __init__(self, shape=()):
+        self.total = np.zeros(shape)
+        self._c = np.zeros(shape)
 
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+    def add(self, x: float, at=()) -> None:
+        y = x - self._c[at]
+        t = self.total[at] + y
+        self._c[at] = (t - self.total[at]) - y
+        self.total[at] = t
 
 
 @dataclass
@@ -70,7 +68,8 @@ class BankerOMD:
     The ledger covers only rounds >= phase_start; `reset` starts a fresh phase
     (feedback for earlier rounds is dropped on arrival). A round is outstanding
     exactly when it is in `missing`; `begin_round` deletes an arrived record
-    once its credit is spent.
+    once its credit is spent. `g` holds the phase's compensated per-arm sums of
+    the importance-weighted losses that `ingest` applied.
     """
 
     def __init__(self, reg: Regularizer):
@@ -89,6 +88,7 @@ class BankerOMD:
         self.missing: set[int] = set()
         self.outstanding_sum = 0  # running sum of per-round outstanding counts
         self.borrow_total = Kahan()
+        self.g = Kahan(self.reg.arms)
         self._pending: tuple[int, float] | None = None
 
     # -- per-round flow -----------------------------------------------------
@@ -139,11 +139,12 @@ class BankerOMD:
         if x_at_arm <= 0.0:
             raise ProtocolError(f"played probability 0 at round {u}, arm {event.arm}")
         w = event.loss_value / x_at_arm
-        theta = grad_psi(self.reg, np.maximum(rec.x, _GRAD_FLOOR)).copy()
+        theta = grad_psi(self.reg, np.maximum(rec.x, GRAD_FLOOR))
         theta[event.arm] -= w / rec.sigma
         _, rec.dual_z = grad_psi_star_with_dual(self.reg, theta)
         self.missing.remove(u)
         heapq.heappush(self._credit_heap, u)
+        self.g.add(w, event.arm)
         return w
 
     # -- internals ----------------------------------------------------------
@@ -169,7 +170,7 @@ class BankerOMD:
             # snapshot for the borrow characterization check:
             # B_t should equal sigma_t + sum of sigma_u over currently missing u
             missing_sigma = math.fsum(self.records[u].sigma for u in self.missing)
-            self.last_borrow = (t, self.borrow_total.total, sigma, missing_sigma)
+            self.last_borrow = (t, float(self.borrow_total.total), sigma, missing_sigma)
         residual = abs(math.fsum(a for _, a in allocation) + b - sigma)
         self.max_conservation_residual = max(self.max_conservation_residual, residual)
         return allocation, b

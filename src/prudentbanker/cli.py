@@ -97,8 +97,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --seeds {args.seeds!r}: need comma-separated integers") from None
     learners = args.learners.split(",")
     delay_models = args.delay_models.split(",")
-    base = _config_from_args(args)
-    # the whole grid is checked before the first environment is built
+    # the base is the grid's first point; the whole grid is checked before the
+    # first environment is built
+    base = _config_from_args(args, learners[0], delay_models[0], seeds[0])
     for learner, delay_model, seed in itertools.product(learners, delay_models, seeds):
         env = dataclasses.replace(base.env, delay_model=delay_model, seed=seed)
         dataclasses.replace(base, env=env, learner=learner, seed=seed).validate()
@@ -127,8 +128,8 @@ def cmd_lowerbound(args) -> int:
     delays = lb.corollary_delays(q, N)
     decomp = lb.greedy_buckets(delays)
     instance = lb.make_hard_instance(decomp.lengths, args.delta, arms=2)
-    if args.trials < 1:
-        raise ConfigError("trials must be positive")
+    if args.trials < 2:
+        raise ConfigError("trials must be at least 2 (one has no standard error)")
     T = len(delays)
     mono, dom, suffix = lb.bucket_inequalities(decomp, delays)
     rng = stream(args.seed, "lowerbound-probe")

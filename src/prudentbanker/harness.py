@@ -60,6 +60,9 @@ class RunConfig:
         self.env.validate()
         if self.learner not in LEARNERS:
             raise ConfigError(f"unknown learner {self.learner!r}")
+        if self.env.arms < 2 and self.learner in ("prudent-banker", "banker-omd"):
+            # their step size divides by C1, which is 0 on one arm
+            raise ConfigError(f"{self.learner} needs at least 2 arms")
         if not (0.0 < self.delta <= 1.0 / self.env.arms):
             raise ConfigError("delta must lie in (0, 1/arms]")
         if self.threshold_scale <= 0.0:

@@ -288,8 +288,8 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     "comparator" (sample from x^c each slot). W is the length-weighted play
     fraction of the biased arm, sum_m L_m N_m / V.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be positive")
+    if trials < 2:
+        raise PreconditionError("trials must be at least 2 (one has no standard error)")
     eps = instance.slot_eps()
     weights = np.concatenate([np.full(L, L / instance.V) for L in instance.lengths])
     delta = instance.delta
@@ -315,7 +315,7 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     regret = learner_loss - comp_loss
     scale = instance.gamma * math.sqrt(instance.V)
     residual = regret - scale * (W - delta)
-    se = float(residual.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se = float(residual.std(ddof=1) / math.sqrt(trials))
     return ProbeResult(
         mean_regret=float(regret.mean()), mean_W=float(W.mean()),
         predicted_regret=scale * (float(W.mean()) - delta),

@@ -21,8 +21,9 @@ from .errors import ConfigError, DomainError, NumericalError
 NEG_ENTROPY = "negative-entropy"
 TSALLIS_HALF = "tsallis-half"
 
-#: coordinates below this are treated as domain violations for grad_psi
-_INTERIOR_TOL = 1e-300
+#: coordinates below this are domain violations for grad_psi; callers floor
+#: played points at it before taking their gradient
+GRAD_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,13 @@ class Regularizer:
 
 def _require_interior(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.min() < _INTERIOR_TOL:
+    if x.min() < GRAD_FLOOR:
         raise DomainError("point has a (numerically) zero coordinate")
     return x
 
 
 def grad_psi(reg: Regularizer, x: np.ndarray) -> np.ndarray:
-    """Componentwise gradient of the regularizer; requires an interior point."""
+    """Componentwise gradient of the regularizer (a new array); needs an interior point."""
     x = _require_interior(x)
     if reg.kind == NEG_ENTROPY:
         return 1.0 + np.log(x)

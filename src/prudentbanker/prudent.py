@@ -149,22 +149,12 @@ class PrudentBanker:
         self.stage_delay = 0  # realized delay of arrived feedback, current stage
         self.phase = 1
         self.alpha = min(1.0 / self.tf.rhat(self.delay_estimate), 1.0)
-
-        self._g = np.zeros(reg.arms)
-        self._g_comp = np.zeros(reg.arms)  # Kahan compensation for g
         self.restarts: list[RestartRecord] = []
-
-    # -- gap accumulator (compensated) --------------------------------------
-
-    def _g_add(self, arm: int, w: float) -> None:
-        y = w - self._g_comp[arm]
-        t = self._g[arm] + y
-        self._g_comp[arm] = (t - self._g[arm]) - y
-        self._g[arm] = t
 
     @property
     def gap(self) -> float:
-        return gap_statistic(self._g, self.xc)
+        """Gap statistic of the loss sums the ledger applied in this phase."""
+        return gap_statistic(self.base.g.total, self.xc)
 
     # -- round loop ---------------------------------------------------------
 
@@ -188,9 +178,7 @@ class PrudentBanker:
         for ev in events:
             if ev.origin_round >= self.stage_start:
                 self.stage_delay += ev.delay
-            w = self.base.ingest(ev)
-            if w is not None:
-                self._g_add(ev.arm, w)
+            self.base.ingest(ev)
         self._check_soft_restart(t)
 
     # -- restarts -----------------------------------------------------------
@@ -223,5 +211,3 @@ class PrudentBanker:
         self.phase = phase
         self.alpha = alpha
         self.base.reset(t + 1)
-        self._g[:] = 0.0
-        self._g_comp[:] = 0.0

@@ -13,6 +13,7 @@ from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, LossTable,
                                     generate_block_losses, sample_delays)
+from prudentbanker.prudent import PrudentBanker, build_comparator
 from prudentbanker.rng import RngSampler, stream
 
 from reference import expected_mirror_step_divergence
@@ -221,3 +222,47 @@ def test_stationary_two_arm_regret_sanity():
     c1, c2 = reg.constants()
     assert regret <= (c1 + 2 * c2) * math.sqrt(T)
     assert regret >= 0.0
+
+
+def test_ledger_holds_the_phase_loss_sums():
+    # a delayed run with soft and hard restarts: at each phase end the ledger's
+    # per-arm sums match the exact sums of the weights ingest applied in it,
+    # dropped feedback leaves them alone, and reset zeroes them
+    arms, T = 4, 3000
+    reg = Regularizer(NEG_ENTROPY, arms, 1.0 / (2 * arms))
+    learner = PrudentBanker(reg, build_comparator(arms, reg.delta, 0), T,
+                            RngSampler(stream(2, "act")), threshold_scale=0.02)
+    base = learner.base
+    applied = [[] for _ in range(arms)]
+    seen = {"resets": 0, "dropped": 0}
+
+    def check_sums():
+        for total, weights in zip(base.g.total, applied):
+            assert math.isclose(total, math.fsum(weights), rel_tol=1e-12)
+
+    def ingest(ev, ingest=base.ingest):
+        before = base.g.total.copy()
+        w = ingest(ev)
+        if w is None:
+            seen["dropped"] += 1
+            np.testing.assert_array_equal(base.g.total, before)
+        else:
+            applied[ev.arm].append(w)
+        return w
+
+    def reset(phase_start, reset=base.reset):
+        check_sums()
+        reset(phase_start)
+        seen["resets"] += 1
+        assert np.all(base.g.total == 0.0)
+        for sums in applied:
+            sums.clear()
+
+    base.ingest, base.reset = ingest, reset
+    env = EnvironmentConfig(horizon=T, arms=arms, blocks=10,
+                            delay_model="geometric", seed=2)
+    play(learner, generate_block_losses(env, stream(2, "losses")),
+         sample_delays(env, stream(2, "delays")))
+    check_sums()
+    assert seen["resets"] >= 2 and seen["dropped"] >= 1
+    assert np.any(base.g.total != 0.0)

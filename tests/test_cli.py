@@ -92,11 +92,12 @@ def test_lowerbound_identity_passes(capsys):
                                   ["run", "--seed", "-1"],
                                   ["sweep", "--seeds", "-1"],
                                   ["lowerbound", "--seed", "-1"],
-                                  ["verify", "--seed", "-1"]],
+                                  ["verify", "--seed", "-1"],
+                                  ["run", "--arms", "1"]],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
                               "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
                               "sweep-negative-seed", "lowerbound-negative-seed",
-                              "verify-negative-seed"])
+                              "verify-negative-seed", "run-one-arm"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
@@ -106,8 +107,8 @@ def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"],
-                                  ["--seed", "-1"]],
-                         ids=["q", "delta", "trials", "seed"])
+                                  ["--seed", "-1"], ["--trials", "1"]],
+                         ids=["q", "delta", "trials", "seed", "one-trial"])
 def test_lowerbound_bad_flag_prints_no_report(capsys, argv):
     assert cli.main(["lowerbound", *argv]) == 2
     out, err = capsys.readouterr()
@@ -126,18 +127,29 @@ def test_sweep_rejects_the_run_only_flags(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("grid", [["--learners", "play-comparator,nonsense",
-                                   "--delay-models", "none"],
-                                  ["--learners", "play-comparator",
-                                   "--delay-models", "none,bogus"]],
-                         ids=["learner", "delay-model"])
-def test_sweep_checks_the_grid_before_writing(configs, tmp_path, capsys, grid):
+@pytest.mark.parametrize("grid,error", [
+    (["--learners", "play-comparator,nonsense", "--delay-models", "none"], "unknown "),
+    (["--learners", "play-comparator", "--delay-models", "none,bogus"], "unknown "),
+    (["--arms", "1", "--learners", "play-comparator,prudent-banker", "--delay-models", "none"],
+     "prudent-banker needs at least 2 arms"),
+    (["--arms", "1", "--learners", "play-comparator,banker-omd", "--delay-models", "none"],
+     "banker-omd needs at least 2 arms")],
+    ids=["learner", "delay-model", "one-arm-prudent-banker", "one-arm-banker-omd"])
+def test_sweep_checks_the_grid_before_writing(configs, tmp_path, capsys, grid, error):
     out = tmp_path / "D"
     assert cli.main(["sweep", "--seeds", "0", *grid, "--horizon", "50", "--blocks", "5",
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown ") and err.count("\n") == 1
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
     assert configs == [] and not out.exists()
+
+
+def test_sweep_runs_the_other_learners_on_one_arm(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert cli.main(["sweep", "--seeds", "0", "--arms", "1",
+                     "--learners", "play-comparator,safe-exp3ix", "--delay-models", "none",
+                     "--horizon", "50", "--blocks", "5", "--out", str(out)]) == 0
+    assert (out / "safe-exp3ix_none_s0.csv").exists()
 
 
 def test_sweep_checks_every_seed_before_writing(configs, tmp_path, capsys):

@@ -211,3 +211,5 @@ def test_probe_rejects_bad_input():
         lb.safety_gap_probe(inst, "nope", 100, stream(0, "p"))
     with pytest.raises(PreconditionError):
         lb.safety_gap_probe(inst, "arm1", 0, stream(0, "p"))
+    with pytest.raises(PreconditionError):
+        lb.safety_gap_probe(inst, "arm1", 1, stream(0, "p"))

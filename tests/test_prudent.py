@@ -143,19 +143,19 @@ def test_soft_restart_doubles_alpha():
     a1 = learner.alpha
     assert a1 < 1.0
     threshold = learner.tf.restart_threshold(learner.delay_estimate)
-    learner._g[:] = 0.0
-    learner._g[1] = -(2.0 * threshold + 10.0)  # drive min g down: gap > B
+    learner.base.g.total[:] = 0.0
+    learner.base.g.total[1] = -(2.0 * threshold + 10.0)  # drive min g down: gap > B
     learner.receive([], 10)
     assert learner.phase == 2
     assert learner.alpha == pytest.approx(min(2 * a1, 1.0))
     assert learner.base.phase_start == 11
-    assert np.all(learner._g == 0.0)
+    assert np.all(learner.base.g.total == 0.0)
     assert learner.restarts[-1].kind == "soft"
 
 
 def test_soft_restart_not_below_threshold():
     learner = make_learner()
-    learner._g[0] = 1.0
+    learner.base.g.total[0] = 1.0
     learner.receive([], 10)
     assert learner.phase == 1
 
@@ -163,7 +163,7 @@ def test_soft_restart_not_below_threshold():
 def test_no_soft_restart_at_full_aggression():
     learner = make_learner(scale=1e-9)  # tiny thresholds force alpha = 1
     assert learner.alpha == 1.0
-    learner._g[1] = -1e9
+    learner.base.g.total[1] = -1e9
     learner.receive([], 10)
     assert learner.phase == 1  # guard clause
 
