@@ -149,7 +149,6 @@ class BankerOMDLearner:
     """Unconstrained Banker-OMD (ablation): no comparator, no restarts."""
 
     def __init__(self, reg: Regularizer, sampler):
-        self.reg = reg
         self.sampler = sampler
         self.base = BankerOMD(reg)
 

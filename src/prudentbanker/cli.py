@@ -13,7 +13,7 @@ from .baselines import BankerOMDLearner
 from .errors import ConfigError
 from .harness import (SCALES, RunConfig, build_environment, emit,
                       load_config_file, play, run)
-from .mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer
+from .mirror import NEG_ENTROPY, REGULARIZERS, Regularizer
 from .protocol import (DELAY_MODELS, DelaySequence, EnvironmentConfig, LossTable,
                        outstanding_counters)
 from .prudent import PrudentBanker, build_comparator
@@ -28,8 +28,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int)
     p.add_argument("--arms", type=int)
     p.add_argument("--blocks", type=int)
-    p.add_argument("--regularizer", default=NEG_ENTROPY,
-                   choices=(NEG_ENTROPY, TSALLIS_HALF))
+    p.add_argument("--regularizer", default=NEG_ENTROPY, choices=REGULARIZERS)
     p.add_argument("--delta", type=float)
     p.add_argument("--alpha-safe", type=float, default=0.1)
     p.add_argument("--threshold-scale", type=float)
@@ -41,9 +40,7 @@ CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
                "threshold_scale": float}
 
 
-def _config_from_args(args, learner: str = RunConfig.learner,
-                      delay_model: str = EnvironmentConfig.delay_model,
-                      seed: int = 0) -> RunConfig:
+def _config_from_args(args, learner: str, delay_model: str, seed: int) -> RunConfig:
     """Build the run config; a flag beats a --config file, which beats the profile."""
     T, A, B = SCALES[args.scale]
     values = {"horizon": T, "arms": A, "blocks": B, "delta": RunConfig.delta,
@@ -97,26 +94,30 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --seeds {args.seeds!r}: need comma-separated integers") from None
     learners = args.learners.split(",")
     delay_models = args.delay_models.split(",")
-    # the base is the grid's first point; the whole grid is checked before the
-    # first environment is built
+    # the base is the grid's first point; each cell is one (delay model, seed)
+    # environment with its learners' configs, and the whole grid is checked
+    # before the first environment is built
     base = _config_from_args(args, learners[0], delay_models[0], seeds[0])
-    for learner, delay_model, seed in itertools.product(learners, delay_models, seeds):
+    grid = []
+    for delay_model, seed in itertools.product(delay_models, seeds):
         env = dataclasses.replace(base.env, delay_model=delay_model, seed=seed)
-        dataclasses.replace(base, env=env, learner=learner, seed=seed).validate()
+        configs = []
+        for learner in learners:
+            config = dataclasses.replace(base, env=env, learner=learner, seed=seed)
+            config.validate()
+            configs.append(config)
+        grid.append((env, configs))
     out_dir = Path(args.out)
     summaries = []
-    for delay_model in delay_models:
-        for seed in seeds:
-            env = dataclasses.replace(base.env, delay_model=delay_model, seed=seed)
-            table, delays = build_environment(env)
-            for learner in learners:
-                config = dataclasses.replace(base, env=env, learner=learner, seed=seed)
-                trace = run(config, table=table, delays=delays)
-                name = f"{learner}_{delay_model}_s{seed}"
-                emit(trace, out_dir / name)
-                summaries.append(trace.summary)
-                print(f"{name}: regret*={trace.summary['regret_vs_best_fixed_arm']:.1f} "
-                      f"comparator_gap={trace.summary['comparator_gap']:.1f}")
+    for env, configs in grid:
+        table, delays = build_environment(env)
+        for config in configs:
+            trace = run(config, table=table, delays=delays)
+            name = f"{config.learner}_{config.env.delay_model}_s{config.seed}"
+            emit(trace, out_dir / name)
+            summaries.append(trace.summary)
+            print(f"{name}: regret*={trace.summary['regret_vs_best_fixed_arm']:.1f} "
+                  f"comparator_gap={trace.summary['comparator_gap']:.1f}")
     (out_dir / "sweep_summary.json").write_text(
         json.dumps(summaries, indent=2, sort_keys=True) + "\n")
     return 0
@@ -128,17 +129,16 @@ def cmd_lowerbound(args) -> int:
     delays = lb.corollary_delays(q, N)
     decomp = lb.greedy_buckets(delays)
     instance = lb.make_hard_instance(decomp.lengths, args.delta, arms=2)
-    if args.trials < 2:
-        raise ConfigError("trials must be at least 2 (one has no standard error)")
     T = len(delays)
     mono, dom, suffix = lb.bucket_inequalities(decomp, delays)
     rng = stream(args.seed, "lowerbound-probe")
     probes = [(policy, lb.safety_gap_probe(instance, policy, args.trials, rng))
               for policy in ("arm1", "arm2", "comparator")]
 
-    # coupled delayed-vs-batched identity with the full learner
-    reg = Regularizer(kind=NEG_ENTROPY, arms=2, delta=0.25)
-    xc = build_comparator(2, 0.25, 0)
+    # coupled delayed-vs-batched identity with the full learner, on the instance's
+    # arms and delta
+    reg = Regularizer(NEG_ENTROPY, instance.arms, instance.delta)
+    xc = build_comparator(instance.arms, instance.delta, 0)
     blocks = instance.block_losses(+1, stream(args.seed, "lowerbound-losses"))
 
     def factory():  # both runs draw their actions from the same stream

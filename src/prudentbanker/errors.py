@@ -19,7 +19,3 @@ class NumericalError(RuntimeError):
 
 class PreconditionError(ConfigError):
     """A documented precondition of a construction does not hold for the given input."""
-
-
-class SimulationIntegrityError(RuntimeError):
-    """The batched simulation wrapper detected an inconsistency in feedback bookkeeping."""

@@ -7,6 +7,7 @@ the master seed, so swapping learners never perturbs the environment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import baselines
 from .errors import ConfigError
-from .mirror import NEG_ENTROPY, Regularizer
+from .mirror import NEG_ENTROPY, REGULARIZERS, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses,
                        sample_delays)
@@ -60,13 +61,15 @@ class RunConfig:
         self.env.validate()
         if self.learner not in LEARNERS:
             raise ConfigError(f"unknown learner {self.learner!r}")
+        if self.regularizer not in REGULARIZERS:
+            raise ConfigError(f"unknown regularizer {self.regularizer!r}")
         if self.env.arms < 2 and self.learner in ("prudent-banker", "banker-omd"):
             # their step size divides by C1, which is 0 on one arm
             raise ConfigError(f"{self.learner} needs at least 2 arms")
         if not (0.0 < self.delta <= 1.0 / self.env.arms):
             raise ConfigError("delta must lie in (0, 1/arms]")
-        if self.threshold_scale <= 0.0:
-            raise ConfigError("threshold_scale must be positive")
+        if not (0.0 < self.threshold_scale < math.inf):
+            raise ConfigError("threshold_scale must be positive and finite")
         if not (0.0 <= self.alpha_safe <= 1.0):
             raise ConfigError("alpha_safe must lie in [0, 1]")
         if min(self.seed, self.env.seed) < 0:
@@ -102,13 +105,12 @@ def build_environment(env: EnvironmentConfig) -> tuple[LossTable, DelaySequence]
 def make_learner(config: RunConfig, istar: int, r0: float):
     A, T = config.env.arms, config.env.horizon
     sampler = RngSampler(stream(config.seed, f"action:{config.learner}"))
+    reg = Regularizer(config.regularizer, A, config.delta)
+    xc = build_comparator(A, config.delta, istar)
     name = config.learner
     if name == "prudent-banker":
-        reg = Regularizer(kind=config.regularizer, arms=A, delta=config.delta)
-        xc = build_comparator(A, config.delta, istar)
         return PrudentBanker(reg, xc, T, sampler, threshold_scale=config.threshold_scale)
     if name == "banker-omd":
-        reg = Regularizer(kind=config.regularizer, arms=A, delta=config.delta)
         return baselines.BankerOMDLearner(reg, sampler)
     if name == "conservative-ucb":
         return baselines.ConservativeUCB(A, istar, r0, T, alpha_safe=config.alpha_safe)
@@ -116,11 +118,9 @@ def make_learner(config: RunConfig, istar: int, r0: float):
         return baselines.SafeExp3IX(A, T, istar, r0, sampler,
                                     alpha_safe=config.alpha_safe)
     if name == "play-comparator":
-        return baselines.PlayDistribution(build_comparator(A, config.delta, istar), sampler)
+        return baselines.PlayDistribution(xc, sampler)
     if name == "play-fixed-arm":
-        dist = np.zeros(A)
-        dist[istar] = 1.0
-        return baselines.PlayDistribution(dist, sampler)
+        return baselines.PlayDistribution(np.eye(A)[istar], sampler)
     raise ConfigError(name)
 
 
@@ -235,10 +235,7 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
     written = []
     for path, text in ((out_base.with_suffix(".csv"), trace.csv_string()),
                        (out_base.with_suffix(".json"), summary)):
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
+        path.write_text(text)
         written.append(path)
     return written
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, SimulationIntegrityError
+from .errors import PreconditionError, ProtocolError
 from .harness import play, pseudo_loss
 from .protocol import DelaySequence, FeedbackEvent, LossTable
 
@@ -154,7 +154,7 @@ def make_hard_instance(lengths, delta: float, arms: int = 2) -> HardInstancePair
         raise PreconditionError("need at least 2 arms")
     L1 = lengths[0]
     V = sum(L * L for L in lengths)
-    if delta < L1 / (64.0 * V):
+    if not delta >= L1 / (64.0 * V):  # NaN fails too
         raise PreconditionError(
             f"precondition delta >= L1/(64 V) fails: {delta} < {L1 / (64.0 * V)}")
     if delta > 1.0 / arms:
@@ -243,7 +243,7 @@ def batched_simulate(learner_factory, delays: DelaySequence,
         events = []
         for u in arriving_at.get(t, ()):
             if u not in revealed:
-                raise SimulationIntegrityError(
+                raise ProtocolError(
                     f"round {u} feedback due at {t} before its bucket ended")
             events.append(FeedbackEvent(origin_round=u, arm=actions_batched[u - 1],
                                         loss_value=revealed[u], arrival_round=t))

@@ -20,6 +20,7 @@ from .errors import ConfigError, DomainError, NumericalError
 
 NEG_ENTROPY = "negative-entropy"
 TSALLIS_HALF = "tsallis-half"
+REGULARIZERS = (NEG_ENTROPY, TSALLIS_HALF)
 
 #: coordinates below this are domain violations for grad_psi; callers floor
 #: played points at it before taking their gradient
@@ -33,7 +34,7 @@ class Regularizer:
     delta: float
 
     def __post_init__(self):
-        if self.kind not in (NEG_ENTROPY, TSALLIS_HALF):
+        if self.kind not in REGULARIZERS:
             raise ConfigError(f"unknown regularizer kind {self.kind!r}")
         if self.arms < 1:
             raise ConfigError("arms must be positive")

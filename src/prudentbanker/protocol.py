@@ -25,7 +25,7 @@ class LossTable:
         losses = np.asarray(self.losses, dtype=float)
         if losses.ndim != 2:
             raise ConfigError(f"loss matrix must be 2-D, got shape {losses.shape}")
-        if losses.size and (losses.min() < 0.0 or losses.max() > 1.0):
+        if losses.size and not (0.0 <= losses.min() and losses.max() <= 1.0):  # NaN fails too
             raise ConfigError("loss entries must lie in [0, 1]")
         object.__setattr__(self, "losses", losses)
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from prudentbanker import cli
 from prudentbanker.errors import ConfigError
+from prudentbanker.prudent import build_comparator
 
 
 @pytest.fixture
@@ -68,6 +70,12 @@ def test_bad_config_value_exits_2(configs, tmp_path, capsys):
     assert configs == []
 
 
+def test_non_finite_config_value_exits_2(configs, tmp_path, capsys):
+    assert run_main(tmp_path, config_text=SHORT + "threshold_scale=nan\n") == 2
+    assert "threshold_scale" in capsys.readouterr().err
+    assert configs == [] and not (tmp_path / "out").exists()
+
+
 def test_verify_seeds_the_learner(configs, capsys):
     assert cli.main(["verify", "--seed", "3"]) == 0
     cfg, = configs
@@ -84,6 +92,19 @@ def test_lowerbound_identity_passes(capsys):
     assert "delayed-vs-batched identity: pass" in capsys.readouterr().out
 
 
+def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
+    comparators, real = [], cli.lb.batched_simulate
+
+    def spy(factory, delays, blocks, comparator, *args):
+        comparators.append(comparator)
+        return real(factory, delays, blocks, comparator, *args)
+
+    monkeypatch.setattr(cli.lb, "batched_simulate", spy)
+    assert cli.main(["lowerbound", "--delta", "0.1", "--trials", "2000"]) == 0
+    comparator, = comparators
+    np.testing.assert_array_equal(comparator, build_comparator(2, 0.1, 0))
+
+
 @pytest.mark.parametrize("argv", [["lowerbound", "--q", "0"],
                                   ["lowerbound", "--delta", "0.9", "--trials", "10"],
                                   ["sweep", "--seeds", "x"],
@@ -93,11 +114,14 @@ def test_lowerbound_identity_passes(capsys):
                                   ["sweep", "--seeds", "-1"],
                                   ["lowerbound", "--seed", "-1"],
                                   ["verify", "--seed", "-1"],
-                                  ["run", "--arms", "1"]],
+                                  ["run", "--arms", "1"],
+                                  ["run", "--threshold-scale", "nan"],
+                                  ["run", "--threshold-scale", "inf"]],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
                               "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
                               "sweep-negative-seed", "lowerbound-negative-seed",
-                              "verify-negative-seed", "run-one-arm"])
+                              "verify-negative-seed", "run-one-arm", "threshold-scale-nan",
+                              "threshold-scale-inf"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
@@ -107,8 +131,8 @@ def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"],
-                                  ["--seed", "-1"], ["--trials", "1"]],
-                         ids=["q", "delta", "trials", "seed", "one-trial"])
+                                  ["--seed", "-1"], ["--trials", "1"], ["--delta", "nan"]],
+                         ids=["q", "delta", "trials", "seed", "one-trial", "delta-nan"])
 def test_lowerbound_bad_flag_prints_no_report(capsys, argv):
     assert cli.main(["lowerbound", *argv]) == 2
     out, err = capsys.readouterr()

@@ -234,6 +234,13 @@ def test_emit_json_summary(tmp_path):
     assert summary == trace.summary
 
 
+def test_emit_error_keeps_its_type(tmp_path):
+    (tmp_path / "out.csv").mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        emit(run(small_cfg(horizon=50)), tmp_path / "out")
+    assert exc.value.filename == str(tmp_path / "out.csv")
+
+
 def test_parse_csv_rejects_foreign_header(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("a,b\n1,2\n")
@@ -289,6 +296,9 @@ def test_config_validation():
     cfg = small_cfg(threshold_scale=-1.0)
     with pytest.raises(ConfigError):
         run(cfg)
+    # every learner is given the Regularizer, so the kind is checked for every learner
+    with pytest.raises(ConfigError, match="regularizer"):
+        small_cfg("play-comparator", regularizer="mystery").validate()
     cfg = small_cfg()
     cfg.seed = -1
     with pytest.raises(ConfigError, match="seed"):

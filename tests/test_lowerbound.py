@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prudentbanker import lowerbound as lb
-from prudentbanker.errors import PreconditionError
+from prudentbanker.errors import PreconditionError, ProtocolError
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence
 from prudentbanker.prudent import PrudentBanker, build_comparator
@@ -178,6 +178,17 @@ def test_mis_sized_block_is_rejected(rows):
     blocks = [np.full((2, 2), 0.5), np.full((rows, 2), 0.5), np.full((2, 2), 0.5)]
     with pytest.raises(PreconditionError, match="bucket 2"):  # before any learner is built
         lb.batched_simulate(None, delays, blocks, np.full(2, 0.5))
+
+
+def test_wrapper_rejects_feedback_due_inside_its_bucket(monkeypatch):
+    delays = lb.corollary_delays(2, 2)  # round 1's feedback is due at round 3
+    monkeypatch.setattr(lb, "greedy_buckets",
+                        lambda d: lb.BucketDecomposition(boundaries=(1, len(d) + 1)))
+    xc = build_comparator(2, 0.25, 0)
+    factory = lambda: PrudentBanker(Regularizer(NEG_ENTROPY, 2, 0.25), xc, len(delays),
+                                    RngSampler(stream(0, "tape")))
+    with pytest.raises(ProtocolError, match="round 1 "):
+        lb.batched_simulate(factory, delays, [np.full((len(delays), 2), 0.5)], xc)
 
 
 def test_prefix_rounds_are_free():

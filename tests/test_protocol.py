@@ -85,6 +85,8 @@ def test_loss_table_invariants():
     with pytest.raises(ConfigError):
         LossTable(np.array([[0.1, 1.2], [0.0, 0.5]]))
     with pytest.raises(ConfigError):
+        LossTable(np.array([[0.1, np.nan], [0.0, 0.5]]))
+    with pytest.raises(ConfigError):
         LossTable(np.zeros(2))
     assert LossTable(np.zeros((3, 2))).horizon == 3
 
