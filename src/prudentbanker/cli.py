@@ -94,9 +94,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --seeds {args.seeds!r}: need comma-separated integers") from None
     learners = args.learners.split(",")
     delay_models = args.delay_models.split(",")
+    for flag, values in (("seeds", seeds), ("learners", learners), ("delay-models", delay_models)):
+        for i, value in enumerate(values):
+            if value in values[:i]:  # a repeated cell would overwrite its own files
+                raise ConfigError(f"--{flag} repeats {value!r}")
     # the base is the grid's first point; each cell is one (delay model, seed)
-    # environment with its learners' configs, and the whole grid is checked
-    # before the first environment is built
+    # environment, and the whole grid is checked before the first is built
     base = _config_from_args(args, learners[0], delay_models[0], seeds[0])
     grid = []
     for delay_model, seed in itertools.product(delay_models, seeds):

@@ -233,8 +233,8 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
     out_base.parent.mkdir(parents=True, exist_ok=True)
     summary = json.dumps(trace.summary, indent=2, sort_keys=True) + "\n"
     written = []
-    for path, text in ((out_base.with_suffix(".csv"), trace.csv_string()),
-                       (out_base.with_suffix(".json"), summary)):
+    for suffix, text in ((".csv", trace.csv_string()), (".json", summary)):
+        path = out_base.with_name(out_base.name + suffix)  # run.v2 -> run.v2.csv
         path.write_text(text)
         written.append(path)
     return written

@@ -9,14 +9,15 @@ deterministic 1/2.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, ProtocolError
-from .harness import play, pseudo_loss
-from .protocol import DelaySequence, FeedbackEvent, LossTable
+from .harness import play
+from .protocol import DelaySequence, LossTable
 
 #: index of the biased ("special") arm in hard instances
 SPECIAL_ARM = 1
@@ -197,17 +198,40 @@ def _full_loss_table(decomp: BucketDecomposition, block_losses: list[np.ndarray]
     return LossTable(np.vstack([prefix, *block_losses]))
 
 
+class BatchedView:
+    """A learner that sees round u's feedback only once u's bucket has ended.
+
+    `act` and `receive` forward unchanged; `receive(events, t)` raises
+    `ProtocolError` for an event from a bucket still open at round t.
+    """
+
+    def __init__(self, learner, decomp: BucketDecomposition):
+        self.learner = learner
+        self._ends = [b - 1 for b in decomp.boundaries]  # bucket ends, after a leading 0
+
+    def act(self, t: int):
+        return self.learner.act(t)
+
+    def receive(self, events, t: int) -> None:
+        ended = self._ends[bisect.bisect_right(self._ends, t) - 1]
+        for e in events:
+            if e.origin_round > ended:
+                raise ProtocolError(
+                    f"round {e.origin_round} feedback due at {t} before its bucket ended")
+        self.learner.receive(events, t)
+
+
 def batched_simulate(learner_factory, delays: DelaySequence,
                      block_losses: list[np.ndarray], comparator: np.ndarray,
                      j: int = 1) -> SimulationResult:
-    """Run a delayed learner natively and inside the batched wrapper.
+    """Run a delayed learner natively and as a `BatchedView`, both through `play`.
 
     `learner_factory()` must build a fresh learner each call; couple the two
     runs by giving each learner a fresh sampler on the same seeded stream (a
     learner that draws once per round then sees the same uniforms in both).
-    The wrapper learns a bucket's losses only when the bucket ends (the zero
-    prefix counts as buckets too) and, as `play` does, hands round u's
-    feedback to `receive(events, t)` at the end of round t = u + d_u.
+    The batched run learns a bucket's losses only when the bucket ends (the
+    zero prefix counts as buckets too); as the buckets tile the horizon, its
+    revealed losses sum, in bucket order, left to right over all rounds.
     """
     decomp = greedy_buckets(delays)
     if not (1 <= j <= decomp.count):
@@ -216,48 +240,20 @@ def batched_simulate(learner_factory, delays: DelaySequence,
         raise PreconditionError("need one loss block per suffix bucket")
     table = _full_loss_table(decomp, block_losses, j)
     T = table.horizon
-
-    # --- native run -------------------------------------------------------
     native = play(learner_factory(), table, delays)
-    # summed left to right (accumulate, not np.sum), exactly as loss_batched
-    loss_native = float(np.add.accumulate(table.losses[np.arange(T), native.arm])[-1])
+    batched = play(BatchedView(learner_factory(), decomp), table, delays)
+    loss_comp = float(np.sum(table.losses @ np.asarray(comparator, dtype=float)))
 
-    # --- batched (wrapped) run --------------------------------------------
-    wrapped = learner_factory()
-    bucket_ending_at = {decomp.boundaries[m] - 1: decomp.bucket(m)
-                        for m in range(1, decomp.count + 1)}
-    arriving_at: dict[int, list[int]] = {}
-    for u in range(1, T + 1):
-        arriving_at.setdefault(u + delays.delay(u), []).append(u)
-    revealed: dict[int, float] = {}  # loss of each round whose bucket has ended
-    actions_batched: list[int] = []
-    pseudo_batched = np.zeros(T)
-    loss_batched = 0.0
-    for t in range(1, T + 1):
-        dist, arm = wrapped.act(t)
-        actions_batched.append(arm)
-        pseudo_batched[t - 1] = pseudo_loss(dist, table.row(t))
-        for s in bucket_ending_at.get(t, ()):
-            revealed[s] = float(table.losses[s - 1, actions_batched[s - 1]])
-            loss_batched += revealed[s]
-        events = []
-        for u in arriving_at.get(t, ()):
-            if u not in revealed:
-                raise ProtocolError(
-                    f"round {u} feedback due at {t} before its bucket ended")
-            events.append(FeedbackEvent(origin_round=u, arm=actions_batched[u - 1],
-                                        loss_value=revealed[u], arrival_round=t))
-        wrapped.receive(events, t)
+    def regret(arms):  # the played arms' losses summed left to right, not by np.sum
+        return float(np.add.accumulate(table.losses[np.arange(T), arms])[-1]) - loss_comp
 
-    comparator = np.asarray(comparator, dtype=float)
-    loss_comp = float(np.sum(table.losses @ comparator))
     return SimulationResult(
         actions_native=native.arm.tolist(),
-        actions_batched=actions_batched,
-        regret_native=loss_native - loss_comp,
-        regret_batched=loss_batched - loss_comp,
+        actions_batched=batched.arm.tolist(),
+        regret_native=regret(native.arm),
+        regret_batched=regret(batched.arm),
         pseudo_native=native.loss,
-        pseudo_batched=pseudo_batched,
+        pseudo_batched=batched.loss,
     )
 
 

@@ -185,6 +185,23 @@ def test_sweep_checks_every_seed_before_writing(configs, tmp_path, capsys):
     assert configs == [] and not out.exists()
 
 
+@pytest.mark.parametrize("grid,error", [
+    (["--seeds", "0,1,0", "--learners", "play-comparator", "--delay-models", "none"],
+     "--seeds repeats 0"),
+    (["--seeds", "0", "--learners", "play-comparator,play-comparator", "--delay-models", "none"],
+     "--learners repeats 'play-comparator'"),
+    (["--seeds", "0", "--learners", "play-comparator", "--delay-models", "none,lomax,none"],
+     "--delay-models repeats 'none'")],
+    ids=["seeds", "learners", "delay-models"])
+def test_sweep_rejects_a_repeated_grid_value(configs, tmp_path, capsys, grid, error):
+    # a repeated value would run one cell twice and overwrite its files
+    out = tmp_path / "D"
+    assert cli.main(["sweep", *grid, "--horizon", "50", "--blocks", "5",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert configs == [] and not out.exists()
+
+
 def test_round_note_reaches_stderr(monkeypatch, tmp_path, capsys):
     def failing_run(config):
         exc = ConfigError("loss row out of range")

@@ -234,6 +234,12 @@ def test_emit_json_summary(tmp_path):
     assert summary == trace.summary
 
 
+def test_emit_keeps_a_dotted_base(tmp_path):
+    csv_path, json_path = emit(run(small_cfg(horizon=50)), tmp_path / "run.v2")
+    assert (csv_path.name, json_path.name) == ("run.v2.csv", "run.v2.json")
+    assert csv_path.exists() and json_path.exists()
+
+
 def test_emit_error_keeps_its_type(tmp_path):
     (tmp_path / "out.csv").mkdir()
     with pytest.raises(IsADirectoryError) as exc:

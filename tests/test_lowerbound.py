@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prudentbanker import lowerbound as lb
 from prudentbanker.errors import PreconditionError, ProtocolError
@@ -189,6 +191,26 @@ def test_wrapper_rejects_feedback_due_inside_its_bucket(monkeypatch):
                                     RngSampler(stream(0, "tape")))
     with pytest.raises(ProtocolError, match="round 1 "):
         lb.batched_simulate(factory, delays, [np.full((len(delays), 2), 0.5)], xc)
+
+
+@st.composite
+def admissible_delays(draw):
+    """T <= 80 rounds of non-increasing delays >= 1, clipped to d_t <= T + 1 - t."""
+    T = draw(st.integers(1, 80))
+    d = sorted(draw(st.lists(st.integers(1, T), min_size=T, max_size=T)), reverse=True)
+    return DelaySequence(delays=np.minimum(d, T + 1 - np.arange(1, T + 1)).astype(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays=admissible_delays(), seed=st.integers(0, 2**16))
+def test_identity_on_uneven_buckets(delays, seed):
+    # unlike corollary_delays, these buckets may differ in length
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    blocks = inst.block_losses(+1, stream(seed, "bl"))
+    xc = build_comparator(2, 0.25, 0)
+    factory = lambda: PrudentBanker(Regularizer(NEG_ENTROPY, 2, 0.25), xc, len(delays),
+                                    RngSampler(stream(seed, "tape")))
+    assert lb.batched_simulate(factory, delays, blocks, xc).identical
 
 
 def test_prefix_rounds_are_free():
