@@ -100,10 +100,15 @@ class BankerOMD:
         sigma = step_size(self.reg, t, self.phase_start, d_t, self.outstanding_sum)
 
         allocation, b = self._allocate(t, sigma)
-        theta = (b / sigma) * self._dual_x0
+        # Without a borrow, theta starts from the first donor's term: a zero
+        # borrow term would change no bit, as no conjugate dual entry is -0.0.
+        theta = (b / sigma) * self._dual_x0 if b > 0.0 else None
         for u, amount in allocation:
             rec = self.records[u]
-            theta = theta + (amount / sigma) * rec.dual_z
+            if theta is None:
+                theta = (amount / sigma) * rec.dual_z
+            else:
+                theta += (amount / sigma) * rec.dual_z
             if rec.v <= 0.0:
                 del self.records[u]
         xhat, _ = grad_psi_star_with_dual(self.reg, theta)

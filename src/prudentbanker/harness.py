@@ -102,11 +102,11 @@ def build_environment(env: EnvironmentConfig) -> tuple[LossTable, DelaySequence]
     return table, delays
 
 
-def make_learner(config: RunConfig, istar: int, r0: float):
+def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
+    """The configured learner; xc is the comparator anchored on arm istar."""
     A, T = config.env.arms, config.env.horizon
     sampler = RngSampler(stream(config.seed, f"action:{config.learner}"))
     reg = Regularizer(config.regularizer, A, config.delta)
-    xc = build_comparator(A, config.delta, istar)
     name = config.learner
     if name == "prudent-banker":
         return PrudentBanker(reg, xc, T, sampler, threshold_scale=config.threshold_scale)
@@ -191,7 +191,7 @@ def run(config: RunConfig, table: LossTable | None = None,
     # oracle-derived default reward: mean reward of the hindsight-best arm
     r0 = float(np.mean(1.0 - table.losses[:, istar]))
     xc = build_comparator(A, config.delta, istar)
-    learner = make_learner(config, istar, r0)
+    learner = make_learner(config, istar, r0, xc)
     alpha0 = getattr(learner, "alpha", 1.0)
     cols = play(learner, table, delays)
 

@@ -12,7 +12,9 @@ max shift.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +45,14 @@ class Regularizer:
 
     def constants(self) -> tuple[float, float]:
         """Regularity constants (C1, C2): diameter bound and stability scale."""
+        return self._constants
+
+    @cached_property
+    def _constants(self) -> tuple[float, float]:
+        # cached_property writes the instance __dict__, past the frozen __setattr__
         if self.kind == NEG_ENTROPY:
             return float(np.log(self.arms)), 1.0 / self.delta
-        return 2.0 * (np.sqrt(self.arms) - 1.0), 2.0 / self.delta
+        return float(2.0 * (np.sqrt(self.arms) - 1.0)), 2.0 / self.delta
 
     @property
     def x0(self) -> np.ndarray:
@@ -76,10 +83,12 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
     evaluating log/1/sqrt on coordinates that underflowed to zero in x.
     """
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    # a NaN propagates through both reductions, so this rejects NaN and +-inf
+    top = np.maximum.reduce(theta)
+    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(theta))):
         raise DomainError("dual vector must be finite")
+    shifted = theta - top
     if reg.kind == NEG_ENTROPY:
-        shifted = theta - theta.max()
         w = np.exp(shifted)
         z = w.sum()
         x = w / z
@@ -98,7 +107,6 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
     # concave and increasing: each tangent lies above h and crosses 1 at or
     # left of the root, so the iterates rise monotonically and never leave the
     # bracket. h is exactly linear when theta is constant (one step).
-    shifted = theta - theta.max()
     lam = 1.0
     for _ in range(50):  # 3-4 steps are typical
         r = 1.0 / (lam - shifted)

@@ -149,6 +149,7 @@ class PrudentBanker:
         self.stage_delay = 0  # realized delay of arrived feedback, current stage
         self.phase = 1
         self.alpha = min(1.0 / self.tf.rhat(self.delay_estimate), 1.0)
+        self.threshold = self.tf.restart_threshold(self.delay_estimate)  # B(D-hat)
         self.restarts: list[RestartRecord] = []
 
     @property
@@ -197,7 +198,7 @@ class PrudentBanker:
         if self.alpha >= 1.0:
             return
         gap = self.gap
-        if gap <= self.tf.restart_threshold(self.delay_estimate):
+        if gap <= self.threshold:
             return
         self._restart(t, "soft", gap, self.delay_estimate, self.phase + 1)
 
@@ -208,6 +209,7 @@ class PrudentBanker:
             round=t, kind=kind, trigger=trigger, old_estimate=self.delay_estimate,
             new_estimate=estimate, new_phase=phase, new_alpha=alpha))
         self.delay_estimate = estimate
+        self.threshold = self.tf.restart_threshold(estimate)
         self.phase = phase
         self.alpha = alpha
         self.base.reset(t + 1)

@@ -115,7 +115,7 @@ def test_criterion_4_missing_count_bound():
         cfg = RunConfig(env=env, delta=0.1, threshold_scale=DESK_SCALE, seed=seed)
         table, delays = build_environment(env)
         istar, _ = best_fixed_arm(table)
-        learner = make_learner(cfg, istar, 0.5)
+        learner = make_learner(cfg, istar, 0.5, build_comparator(4, cfg.delta, istar))
         receive, held = learner.receive, []
 
         def checked_receive(events, t):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prudentbanker.banker import BankerOMD, RoundRecord, step_size
 from prudentbanker.baselines import BankerOMDLearner
@@ -180,6 +182,67 @@ def delayed_run(seed=0, T=1500, arms=4, kind=NEG_ENTROPY):
     delays = sample_delays(env, stream(seed, "delays"))
     play(learner, table, delays)
     return learner.base, table, delays
+
+
+@st.composite
+def delayed_games(draw):
+    kind = draw(st.sampled_from([NEG_ENTROPY, TSALLIS_HALF]))
+    arms = draw(st.integers(2, 6))
+    T = draw(st.integers(2, 80))
+    delays = draw(st.lists(st.integers(0, 12), min_size=T, max_size=T))
+    return kind, arms, delays, draw(st.integers(0, 2**32 - 1))
+
+
+def watch_predictions(base):
+    """Check each x-hat of `base` against an out-of-place reference sum.
+
+    The reference always adds the borrow term, zero or not, then each donor's
+    term, into a new array. Returns the borrows b_t seen so far.
+    """
+    allocate, begin, borrows, seen = base._allocate, base.begin_round, [], []
+
+    def spy_allocate(t, sigma):
+        allocation, b = allocate(t, sigma)
+        seen.append((sigma, b, [(a, base.records[u].dual_z.copy()) for u, a in allocation]))
+        return allocation, b
+
+    def checked_begin_round(t):
+        xhat = begin(t)
+        sigma, b, donors = seen.pop()
+        theta = (b / sigma) * base._dual_x0
+        for amount, dual_z in donors:
+            theta = theta + (amount / sigma) * dual_z
+        expected, _ = grad_psi_star_with_dual(base.reg, theta)
+        assert np.array_equal(xhat, expected), t
+        borrows.append(b)
+        return xhat
+
+    base._allocate, base.begin_round = spy_allocate, checked_begin_round
+    return borrows
+
+
+def play_watched(kind, arms, delays, seed):
+    """Play a Banker-OMD learner with every x-hat checked; returns its borrows."""
+    learner = BankerOMDLearner(Regularizer(kind, arms, 1.0 / (2 * arms)),
+                               RngSampler(stream(seed, "act")))
+    borrows = watch_predictions(learner.base)
+    table = LossTable(np.random.default_rng(seed).random((len(delays), arms)))
+    play(learner, table, DelaySequence(delays=np.array(delays, dtype=np.int64)))
+    assert len(borrows) == len(delays)
+    return borrows
+
+
+@settings(max_examples=150, deadline=None)
+@given(delayed_games())
+def test_prediction_matches_out_of_place_reference(case):
+    play_watched(*case)
+
+
+@pytest.mark.parametrize("kind", [NEG_ENTROPY, TSALLIS_HALF])
+def test_prediction_reference_covers_both_borrow_cases(kind):
+    delays = np.random.default_rng(5).geometric(0.2, size=300) - 1
+    borrows = play_watched(kind, 4, delays.tolist(), 5)
+    assert 0 < sum(b == 0.0 for b in borrows) < len(borrows)
 
 
 def test_conservation_and_single_spend():

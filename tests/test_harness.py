@@ -103,7 +103,8 @@ def test_environment_of_another_horizon_is_rejected():
     table, delays = build_environment(small_cfg(horizon=200).env)
     with pytest.raises(ConfigError):
         run(small_cfg(horizon=300), table, delays)
-    learner = harness.make_learner(small_cfg(), 0, 0.5)
+    cfg = small_cfg()
+    learner = harness.make_learner(cfg, 0, 0.5, build_comparator(cfg.env.arms, cfg.delta, 0))
     with pytest.raises(ConfigError):
         play(learner, table, DelaySequence(delays=delays.delays[:-1]))
 
@@ -136,7 +137,8 @@ def test_play_columns_build_the_trace():
     trace = run(cfg, table, delays, keep_learner=True)
     assert {r.kind for r in trace.learner.restarts} == {"hard", "soft"}
     istar, _ = best_fixed_arm(table)
-    learner = harness.make_learner(cfg, istar, trace.summary["r0"])
+    learner = harness.make_learner(cfg, istar, trace.summary["r0"],
+                                   build_comparator(cfg.env.arms, cfg.delta, istar))
     readings = watch_restart_state(learner)
     cols = play(learner, table, delays)
     assert_columns_match(readings, trace.stage, trace.phase, trace.alpha)

@@ -28,6 +28,13 @@ def test_constants():
     assert tsa.constants() == pytest.approx((2.0 * (2.0 - 1.0), 20.0))
 
 
+def test_constants_are_python_floats_computed_once():
+    for reg in regs(arms=4, delta=0.1):
+        c = reg.constants()
+        assert all(type(v) is float for v in c)
+        assert reg.constants() is c
+
+
 def test_invalid_regularizer_config():
     with pytest.raises(ConfigError):
         Regularizer("unknown", 4, 0.1)
@@ -52,6 +59,16 @@ def test_gradient_domain_error():
     for reg in (ent, tsa):
         with pytest.raises(DomainError):
             grad_psi(reg, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2, 3])
+def test_conjugate_rejects_a_non_finite_entry(bad, at):
+    for reg in regs(arms=4):
+        theta = np.array([0.5, -1.0, 2.0, 0.0])
+        theta[at] = bad
+        with pytest.raises(DomainError):
+            grad_psi_star_with_dual(reg, theta)
 
 
 def test_conjugate_constant_dual_is_uniform():

@@ -9,7 +9,7 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
                                     generate_block_losses, outstanding_counters,
                                     sample_delays)
-from prudentbanker.rng import sample_arm, stream
+from prudentbanker.rng import DRAW_BLOCK, RngSampler, sample_arm, stream
 
 from reference import block_index
 
@@ -181,6 +181,16 @@ def test_queue_discards_post_horizon_feedback():
 def test_sample_arm_rejects_non_distributions(dist):
     with pytest.raises(ProtocolError):
         sample_arm(np.array(dist), 0.9)
+
+
+def test_sampler_draws_equal_one_uniform_per_call():
+    # more than two refills of the sampler's block of uniforms
+    n = 3 * DRAW_BLOCK + 17
+    dists = np.random.default_rng(3).dirichlet(np.ones(5), size=n)
+    sampler, g = RngSampler(stream(4, "act")), stream(4, "act")
+    drawn = [sampler.draw(dist) for dist in dists]
+    assert drawn == [sample_arm(dist, g.random()) for dist in dists]
+    assert len(set(drawn)) == 5
 
 
 def test_stream_rejects_a_negative_seed():

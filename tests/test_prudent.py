@@ -160,6 +160,20 @@ def test_soft_restart_not_below_threshold():
     assert learner.phase == 1
 
 
+def test_soft_restart_threshold_follows_the_delay_estimate():
+    learner = make_learner()
+    b1, b4 = (learner.tf.restart_threshold(d) for d in (1, 4))
+    learner.stage_delay = 3
+    learner.act(5)  # hard restart: D-hat 1 -> 4
+    # with anchor arm 0 the gap is (1 - delta) * (-g[1]); place it between B(1) and B(4)
+    learner.base.g.total[1] = -0.5 * (b1 + b4) / (1.0 - 0.1)
+    learner.receive([], 6)
+    assert learner.phase == 1
+    learner.base.g.total[1] = -1.01 * b4 / (1.0 - 0.1)
+    learner.receive([], 7)
+    assert learner.phase == 2 and learner.restarts[-1].kind == "soft"
+
+
 def test_no_soft_restart_at_full_aggression():
     learner = make_learner(scale=1e-9)  # tiny thresholds force alpha = 1
     assert learner.alpha == 1.0
@@ -237,7 +251,7 @@ def test_missing_count_bound_during_run():
     from prudentbanker.harness import best_fixed_arm, make_learner as build
     table, delays = build_environment(cfg.env)
     istar, _ = best_fixed_arm(table)
-    learner = build(cfg, istar, 0.5)
+    learner = build(cfg, istar, 0.5, build_comparator(4, cfg.delta, istar))
     receive = learner.receive
 
     def checked_receive(events, t):
@@ -257,7 +271,7 @@ def test_gap_stays_below_threshold_inside_phases():
     from prudentbanker.harness import best_fixed_arm, make_learner as build
     table, delays = build_environment(cfg.env)
     istar, _ = best_fixed_arm(table)
-    learner = build(cfg, istar, 0.5)
+    learner = build(cfg, istar, 0.5, build_comparator(4, cfg.delta, istar))
     receive = learner.receive
 
     def checked_receive(events, t):
