@@ -107,6 +107,8 @@ class SafeExp3IX:
 
     def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
                  sampler, alpha_safe: float = 0.1):
+        if not (0.0 <= alpha_safe <= 1.0):
+            raise ConfigError("alpha_safe must lie in [0, 1]")
         self.arms = arms
         self.default_arm = default_arm
         self.r0 = r0

@@ -16,7 +16,6 @@ from .harness import (SCALES, RunConfig, build_environment, emit,
 from .mirror import NEG_ENTROPY, REGULARIZERS, Regularizer
 from .protocol import (DELAY_MODELS, DelaySequence, EnvironmentConfig, LossTable,
                        outstanding_counters)
-from .prudent import PrudentBanker, build_comparator
 from .rng import RngSampler, stream
 
 
@@ -79,6 +78,8 @@ def _config_from_args(args, learner: str, delay_model: str, seed: int) -> RunCon
 
 
 def cmd_run(args) -> int:
+    if Path(args.out).name in ("", ".."):  # "", ".", "/" or "out/.." name no file
+        raise ConfigError(f"--out {args.out!r} names no file")
     config = _config_from_args(args, args.learner, args.delay_model, args.seed)
     trace = run(config)
     paths = emit(trace, args.out)
@@ -137,17 +138,7 @@ def cmd_lowerbound(args) -> int:
     rng = stream(args.seed, "lowerbound-probe")
     probes = [(policy, lb.safety_gap_probe(instance, policy, args.trials, rng))
               for policy in ("arm1", "arm2", "comparator")]
-
-    # coupled delayed-vs-batched identity with the full learner, on the instance's
-    # arms and delta
-    reg = Regularizer(NEG_ENTROPY, instance.arms, instance.delta)
-    xc = build_comparator(instance.arms, instance.delta, 0)
-    blocks = instance.block_losses(+1, stream(args.seed, "lowerbound-losses"))
-
-    def factory():  # both runs draw their actions from the same stream
-        return PrudentBanker(reg, xc, T, RngSampler(stream(args.seed, "lowerbound-tape")))
-
-    sim = lb.batched_simulate(factory, delays, blocks, xc)
+    sim = lb.batched_simulate(instance, delays, args.seed)
 
     print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
     print(f"bucket boundaries: {decomp.boundaries}")

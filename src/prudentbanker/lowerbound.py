@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ProtocolError
-from .harness import play
+from .harness import PlayColumns, play
+from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import DelaySequence, LossTable
+from .prudent import PrudentBanker, build_comparator
+from .rng import RngSampler, stream
 
 #: index of the biased ("special") arm in hard instances
 SPECIAL_ARM = 1
@@ -119,9 +122,10 @@ class HardInstancePair:
     V: int
     eps: tuple[float, ...]
 
-    def slot_eps(self) -> np.ndarray:
-        """Per-slot bias, blocks concatenated in order."""
-        return np.concatenate([np.full(L, e) for L, e in zip(self.lengths, self.eps)])
+    @property
+    def comparator(self) -> np.ndarray:
+        """x^c: 1 - (A - 1) delta on arm 1 (index 0), delta elsewhere."""
+        return build_comparator(self.arms, self.delta, 0)
 
     def block_losses(self, sign: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Draw one realization of the (block, slot, arm) loss tensor.
@@ -172,30 +176,17 @@ def make_hard_instance(lengths, delta: float, arms: int = 2) -> HardInstancePair
 
 @dataclass
 class SimulationResult:
-    actions_native: list[int]
-    actions_batched: list[int]
+    native: PlayColumns
+    batched: PlayColumns
     regret_native: float
     regret_batched: float
-    pseudo_native: np.ndarray  # per-round <p_t, l_t> of the played distributions
-    pseudo_batched: np.ndarray
 
     @property
     def identical(self) -> bool:
         """The pathwise identity: same arms, regrets and per-round pseudo-losses."""
-        return (self.actions_native == self.actions_batched
+        return (np.array_equal(self.native.arm, self.batched.arm)
                 and self.regret_native == self.regret_batched
-                and np.array_equal(self.pseudo_native, self.pseudo_batched))
-
-
-def _full_loss_table(decomp: BucketDecomposition, block_losses: list[np.ndarray],
-                     j: int) -> LossTable:
-    """The delayed-game loss table: zero prefix before bucket j, blocks after."""
-    for m, block in enumerate(block_losses, start=j):
-        if len(block) != len(decomp.bucket(m)):
-            raise PreconditionError(f"loss block for bucket {m} has {len(block)} rows, "
-                                    f"the bucket {len(decomp.bucket(m))} rounds")
-    prefix = np.zeros((decomp.boundaries[j - 1] - 1, block_losses[0].shape[1]))
-    return LossTable(np.vstack([prefix, *block_losses]))
+                and np.array_equal(self.native.loss, self.batched.loss))
 
 
 class BatchedView:
@@ -221,40 +212,42 @@ class BatchedView:
         self.learner.receive(events, t)
 
 
-def batched_simulate(learner_factory, delays: DelaySequence,
-                     block_losses: list[np.ndarray], comparator: np.ndarray,
+def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: int,
                      j: int = 1) -> SimulationResult:
-    """Run a delayed learner natively and as a `BatchedView`, both through `play`.
+    """Play Prudent-Banker on E+ natively and as a `BatchedView`, both through `play`.
 
-    `learner_factory()` must build a fresh learner each call; couple the two
-    runs by giving each learner a fresh sampler on the same seeded stream (a
-    learner that draws once per round then sees the same uniforms in both).
-    The batched run learns a bucket's losses only when the bucket ends (the
-    zero prefix counts as buckets too); as the buckets tile the horizon, its
-    revealed losses sum, in bucket order, left to right over all rounds.
+    The instance's blocks are buckets j, j + 1, ... of `delays`; the rounds
+    before bucket j lose 0 on every arm. E+ is drawn from the seed's
+    "lowerbound-losses" stream, and each run's learner gets a fresh sampler on
+    its "lowerbound-tape" stream, so both draw the same uniforms. The batched
+    run learns a bucket's losses only when the bucket ends (the zero prefix
+    counts as buckets too); as the buckets tile the horizon, its revealed
+    losses sum, in bucket order, left to right over all rounds.
     """
     decomp = greedy_buckets(delays)
     if not (1 <= j <= decomp.count):
         raise PreconditionError("suffix start bucket out of range")
-    if len(block_losses) != decomp.count - j + 1:
-        raise PreconditionError("need one loss block per suffix bucket")
-    table = _full_loss_table(decomp, block_losses, j)
+    if instance.lengths != decomp.lengths[j - 1:]:
+        raise PreconditionError(f"instance blocks {instance.lengths} are not the lengths "
+                                f"{decomp.lengths[j - 1:]} of buckets {j}..{decomp.count}")
+    blocks = instance.block_losses(+1, stream(seed, "lowerbound-losses"))
+    prefix = np.zeros((decomp.boundaries[j - 1] - 1, instance.arms))
+    table = LossTable(np.vstack([prefix, *blocks]))
     T = table.horizon
-    native = play(learner_factory(), table, delays)
-    batched = play(BatchedView(learner_factory(), decomp), table, delays)
-    loss_comp = float(np.sum(table.losses @ np.asarray(comparator, dtype=float)))
+    reg = Regularizer(NEG_ENTROPY, instance.arms, instance.delta)
+    xc = instance.comparator
+
+    def learner():
+        return PrudentBanker(reg, xc, T, RngSampler(stream(seed, "lowerbound-tape")))
+
+    native = play(learner(), table, delays)
+    batched = play(BatchedView(learner(), decomp), table, delays)
+    loss_comp = float(np.sum(table.losses @ xc))
 
     def regret(arms):  # the played arms' losses summed left to right, not by np.sum
         return float(np.add.accumulate(table.losses[np.arange(T), arms])[-1]) - loss_comp
 
-    return SimulationResult(
-        actions_native=native.arm.tolist(),
-        actions_batched=batched.arm.tolist(),
-        regret_native=regret(native.arm),
-        regret_batched=regret(batched.arm),
-        pseudo_native=native.loss,
-        pseudo_batched=batched.loss,
-    )
+    return SimulationResult(native, batched, regret(native.arm), regret(batched.arm))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     """
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
-    eps = instance.slot_eps()
+    eps = np.repeat(instance.eps, instance.lengths)
     weights = np.concatenate([np.full(L, L / instance.V) for L in instance.lengths])
     delta = instance.delta
     n_slots = len(eps)

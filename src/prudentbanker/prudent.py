@@ -135,8 +135,10 @@ class PrudentBanker:
         comparator = np.asarray(comparator, dtype=float)
         if comparator.shape != (reg.arms,):
             raise ConfigError("comparator dimension mismatch")
-        if comparator.min() < reg.delta - 1e-12:
+        if not comparator.min() >= reg.delta - 1e-12:  # NaN fails too
             raise ConfigError("comparator must have every coordinate >= delta")
+        if abs(comparator.sum() - 1.0) > 1e-9:
+            raise ConfigError("comparator must sum to 1")
         self.reg = reg
         self.xc = comparator
         self.sampler = sampler

@@ -19,9 +19,8 @@ from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     outstanding_counters)
-from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
-                                   build_comparator, gap_statistic)
-from prudentbanker.rng import RngSampler, stream
+from prudentbanker.prudent import ThresholdFunctions, build_comparator, gap_statistic
+from prudentbanker.rng import stream
 
 from reference import bregman
 
@@ -197,15 +196,7 @@ def test_criterion_9_batched_reduction_identity():
     delays = corollary_delays(2, 2)
     decomp = greedy_buckets(delays)
     inst = make_hard_instance(decomp.lengths, 0.25, arms=2)
-    reg = Regularizer(NEG_ENTROPY, 2, 0.25)
-    xc = build_comparator(2, 0.25, 0)
-    ok = True
-    for seed in range(100):
-        blocks = inst.block_losses(+1, stream(seed, "bl"))
-        factory = lambda: PrudentBanker(reg, xc, len(delays),
-                                        RngSampler(stream(seed, "tape")))
-        sim = batched_simulate(factory, delays, blocks, xc, j=1)
-        ok = ok and sim.identical
+    ok = all(batched_simulate(inst, delays, seed).identical for seed in range(100))
     report(9, "delayed-to-batched pathwise identity on 100 coupled seeds", ok)
 
 

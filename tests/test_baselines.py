@@ -5,6 +5,7 @@ import pytest
 
 from prudentbanker.baselines import (ConservativeUCB, SafeExp3IX, cucb_bounds,
                                      exp3ix_rate)
+from prudentbanker.errors import ConfigError
 from prudentbanker.protocol import FeedbackEvent
 from prudentbanker.rng import RngSampler, stream
 
@@ -107,6 +108,14 @@ def test_safe_exp3ix_vacuous_gates():
     for s in (make_safe(alpha_safe=1.0), make_safe(r0=0.0)):
         dist, _ = s.act(1)
         np.testing.assert_allclose(dist, 1.0 / 3)  # base learner acted
+
+
+@pytest.mark.parametrize("alpha_safe", [-0.1, 1.5, 5.0, float("nan")])
+def test_safe_baselines_reject_alpha_safe_outside_unit_interval(alpha_safe):
+    # above 1 the required budget (1 - alpha) r0 t is negative: the gate never fires
+    for build in (make_safe, fresh_cucb):
+        with pytest.raises(ConfigError, match="alpha_safe"):
+            build(alpha_safe=alpha_safe)
 
 
 def test_exp3ix_update_rules():

@@ -93,16 +93,17 @@ def test_lowerbound_identity_passes(capsys):
 
 
 def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
-    comparators, real = [], cli.lb.batched_simulate
+    calls, real = [], cli.lb.batched_simulate
 
-    def spy(factory, delays, blocks, comparator, *args):
-        comparators.append(comparator)
-        return real(factory, delays, blocks, comparator, *args)
+    def spy(instance, delays, seed, *args):
+        calls.append((instance, seed))
+        return real(instance, delays, seed, *args)
 
     monkeypatch.setattr(cli.lb, "batched_simulate", spy)
-    assert cli.main(["lowerbound", "--delta", "0.1", "--trials", "2000"]) == 0
-    comparator, = comparators
-    np.testing.assert_array_equal(comparator, build_comparator(2, 0.1, 0))
+    assert cli.main(["lowerbound", "--delta", "0.1", "--trials", "2000", "--seed", "4"]) == 0
+    (instance, seed), = calls
+    assert (instance.arms, instance.delta, seed) == (2, 0.1, 4)
+    np.testing.assert_array_equal(instance.comparator, build_comparator(2, 0.1, 0))
 
 
 @pytest.mark.parametrize("argv", [["lowerbound", "--q", "0"],
@@ -116,12 +117,15 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
                                   ["verify", "--seed", "-1"],
                                   ["run", "--arms", "1"],
                                   ["run", "--threshold-scale", "nan"],
-                                  ["run", "--threshold-scale", "inf"]],
+                                  ["run", "--threshold-scale", "inf"],
+                                  *(["run", "--horizon", "50", "--blocks", "5", "--out", out]
+                                    for out in ("", ".", "/", "out/.."))],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
                               "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
                               "sweep-negative-seed", "lowerbound-negative-seed",
                               "verify-negative-seed", "run-one-arm", "threshold-scale-nan",
-                              "threshold-scale-inf"])
+                              "threshold-scale-inf", "out-empty", "out-dot", "out-root",
+                              "out-dotdot"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2

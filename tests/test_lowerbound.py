@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from prudentbanker import lowerbound as lb
 from prudentbanker.errors import PreconditionError, ProtocolError
-from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence
-from prudentbanker.prudent import PrudentBanker, build_comparator
-from prudentbanker.rng import RngSampler, stream
+from prudentbanker.rng import stream
 
 
 def random_admissible(rng, T):
@@ -111,6 +109,11 @@ def test_sign_flip_changes_only_biased_arm():
         assert np.all(bp[:, lb.SPECIAL_ARM] >= bm[:, lb.SPECIAL_ARM])
 
 
+def test_hard_instance_comparator_anchors_arm_1():
+    inst = lb.make_hard_instance((3, 2), 0.2, arms=3)
+    np.testing.assert_array_equal(inst.comparator, [1 - 2 * 0.2, 0.2, 0.2])
+
+
 def test_hard_instance_mean_bias():
     inst = lb.make_hard_instance((4,), 0.25, arms=2)
     rng = stream(1, "bl")
@@ -122,75 +125,75 @@ def test_hard_instance_mean_bias():
 
 def simulate_once(seed, j=1):
     delays = lb.corollary_delays(2, 2)
-    decomp = lb.greedy_buckets(delays)
-    inst = lb.make_hard_instance(decomp.lengths[j - 1:], 0.25, arms=2)
-    blocks = inst.block_losses(+1, stream(seed, "bl"))
-    reg = Regularizer(NEG_ENTROPY, 2, 0.25)
-    xc = build_comparator(2, 0.25, 0)
-    factory = lambda: PrudentBanker(reg, xc, len(delays), RngSampler(stream(seed, "tape")))
-    return lb.batched_simulate(factory, delays, blocks, xc, j=j)
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths[j - 1:], 0.25, arms=2)
+    return lb.batched_simulate(inst, delays, seed, j=j)
+
+
+@pytest.fixture
+def no_learner(monkeypatch):
+    """Fail the test if batched_simulate builds a learner."""
+    def build(*args):
+        raise AssertionError("a learner was built")
+    monkeypatch.setattr(lb, "PrudentBanker", build)
 
 
 def test_pathwise_identity_small():
     for seed in range(20):
         sim = simulate_once(seed)
-        assert sim.actions_native == sim.actions_batched
+        np.testing.assert_array_equal(sim.native.arm, sim.batched.arm)
         assert sim.regret_native == sim.regret_batched
         # on two arms <p_t, l_t> pins p_t wherever the arms' losses differ
-        np.testing.assert_array_equal(sim.pseudo_native, sim.pseudo_batched)
+        np.testing.assert_array_equal(sim.native.loss, sim.batched.loss)
         assert sim.identical
 
 
 def test_identity_sees_the_played_distributions():
     sim = simulate_once(0)
-    late = sim.pseudo_batched.copy()
+    late = sim.batched.loss.copy()
     late[-1] += 1e-12  # same arms and regrets, another played distribution
-    assert not dataclasses.replace(sim, pseudo_batched=late).identical
+    batched = dataclasses.replace(sim.batched, loss=late)
+    assert not dataclasses.replace(sim, batched=batched).identical
 
 
-def test_wrapper_plays_the_native_distributions():
+def test_wrapper_plays_the_native_distributions(monkeypatch):
     # the arms alone can agree even when feedback comes a round late
     delays = lb.corollary_delays(3, 4)
     inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
-    xc = build_comparator(2, 0.25, 0)
-    played = []
+    played, act = {}, lb.PrudentBanker.act
 
-    def factory():
-        learner = PrudentBanker(Regularizer(NEG_ENTROPY, 2, 0.25), xc, len(delays),
-                                RngSampler(stream(0, "tape")))
-        act, dists = learner.act, []
-        played.append(dists)
+    def recording_act(self, t):  # keyed by learner, which the dict keeps alive
+        dist, arm = act(self, t)
+        played.setdefault(self, []).append(dist.copy())
+        return dist, arm
 
-        def recording_act(t):
-            dist, arm = act(t)
-            dists.append(dist.copy())
-            return dist, arm
-
-        learner.act = recording_act
-        return learner
-
-    lb.batched_simulate(factory, delays, inst.block_losses(+1, stream(0, "bl")), xc)
-    native, wrapped = played
+    monkeypatch.setattr(lb.PrudentBanker, "act", recording_act)
+    lb.batched_simulate(inst, delays, 0)
+    native, wrapped = played.values()
     np.testing.assert_array_equal(native, wrapped)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
-def test_mis_sized_block_is_rejected(rows):
+def test_mis_sized_block_is_rejected(no_learner, rows):
     delays = lb.corollary_delays(2, 2)  # three buckets of two rounds
-    blocks = [np.full((2, 2), 0.5), np.full((rows, 2), 0.5), np.full((2, 2), 0.5)]
-    with pytest.raises(PreconditionError, match="bucket 2"):  # before any learner is built
-        lb.batched_simulate(None, delays, blocks, np.full(2, 0.5))
+    inst = lb.make_hard_instance((2, rows, 2), 0.25, arms=2)
+    with pytest.raises(PreconditionError, match="lengths \\(2, 2, 2\\) of buckets 1..3"):
+        lb.batched_simulate(inst, delays, 0)
+
+
+def test_instance_for_another_suffix_is_rejected(no_learner):
+    delays = lb.corollary_delays(2, 2)
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    with pytest.raises(PreconditionError, match="buckets 2..3"):
+        lb.batched_simulate(inst, delays, 0, j=2)
 
 
 def test_wrapper_rejects_feedback_due_inside_its_bucket(monkeypatch):
     delays = lb.corollary_delays(2, 2)  # round 1's feedback is due at round 3
     monkeypatch.setattr(lb, "greedy_buckets",
                         lambda d: lb.BucketDecomposition(boundaries=(1, len(d) + 1)))
-    xc = build_comparator(2, 0.25, 0)
-    factory = lambda: PrudentBanker(Regularizer(NEG_ENTROPY, 2, 0.25), xc, len(delays),
-                                    RngSampler(stream(0, "tape")))
+    inst = lb.make_hard_instance((len(delays),), 0.25, arms=2)
     with pytest.raises(ProtocolError, match="round 1 "):
-        lb.batched_simulate(factory, delays, [np.full((len(delays), 2), 0.5)], xc)
+        lb.batched_simulate(inst, delays, 0)
 
 
 @st.composite
@@ -206,11 +209,7 @@ def admissible_delays(draw):
 def test_identity_on_uneven_buckets(delays, seed):
     # unlike corollary_delays, these buckets may differ in length
     inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
-    blocks = inst.block_losses(+1, stream(seed, "bl"))
-    xc = build_comparator(2, 0.25, 0)
-    factory = lambda: PrudentBanker(Regularizer(NEG_ENTROPY, 2, 0.25), xc, len(delays),
-                                    RngSampler(stream(seed, "tape")))
-    assert lb.batched_simulate(factory, delays, blocks, xc).identical
+    assert lb.batched_simulate(inst, delays, seed).identical
 
 
 def test_prefix_rounds_are_free():

@@ -82,6 +82,18 @@ def test_build_comparator():
         build_comparator(4, 0.3, 0)
 
 
+@pytest.mark.parametrize("xc, error", [
+    ([np.nan, 0.5, 0.5], "every coordinate >= delta"),
+    ([0.05, 0.5, 0.5], "every coordinate >= delta"),
+    ([0.5, 0.5, 0.5], "sum to 1"),
+    ([0.3, 0.3, 0.3], "sum to 1")],
+    ids=["nan", "below-delta", "sum-above-1", "sum-below-1"])
+def test_prudent_banker_rejects_a_non_probability_comparator(xc, error):
+    reg = Regularizer(NEG_ENTROPY, 3, 0.1)
+    with pytest.raises(ConfigError, match=error):  # at construction, not in round 1
+        PrudentBanker(reg, np.array(xc), 100, RngSampler(stream(0, "act")))
+
+
 # -- hard restarts ----------------------------------------------------------
 
 def test_next_delay_estimate_doubling():
