@@ -26,18 +26,21 @@ def cucb_bounds(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
 
     c_i = sqrt(2 log(max{3, 2A(t0+1)^2 / delta_ucb}) / N_i_obs), clamped to
     [0, 1]; unobserved arms get (0, 1); the default arm's interval is
-    collapsed to its known mean (r0, r0).
+    collapsed to its known mean (r0, r0). sums[i], a sum of rewards in
+    [0, 1], lies in [0, n_obs[i]].
     """
-    lcb = np.zeros(arms)
-    ucb = np.ones(arms)
     log_arg = max(3.0, 2.0 * arms * (t0 + 1) ** 2 / delta_ucb)
-    observed = n_obs > 0
-    if observed.any():
-        mean = np.zeros(arms)
-        mean[observed] = sums[observed] / n_obs[observed]
-        c = np.sqrt(2.0 * math.log(log_arg) / np.maximum(n_obs, 1))
-        lcb[observed] = np.maximum(0.0, mean[observed] - c[observed])
-        ucb[observed] = np.minimum(1.0, mean[observed] + c[observed])
+    # Whole-array ops: an observed arm's entries are the same IEEE operations on
+    # the same operands as on its own, so the same bits. An unobserved arm,
+    # taken at n = 1 with a zero sum, has c >= sqrt(2 ln 3) > 1, so the clamps
+    # alone give it (0, 1).
+    n = np.maximum(n_obs, 1.0)
+    c = np.sqrt(2.0 * math.log(log_arg) / n)
+    mean = sums / n
+    lcb = mean - c
+    np.maximum(0.0, lcb, out=lcb)
+    ucb = mean + c
+    np.minimum(1.0, ucb, out=ucb)
     lcb[default_arm] = r0
     ucb[default_arm] = r0
     return lcb, ucb
@@ -60,9 +63,10 @@ class ConservativeUCB:
         self.r0 = r0
         self.alpha_safe = alpha_safe
         self.delta_ucb = 1.0 / max(horizon, 2)
-        self.n_obs = np.zeros(arms, dtype=np.int64)
+        # float64 counts are exact, and the bounds and np.dot then cast nothing
+        self.n_obs = np.zeros(arms)
         self.sums = np.zeros(arms)
-        self.n_play = np.zeros(arms, dtype=np.int64)
+        self.n_play = np.zeros(arms)
 
     def bounds(self, t0: int) -> tuple[np.ndarray, np.ndarray]:
         return cucb_bounds(self.n_obs, self.sums, t0, self.arms,
@@ -70,8 +74,8 @@ class ConservativeUCB:
 
     def choose(self, t0: int) -> int:
         lcb, ucb = self.bounds(t0)
-        candidate = int(np.argmax(ucb))  # ties to lowest index
-        budget = float(np.dot(self.n_play, lcb)) + lcb[candidate]
+        candidate = int(ucb.argmax())  # ties to lowest index
+        budget = float(np.dot(self.n_play, lcb)) + lcb.item(candidate)
         required = (1.0 - self.alpha_safe) * (t0 + 1) * self.r0
         if budget >= required:
             return candidate
@@ -121,16 +125,16 @@ class SafeExp3IX:
         self._q_played: dict[int, float] = {}
 
     def distribution(self) -> np.ndarray:
-        shifted = self.log_w - self.log_w.max()
+        shifted = self.log_w - np.maximum.reduce(self.log_w)
         w = np.exp(shifted)
-        return w / w.sum()
+        return w / np.add.reduce(w)
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
         required = (1.0 - self.alpha_safe) * self.r0 * t
         if self.budget >= required:
             q = self.distribution()
             arm = self.sampler.draw(q)
-            self._q_played[t] = float(q[arm])
+            self._q_played[t] = q.item(arm)
             return q, arm
         self.budget += self.r0
         dist = np.zeros(self.arms)

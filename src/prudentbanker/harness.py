@@ -26,6 +26,8 @@ LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
             "play-comparator", "play-fixed-arm")
 
 CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
+#: CSV columns that change only at a restart or an arrival, so hold few values
+STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
 
 #: desk/paper experiment profiles (horizon, arms, blocks)
 SCALES = {"desk": (20000, 10, 100), "paper": (50000, 100, 500)}
@@ -76,6 +78,16 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
 
 
+def _repr_each_value_once(col: np.ndarray):
+    """repr of each entry of a 64-bit column, formatting each distinct value once.
+
+    Values are keyed by their bits, so -0.0 and 0.0 stay apart.
+    """
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = [repr(v) for v in keys.view(col.dtype).tolist()]
+    return map(text.__getitem__, inverse.tolist())
+
+
 @dataclass
 class RunTrace:
     t: np.ndarray
@@ -91,7 +103,9 @@ class RunTrace:
 
     def csv_string(self) -> str:
         # integer columns print as ints, float columns in repr's round-trip form
-        columns = (map(repr, getattr(self, name).tolist()) for name in CSV_HEADER.split(","))
+        columns = (_repr_each_value_once(getattr(self, name)) if name in STEP_COLUMNS
+                   else map(repr, getattr(self, name).tolist())
+                   for name in CSV_HEADER.split(","))
         return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -149,20 +163,26 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     if len(delays) != T:
         raise ConfigError(f"{len(delays)} delays for a horizon of {T} rounds")
     queue = FeedbackQueue(T)
+    enqueue, step = queue.enqueue, queue.step
+    act, receive = learner.act, learner.receive
+    losses, d = table.losses, delays.delays
+    # numpy columns, not lists: a list of T floats would add to a run's peak memory
     loss = np.zeros(T)
     arrived, arms = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
+    # FeedbackEvent and pseudo_loss are read from this module in each round:
+    # bench/spans.py replaces them here
     for t in range(1, T + 1):
         try:
-            dist, arm = learner.act(t)
+            dist, arm = act(t)
             arms[t - 1] = arm
-            row = table.row(t)
+            row = losses[t - 1]
             loss[t - 1] = pseudo_loss(dist, row)
-            queue.enqueue(FeedbackEvent(origin_round=t, arm=arm,
-                                        loss_value=float(row[arm]),
-                                        arrival_round=t + delays.delay(t)))
-            events = queue.step(t)
+            # (origin_round, arm, loss_value, arrival_round): keywords would
+            # nearly double the cost of building the event
+            enqueue(FeedbackEvent(t, arm, row.item(arm), t + d.item(t - 1)))
+            events = step(t)
             arrived[t - 1] = len(events)
-            learner.receive(events, t)
+            receive(events, t)
         except Exception as exc:
             _add_note(exc, f"round {t}")  # keeps the object and its type
             raise

@@ -30,9 +30,9 @@ def sample_arm(dist: np.ndarray, u: float) -> int:
 
     Raises ProtocolError unless `dist` is nonnegative and sums to 1 within 1e-9.
     """
-    cdf = np.cumsum(dist)
+    cdf = np.add.accumulate(dist)  # np.cumsum and dist.min() without their wrappers
     total = cdf.item(-1)
-    if not abs(total - 1.0) <= 1e-9 or dist.min() < 0.0:
+    if not abs(total - 1.0) <= 1e-9 or np.minimum.reduce(dist) < 0.0:
         raise ProtocolError(f"not a probability vector: {dist!r}")
     # Guard against cumulative rounding leaving cdf[-1] slightly below u.
     cdf[-1] = max(total, 1.0)

@@ -5,6 +5,7 @@ against them.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +74,28 @@ def parse_csv(path: str | Path) -> dict[str, np.ndarray]:
         else:
             out[name] = np.array([float(v) for v in vals])
     return out
+
+
+def cucb_bounds_masked(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
+                       delta_ucb: float, default_arm: int,
+                       r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conservative-UCB's (LCB, UCB) computed on the observed arms only."""
+    lcb = np.zeros(arms)
+    ucb = np.ones(arms)
+    log_arg = max(3.0, 2.0 * arms * (t0 + 1) ** 2 / delta_ucb)
+    observed = n_obs > 0
+    if observed.any():
+        mean = np.zeros(arms)
+        mean[observed] = sums[observed] / n_obs[observed]
+        c = np.sqrt(2.0 * math.log(log_arg) / np.maximum(n_obs, 1))
+        lcb[observed] = np.maximum(0.0, mean[observed] - c[observed])
+        ucb[observed] = np.minimum(1.0, mean[observed] + c[observed])
+    lcb[default_arm] = r0
+    ucb[default_arm] = r0
+    return lcb, ucb
+
+
+def csv_string_each_entry(trace) -> str:
+    """A trace's CSV, formatting every entry of every column with repr."""
+    columns = (map(repr, getattr(trace, name).tolist()) for name in CSV_HEADER.split(","))
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"

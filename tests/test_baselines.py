@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prudentbanker.baselines import (ConservativeUCB, SafeExp3IX, cucb_bounds,
                                      exp3ix_rate)
 from prudentbanker.errors import ConfigError
 from prudentbanker.protocol import FeedbackEvent
 from prudentbanker.rng import RngSampler, stream
+
+from reference import cucb_bounds_masked
 
 
 def fresh_cucb(arms=4, r0=0.6, alpha_safe=0.1, horizon=1000):
@@ -35,6 +39,24 @@ def test_cucb_bound_formula():
     c = math.sqrt(2.0 * math.log(max(3.0, 2 * arms * (t0 + 1) ** 2 / delta_ucb)) / 8)
     assert lcb[5] == max(0.0, 0.5 - c)
     assert ucb[5] == min(1.0, 0.5 + c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cucb_bounds_match_masked_reference(data):
+    arms = data.draw(st.integers(1, 12))
+    # counts of every magnitude: only with large ones do the bounds leave the clamps
+    counts = st.one_of(st.just(0), st.integers(0, 6).flatmap(lambda k: st.integers(1, 10**k)))
+    # ConservativeUCB keeps its counts as float64
+    n_obs = np.array(data.draw(st.lists(counts, min_size=arms, max_size=arms)),
+                     dtype=data.draw(st.sampled_from([np.int64, np.float64])))
+    sums = np.array([data.draw(st.floats(0.0, float(n))) for n in n_obs.tolist()])
+    args = (n_obs, sums, data.draw(st.integers(0, 10**6)), arms,
+            data.draw(st.floats(1e-9, 0.5)), data.draw(st.integers(0, arms - 1)),
+            data.draw(st.floats(0.0, 1.0)))
+    # the same bits, not merely equal values
+    for got, want in zip(cucb_bounds(*args), cucb_bounds_masked(*args)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cucb_first_round_plays_default():

@@ -15,7 +15,7 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig, LossTable,
 from prudentbanker.prudent import PrudentBanker, build_comparator, restart_columns
 from prudentbanker.rng import RngSampler, stream
 
-from reference import parse_csv
+from reference import csv_string_each_entry, parse_csv
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):
@@ -149,6 +149,25 @@ def test_play_columns_build_the_trace():
         assert rec.arm == cols.arm[u - 1]
 
 
+def test_play_looks_up_event_and_pseudo_loss_in_harness_every_round(monkeypatch):
+    # bench/spans.py times these two by replacing them in harness before a run;
+    # a reference taken when harness was imported would hide them from it
+    calls = {"FeedbackEvent": 0, "pseudo_loss": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    run(small_cfg("conservative-ucb", horizon=60))
+    assert calls == {"FeedbackEvent": 60, "pseudo_loss": 60}
+
+
 # -- properties through play on hand-built delay sequences ------------------
 
 @st.composite
@@ -212,6 +231,28 @@ def test_empty_trace_csv_is_header_only():
                      loss_c=np.array([]), arrived=np.array([], dtype=np.int64),
                      summary={})
     assert trace.csv_string() == CSV_HEADER + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csv_string_matches_formatting_every_entry(data):
+    n = data.draw(st.integers(0, 40))
+
+    def ints():
+        values = st.sampled_from([0, 1, 2, 7]) | st.integers(-2**63, 2**63 - 1)
+        return np.array([0, 0, 1] + data.draw(st.lists(values, min_size=n, max_size=n)),
+                        dtype=np.int64)
+
+    def floats():
+        # -0.0 between two 0.0: formatting must key values by their bits
+        values = st.sampled_from([0.0, -0.0, 0.1, 1.0]) | st.floats()
+        return np.array([0.0, -0.0, 0.0] + data.draw(st.lists(values, min_size=n,
+                                                             max_size=n)))
+
+    trace = RunTrace(t=np.arange(1, n + 4, dtype=np.int64), stage=ints(), phase=ints(),
+                     alpha=floats(), loss_B=floats(), loss_star=floats(),
+                     loss_c=floats(), arrived=ints(), summary={})
+    assert trace.csv_string() == csv_string_each_entry(trace)
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -130,6 +130,29 @@ def test_delayed_models_share_one_activation_draw():
     np.testing.assert_array_equal(active["lomax"], active["fixed-one-step"])
 
 
+def test_feedback_event_is_an_immutable_value():
+    ev = FeedbackEvent(3, 1, 0.25, 5)
+    assert ev == FeedbackEvent(origin_round=3, arm=1, loss_value=0.25, arrival_round=5)
+    assert ev == FeedbackEvent(3, 1, loss_value=0.25, arrival_round=5)
+    assert ev != FeedbackEvent(3, 1, 0.25, 6)
+    assert hash(ev) == hash(FeedbackEvent(3, 1, 0.25, 5))
+    assert len({ev, FeedbackEvent(3, 1, 0.25, 5)}) == 1
+    assert (ev.origin_round, ev.arm, ev.loss_value, ev.arrival_round) == (3, 1, 0.25, 5)
+    assert ev.delay == 2 and FeedbackEvent(4, 0, 0.0, 4).delay == 0
+    for name in ("origin_round", "arm", "loss_value", "arrival_round", "delay", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ev, name, 0)
+
+
+def test_feedback_event_rejects_arrival_before_origin():
+    with pytest.raises(ProtocolError):
+        FeedbackEvent(3, 1, 0.25, 2)
+    with pytest.raises(ProtocolError):
+        FeedbackEvent(origin_round=3, arm=1, loss_value=0.25, arrival_round=2)
+    with pytest.raises(ProtocolError):
+        FeedbackEvent(3, 1, 0.25, 5)._replace(arrival_round=2)
+
+
 def test_queue_immediate_delivery():
     q = FeedbackQueue(horizon=3)
     for t in range(1, 4):
@@ -155,6 +178,14 @@ def test_queue_batched_arrivals_in_origin_order():
     assert [e.origin_round for e in q.step(2)] == [1]
     q.enqueue(FeedbackEvent(3, 0, 0.0, 3))
     assert [e.origin_round for e in q.step(3)] == [2, 3]
+
+
+def test_queue_delivers_in_origin_order_whatever_the_enqueue_order():
+    q = FeedbackQueue(horizon=4)
+    for origin in (3, 1, 2):
+        q.enqueue(FeedbackEvent(origin, 0, 0.0, 4))
+    assert q.step(1) == q.step(2) == q.step(3) == []
+    assert [e.origin_round for e in q.step(4)] == [1, 2, 3]
 
 
 def test_queue_out_of_order_and_single_delivery():
