@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ConfigError, ProtocolError
 
 DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
+# table entries scanned, or redrawn, at a time when rejecting out-of-range losses
+REDRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,13 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
 
     Each arm/block pair gets a mean ~ Unif(0,1) and a stddev ~ Unif(0.1,0.2);
     per-round losses are normal draws truncated to [0, 1] (rejection sampling
-    with at most 100 attempts, then clamping the stragglers). Block b holds
-    rows [b w, (b + 1) w) with w = floor(T/B) + 1; B w > T, so the last blocks
-    may be short or empty.
+    with at most 100 attempts, then clamping the whole table if any entry is
+    still out of range). Block b holds rows [b w, (b + 1) w) with
+    w = floor(T/B) + 1; B w > T, so the last blocks may be short or empty.
+
+    Redraws go pass by pass, each pass in row-major order over the entries
+    still out of range. Every pass works through REDRAW_CHUNK entries at a
+    time, so no mask or index array the size of the table is ever built.
     """
     config.validate()
     T, A, B = config.horizon, config.arms, config.blocks
@@ -136,18 +142,31 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     for b, start in enumerate(range(0, T, width)):
         rows = losses[start:start + width]
         rows[:] = rng.normal(means[:, b], sds[:, b], size=rows.shape)
-    # out-of-range entries in row-major order, the order of the redraws
-    r, a = np.nonzero((losses < 0.0) | (losses > 1.0))
+
+    flat = losses.reshape(-1)  # a view
+
+    def redraw(i):
+        """Redraw flat entries i; return those still out of range."""
+        a, b = i % A, i // (width * A)
+        x = rng.normal(means[a, b], sds[a, b])
+        flat[i] = x
+        return i[_outside(x)]
+
+    # attempt 1 scans the table itself, one chunk at a time
+    todo = (np.flatnonzero(_outside(flat[k:k + REDRAW_CHUNK])) + k
+            for k in range(0, flat.size, REDRAW_CHUNK))
     for _ in range(100):
-        if not len(r):
+        left = np.concatenate([np.empty(0, np.intp), *(redraw(i) for i in todo if len(i))])
+        if not len(left):
             break
-        redraw = rng.normal(means[a, r // width], sds[a, r // width])
-        losses[r, a] = redraw
-        out = (redraw < 0.0) | (redraw > 1.0)
-        r, a = r[out], a[out]
-    if len(r):
+        todo = (left[k:k + REDRAW_CHUNK] for k in range(0, len(left), REDRAW_CHUNK))
+    else:
         np.clip(losses, 0.0, 1.0, out=losses)
     return LossTable(losses)
+
+
+def _outside(x: np.ndarray) -> np.ndarray:
+    return (x < 0.0) | (x > 1.0)
 
 
 def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelaySequence:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,56 @@ def test_block_losses_match_reference(T, A, B, seed):
     table = generate_block_losses(cfg, rng)
     assert table.losses.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# at 7 and 64 entries, chunks split rows and blocks and every redraw pass
+# spans several of them
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("T,A,B", SHAPES)
+def test_block_losses_match_reference_across_chunks(T, A, B, seed, chunk, monkeypatch):
+    monkeypatch.setattr(protocol, "REDRAW_CHUNK", chunk)
+    test_block_losses_match_reference(T, A, B, seed)
+
+
+class WideNormal:
+    """A generator whose normal draws are 500 times wider, so that some
+    entries are still out of range after the 100th attempt."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniform(self, low, high, size=None):
+        return self.rng.uniform(low, high, size)
+
+    def normal(self, loc, scale, size=None):
+        return self.rng.normal(loc, np.multiply(scale, 500.0), size)
+
+
+@pytest.mark.parametrize("chunk", [7, protocol.REDRAW_CHUNK])
+@pytest.mark.parametrize("T,A,B", [(97, 5, 13), (200, 3, 5)])
+def test_block_losses_clamp_matches_reference(T, A, B, chunk, monkeypatch):
+    monkeypatch.setattr(protocol, "REDRAW_CHUNK", chunk)
+    ref_rng, rng = WideNormal(stream(0, "losses")), WideNormal(stream(0, "losses"))
+    expected = reference_block_losses(T, A, B, ref_rng)
+    table = generate_block_losses(EnvironmentConfig(horizon=T, arms=A, blocks=B), rng)
+    assert table.losses.tobytes() == expected.tobytes()
+    assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+    assert np.isin(table.losses, [0.0, 1.0]).any()
+
+
+def test_block_losses_build_no_table_sized_temporary():
+    # means, sds and the chunked redraws fit in a quarter of the table; a
+    # table-sized mask plus an np.nonzero index pair take about 65% of it
+    cfg = EnvironmentConfig(horizon=20000, arms=100, blocks=500)
+    rng = stream(0, "losses")
+    tracemalloc.start()
+    try:
+        table = generate_block_losses(cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.losses.nbytes <= 0.25 * table.losses.nbytes
 
 
 def test_block_losses_config_errors():
