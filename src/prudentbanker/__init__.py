@@ -11,7 +11,7 @@ from .harness import RunConfig, RunTrace, best_fixed_arm, emit, pseudo_loss, run
 from .mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer, grad_psi
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses,
-                       outstanding_counters, sample_delays)
+                       sample_delays)
 from .prudent import (PrudentBanker, ThresholdFunctions, build_comparator,
                       gap_statistic)
 
@@ -20,7 +20,7 @@ __all__ = [
     "RunConfig", "RunTrace", "best_fixed_arm", "emit", "pseudo_loss", "run",
     "NEG_ENTROPY", "TSALLIS_HALF", "Regularizer", "grad_psi",
     "DelaySequence", "EnvironmentConfig", "FeedbackEvent", "FeedbackQueue",
-    "LossTable", "generate_block_losses", "outstanding_counters", "sample_delays",
+    "LossTable", "generate_block_losses", "sample_delays",
     "PrudentBanker", "ThresholdFunctions", "build_comparator", "gap_statistic",
 ]
 

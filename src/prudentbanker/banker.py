@@ -24,11 +24,11 @@ class Kahan:
 
     __slots__ = ("total", "_c")
 
-    def __init__(self, shape=()):
+    def __init__(self, shape):
         self.total = np.zeros(shape)
         self._c = np.zeros(shape)
 
-    def add(self, x: float, at=()) -> None:
+    def add(self, x: float, at) -> None:
         y = x - self._c[at]
         t = self.total[at] + y
         self._c[at] = (t - self.total[at]) - y
@@ -78,7 +78,6 @@ class BankerOMD:
         # run-lifetime diagnostics (survive phase resets)
         self.max_conservation_residual = 0.0
         self.min_credit_seen = 0.0
-        self.last_borrow: tuple[int, float, float, float] | None = None
         self.reset(1)
 
     def reset(self, phase_start: int) -> None:
@@ -87,7 +86,6 @@ class BankerOMD:
         self._credit_heap: list[int] = []
         self.missing: set[int] = set()
         self.outstanding_sum = 0  # running sum of per-round outstanding counts
-        self.borrow_total = Kahan()
         self.g = Kahan(self.reg.arms)
         self._pending: tuple[int, float] | None = None
 
@@ -170,12 +168,6 @@ class BankerOMD:
                 heapq.heappush(self._credit_heap, u)
                 break  # b is exhausted
         b = max(b, 0.0)
-        if b > 0.0:
-            self.borrow_total.add(b)
-            # snapshot for the borrow characterization check:
-            # B_t should equal sigma_t + sum of sigma_u over currently missing u
-            missing_sigma = math.fsum(self.records[u].sigma for u in self.missing)
-            self.last_borrow = (t, float(self.borrow_total.total), sigma, missing_sigma)
         residual = abs(math.fsum(a for _, a in allocation) + b - sigma)
         self.max_conservation_residual = max(self.max_conservation_residual, residual)
         return allocation, b

@@ -262,8 +262,14 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value config file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
     out = {}
-    for raw in Path(path).read_text().split("\n"):
+    for raw in text.split("\n"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -39,12 +39,14 @@ class LossTable:
 
 @dataclass(frozen=True)
 class DelaySequence:
-    """Per-round nonnegative integer delays d_t."""
+    """Per-round nonnegative integer delays d_t, as a 1-D array."""
 
     delays: np.ndarray
 
     def __post_init__(self):
         delays = np.asarray(self.delays)
+        if delays.ndim != 1:
+            raise ConfigError(f"delays must be 1-D, got shape {delays.shape}")
         if delays.size and not np.issubdtype(delays.dtype, np.integer):
             raise ConfigError("delays must be integers")
         delays = delays.astype(np.int64)
@@ -54,10 +56,6 @@ class DelaySequence:
 
     def __len__(self) -> int:
         return len(self.delays)
-
-    def delay(self, t: int) -> int:
-        """Delay of 1-indexed round t."""
-        return int(self.delays[t - 1])
 
     @property
     def total(self) -> int:
@@ -222,22 +220,3 @@ class FeedbackQueue:
         if len(events) > 1:
             events.sort(key=lambda e: e.origin_round)
         return events
-
-
-def outstanding_counters(delays: DelaySequence, phase_start: int, t: int) -> tuple[int, int]:
-    """Outstanding-feedback count and its running sum over a phase window.
-
-    The first component counts rounds tau in [phase_start, t-1] whose feedback
-    is still missing at the start of round t (tau + d_tau >= t). The second is
-    the running sum of those counts for r = phase_start..t.
-    """
-    if phase_start > t:
-        raise ConfigError("phase_start must be <= t")
-    d = delays.delays
-    running = 0
-    latest = 0
-    for r in range(phase_start, t + 1):
-        taus = np.arange(phase_start, r)
-        latest = int(np.sum(taus + d[taus - 1] >= r)) if len(taus) else 0
-        running += latest
-    return latest, running

@@ -39,6 +39,12 @@ class ThresholdFunctions:
     delta: float
     scale: float = 1.0
 
+    def __post_init__(self):
+        if not (0.0 < self.scale < math.inf):  # NaN fails too
+            raise ConfigError("threshold_scale must be positive and finite")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be positive")
+
     @classmethod
     def for_regularizer(cls, reg: Regularizer, horizon: int, scale: float = 1.0) -> "ThresholdFunctions":
         c1, c2 = reg.constants()

@@ -13,12 +13,32 @@ import numpy as np
 from prudentbanker.errors import ConfigError
 from prudentbanker.harness import CSV_HEADER
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer, grad_psi, grad_psi_star_with_dual
+from prudentbanker.protocol import DelaySequence
 
 
 def block_index(t: int, horizon: int, blocks: int) -> int:
     """1-indexed block id of round t: 1 + min{floor((t-1)/(floor(T/B)+1)), B-1}."""
     width = horizon // blocks + 1
     return 1 + min((t - 1) // width, blocks - 1)
+
+
+def outstanding_counters(delays: DelaySequence, phase_start: int, t: int) -> tuple[int, int]:
+    """Outstanding-feedback count and its running sum over a phase window.
+
+    The first component counts rounds tau in [phase_start, t-1] whose feedback
+    is still missing at the start of round t (tau + d_tau >= t). The second is
+    the running sum of those counts for r = phase_start..t.
+    """
+    if phase_start > t:
+        raise ConfigError("phase_start must be <= t")
+    d = delays.delays
+    running = 0
+    latest = 0
+    for r in range(phase_start, t + 1):
+        taus = np.arange(phase_start, r)
+        latest = int(np.sum(taus + d[taus - 1] >= r)) if len(taus) else 0
+        running += latest
+    return latest, running
 
 
 def psi_value(reg: Regularizer, x: np.ndarray) -> float:

@@ -17,12 +17,11 @@ from prudentbanker.lowerbound import (bucket_inequalities, corollary_delays,
                                       batched_simulate, safety_gap_probe)
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
-from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
-                                    outstanding_counters)
+from prudentbanker.protocol import DelaySequence, EnvironmentConfig
 from prudentbanker.prudent import ThresholdFunctions, build_comparator, gap_statistic
 from prudentbanker.rng import stream
 
-from reference import bregman
+from reference import bregman, outstanding_counters
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK_T, DESK_A, DESK_B = 20000, 10, 100
@@ -120,7 +119,7 @@ def test_criterion_4_missing_count_bound():
         def checked_receive(events, t):
             receive(events, t)
             m = len(learner.base.missing)
-            realized = sum(delays.delay(u) for u in learner.base.missing)
+            realized = sum(delays.delays[u - 1] for u in learner.base.missing)
             held.append(m * (m + 1) // 2 <= realized)
 
         learner.receive = checked_receive

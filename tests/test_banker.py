@@ -62,7 +62,6 @@ def test_allocate_no_history_borrows_everything():
     b = BankerOMD(ENT)
     allocation, borrow = b._allocate(1, 3.0)
     assert allocation == [] and borrow == 3.0
-    assert b.borrow_total.total == 3.0
 
 
 def test_allocate_partial_drain():
@@ -251,11 +250,25 @@ def test_conservation_and_single_spend():
     assert base.min_credit_seen >= -1e-12
 
 
-def test_borrow_characterization():
-    base, _, _ = delayed_run(seed=3)
-    assert base.last_borrow is not None
-    t0, borrow_total, sigma_t0, missing_sigma = base.last_borrow
-    assert borrow_total == pytest.approx(sigma_t0 + missing_sigma, abs=1e-9)
+def test_borrow_characterization(monkeypatch):
+    # at every borrowing round t, the borrows B_t so far equal sigma_t plus the
+    # credits sigma_u of the rounds u still missing: all arrived credit is spent
+    allocate, borrows, residuals = BankerOMD._allocate, [], []
+
+    def checked_allocate(self, t, sigma):
+        allocation, b = allocate(self, t, sigma)
+        if b > 0.0:
+            borrows.append(b)
+            missing_sigma = math.fsum(self.records[u].sigma for u in self.missing)
+            residuals.append(abs(math.fsum(borrows) - sigma - missing_sigma))
+        return allocation, b
+
+    monkeypatch.setattr(BankerOMD, "_allocate", checked_allocate)
+    for kind in (NEG_ENTROPY, TSALLIS_HALF):
+        for seed in (0, 3):
+            borrows.clear()
+            delayed_run(seed=seed, kind=kind)
+    assert residuals and max(residuals) <= 1e-9
 
 
 def test_stability_expectation_bound():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prudentbanker import cli
+from prudentbanker.banker import BankerOMD
 from prudentbanker.errors import ConfigError
 from prudentbanker.prudent import build_comparator
 
@@ -76,6 +77,15 @@ def test_non_finite_config_value_exits_2(configs, tmp_path, capsys):
     assert configs == [] and not (tmp_path / "out").exists()
 
 
+def test_non_utf8_config_file_exits_2(configs, tmp_path, capsys):
+    path = tmp_path / "cfg"
+    path.write_bytes(b"horizon=\xff\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: config file is not UTF-8 text\n"
+    assert configs == []
+
+
 def test_verify_seeds_the_learner(configs, capsys):
     assert cli.main(["verify", "--seed", "3"]) == 0
     cfg, = configs
@@ -85,6 +95,18 @@ def test_verify_seeds_the_learner(configs, capsys):
 def test_verify_passes(capsys):
     assert cli.main(["verify", "--seed", "0"]) == 0
     assert "credit conservation: pass" in capsys.readouterr().out
+
+
+def test_verify_fails_a_miscounting_ledger(monkeypatch, capsys):
+    reset = BankerOMD.reset
+
+    def miscounting_reset(self, phase_start):
+        reset(self, phase_start)
+        self.outstanding_sum = 1
+
+    monkeypatch.setattr(BankerOMD, "reset", miscounting_reset)
+    assert cli.main(["verify"]) == 1
+    assert "delay-counter identities: FAIL" in capsys.readouterr().out
 
 
 def test_lowerbound_identity_passes(capsys):
@@ -119,13 +141,15 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
                                   ["run", "--threshold-scale", "nan"],
                                   ["run", "--threshold-scale", "inf"],
                                   *(["run", "--horizon", "50", "--blocks", "5", "--out", out]
-                                    for out in ("", ".", "/", "out/.."))],
+                                    for out in ("", ".", "/", "out/..")),
+                                  ["run", "--config", "missing.cfg"],
+                                  ["run", "--config", "."]],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
                               "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
                               "sweep-negative-seed", "lowerbound-negative-seed",
                               "verify-negative-seed", "run-one-arm", "threshold-scale-nan",
                               "threshold-scale-inf", "out-empty", "out-dot", "out-root",
-                              "out-dotdot"])
+                              "out-dotdot", "config-missing", "config-directory"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2

@@ -10,12 +10,11 @@ from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
                                    load_config_file, play, pseudo_loss, run)
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
-from prudentbanker.protocol import (DelaySequence, EnvironmentConfig, LossTable,
-                                    outstanding_counters)
+from prudentbanker.protocol import DelaySequence, EnvironmentConfig, LossTable
 from prudentbanker.prudent import PrudentBanker, build_comparator, restart_columns
 from prudentbanker.rng import RngSampler, stream
 
-from reference import csv_string_each_entry, parse_csv
+from reference import csv_string_each_entry, outstanding_counters, parse_csv
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):

@@ -9,11 +9,10 @@ from prudentbanker import protocol
 from prudentbanker.errors import ConfigError, ProtocolError
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
-                                    generate_block_losses, outstanding_counters,
-                                    sample_delays)
+                                    generate_block_losses, sample_delays)
 from prudentbanker.rng import DRAW_BLOCK, RngSampler, sample_arm, stream
 
-from reference import block_index
+from reference import block_index, outstanding_counters
 
 
 def test_block_assignment_small():
@@ -141,6 +140,15 @@ def test_loss_table_invariants():
     with pytest.raises(ConfigError):
         LossTable(np.zeros(2))
     assert LossTable(np.zeros((3, 2))).horizon == 3
+
+
+def test_delay_sequence_invariants():
+    # a 2-D array would be read flattened by play, and a 0-d one has no len()
+    for bad, error in ((np.array([[0, 5], [0, 0], [0, 0]]), "1-D"), (np.array(3), "1-D"),
+                       (np.array([0, -1]), "nonnegative"), (np.array([0.0, 1.5]), "integers")):
+        with pytest.raises(ConfigError, match=error):
+            DelaySequence(delays=bad)
+    assert len(DelaySequence(delays=np.array([0, 5, 0]))) == 3
 
 
 def test_delays_none_and_degenerate(monkeypatch):

@@ -94,6 +94,19 @@ def test_prudent_banker_rejects_a_non_probability_comparator(xc, error):
         PrudentBanker(reg, np.array(xc), 100, RngSampler(stream(0, "act")))
 
 
+@pytest.mark.parametrize("horizon, scale, error", [
+    (100, 0.0, "threshold_scale"), (100, -1.0, "threshold_scale"),
+    (100, math.nan, "threshold_scale"), (100, math.inf, "threshold_scale"),
+    (0, 1.0, "horizon"), (-5, 1.0, "horizon")],
+    ids=["scale-zero", "scale-negative", "scale-nan", "scale-inf", "horizon-zero",
+         "horizon-negative"])
+def test_prudent_banker_rejects_bad_thresholds(horizon, scale, error):
+    reg = Regularizer(NEG_ENTROPY, 3, 0.1)
+    with pytest.raises(ConfigError, match=error):  # at construction, not in round 1
+        PrudentBanker(reg, build_comparator(3, 0.1, 0), horizon,
+                      RngSampler(stream(0, "act")), threshold_scale=scale)
+
+
 # -- hard restarts ----------------------------------------------------------
 
 def test_next_delay_estimate_doubling():
@@ -269,7 +282,7 @@ def test_missing_count_bound_during_run():
     def checked_receive(events, t):
         receive(events, t)
         m = len(learner.base.missing)
-        realized = sum(delays.delay(u) for u in learner.base.missing)
+        realized = sum(delays.delays[u - 1] for u in learner.base.missing)
         assert m * (m + 1) // 2 <= realized
 
     learner.receive = checked_receive
