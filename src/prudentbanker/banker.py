@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .mirror import GRAD_FLOOR, Regularizer, grad_psi, grad_psi_star_with_dual
 from .protocol import FeedbackEvent
 
@@ -73,6 +73,8 @@ class BankerOMD:
     """
 
     def __init__(self, reg: Regularizer):
+        if reg.arms < 2:  # the step size divides by C1, which is 0 on one arm
+            raise ConfigError("Banker-OMD needs at least 2 arms")
         self.reg = reg
         self._dual_x0 = grad_psi(reg, reg.x0)
         # run-lifetime diagnostics (survive phase resets)

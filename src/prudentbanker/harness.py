@@ -261,7 +261,7 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment."""
+    """Flat key=value config file; '#' starts a comment, and a key is set at most once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -275,6 +275,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"bad config line: {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}: key {key!r} is set twice")
+        out[key] = val
     return out

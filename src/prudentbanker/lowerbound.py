@@ -41,14 +41,6 @@ class BucketDecomposition:
         b = self.boundaries
         return tuple(b[m + 1] - b[m] for m in range(self.count))
 
-    def bucket(self, m: int) -> range:
-        """Rounds of 1-indexed bucket m."""
-        return range(self.boundaries[m - 1], self.boundaries[m])
-
-    def suffix_mass(self, j: int) -> int:
-        """V_j = sum of L_m^2 over buckets m >= j (exact integers)."""
-        return sum(L * L for L in self.lengths[j - 1:])
-
 
 def greedy_buckets(delays: DelaySequence) -> BucketDecomposition:
     """Greedy bucket decomposition: b_1 = 1, b_{m+1} = min_{t >= b_m} (t + d_t).
@@ -80,18 +72,24 @@ def greedy_buckets(delays: DelaySequence) -> BucketDecomposition:
 def bucket_inequalities(decomp: BucketDecomposition,
                         delays: DelaySequence) -> tuple[bool, bool, bool]:
     """The lower bound's bucket facts, (mono, dom, suffix), in exact integers:
-    L_m >= L_{m+1}; L_m^2 >= the delay of bucket m + 1; V_j >= the delay after bucket j."""
-    lengths = decomp.lengths
-    mono = all(lengths[i] >= lengths[i + 1] for i in range(len(lengths) - 1))
-    dom = all(
-        lengths[m] ** 2 >= sum(delays.delays[t - 1] for t in decomp.bucket(m + 2))
-        for m in range(decomp.count - 1))
-    suffix = all(
-        decomp.suffix_mass(j) >= sum(int(delays.delays[t - 1])
-                                     for mm in range(j + 1, decomp.count + 1)
-                                     for t in decomp.bucket(mm))
-        for j in range(1, decomp.count + 1))
-    return mono, dom, suffix
+    L_m >= L_{m+1}; L_m^2 >= the delay of bucket m + 1; V_j >= the delay after bucket j.
+
+    The buckets must tile rounds 1..T: boundaries from 1, strictly rising, to T + 1.
+    """
+    b = np.asarray(decomp.boundaries, dtype=np.int64)
+    T = len(delays)
+    if b.size == 0 or b[0] != 1 or b[-1] != T + 1 or np.any(np.diff(b) <= 0):
+        raise PreconditionError(f"boundaries {decomp.boundaries} do not tile rounds 1..{T}")
+    # prefix[s] = d_1 + ... + d_s; object integers cannot overflow
+    prefix = np.concatenate(([0], np.cumsum(delays.delays, dtype=object)))
+    L = np.diff(b).astype(object)
+    bucket_delay = np.diff(prefix[b - 1])
+    V = np.cumsum((L * L)[::-1])[::-1]  # V_j = sum of L_m^2 over m >= j
+    after = prefix[T] - prefix[b[1:] - 1]  # delay of the rounds after bucket j
+    mono = np.all(L[:-1] >= L[1:])
+    dom = np.all(L[:-1] ** 2 >= bucket_delay[1:])
+    suffix = np.all(V >= after)
+    return bool(mono), bool(dom), bool(suffix)
 
 
 def corollary_delays(q: int, N: int) -> DelaySequence:
@@ -127,22 +125,19 @@ class HardInstancePair:
         """x^c: 1 - (A - 1) delta on arm 1 (index 0), delta elsewhere."""
         return build_comparator(self.arms, self.delta, 0)
 
-    def block_losses(self, sign: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """Draw one realization of the (block, slot, arm) loss tensor.
+    def block_losses(self, sign: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw one realization of the (slot, arm) loss table, blocks stacked in order.
 
         The Bernoulli draws for E+ and E- are coupled through a shared uniform
-        tape per (block, slot): call with the same generator state and the two
-        environments differ only where the uniform falls between the two means.
+        tape, one uniform per slot: call with the same generator state and the
+        two environments differ only where the uniform falls between the two means.
         """
         if sign not in (+1, -1):
             raise PreconditionError("sign must be +1 or -1")
-        out = []
-        for L, e in zip(self.lengths, self.eps):
-            u = rng.random(L)
-            block = np.full((L, self.arms), 0.5)
-            block[:, SPECIAL_ARM] = (u < 0.5 + sign * e).astype(float)
-            out.append(block)
-        return out
+        u = rng.random(sum(self.lengths))
+        table = np.full((len(u), self.arms), 0.5)
+        table[:, SPECIAL_ARM] = u < 0.5 + sign * np.repeat(self.eps, self.lengths)
+        return table
 
 
 def make_hard_instance(lengths, delta: float, arms: int = 2) -> HardInstancePair:
@@ -232,7 +227,7 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
                                 f"{decomp.lengths[j - 1:]} of buckets {j}..{decomp.count}")
     blocks = instance.block_losses(+1, stream(seed, "lowerbound-losses"))
     prefix = np.zeros((decomp.boundaries[j - 1] - 1, instance.arms))
-    table = LossTable(np.vstack([prefix, *blocks]))
+    table = LossTable(np.vstack([prefix, blocks]))
     T = table.horizon
     reg = Regularizer(NEG_ENTROPY, instance.arms, instance.delta)
     xc = instance.comparator
@@ -280,7 +275,7 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
     eps = np.repeat(instance.eps, instance.lengths)
-    weights = np.concatenate([np.full(L, L / instance.V) for L in instance.lengths])
+    weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
     delta = instance.delta
     n_slots = len(eps)
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from prudentbanker.errors import ConfigError
 from prudentbanker.harness import CSV_HEADER
+from prudentbanker.lowerbound import SPECIAL_ARM, BucketDecomposition, HardInstancePair
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer, grad_psi, grad_psi_star_with_dual
 from prudentbanker.protocol import DelaySequence
 
@@ -119,3 +120,38 @@ def csv_string_each_entry(trace) -> str:
     """A trace's CSV, formatting every entry of every column with repr."""
     columns = (map(repr, getattr(trace, name).tolist()) for name in CSV_HEADER.split(","))
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+
+
+def bucket_inequalities_by_definition(decomp: BucketDecomposition,
+                                      delays: DelaySequence) -> tuple[bool, bool, bool]:
+    """The three bucket facts, each delay sum taken round by round over its buckets."""
+    lengths = decomp.lengths
+
+    def bucket(m):  # rounds of 1-indexed bucket m
+        return range(decomp.boundaries[m - 1], decomp.boundaries[m])
+
+    def suffix_mass(j):  # V_j
+        return sum(L * L for L in lengths[j - 1:])
+
+    mono = all(lengths[i] >= lengths[i + 1] for i in range(len(lengths) - 1))
+    dom = all(
+        lengths[m] ** 2 >= sum(delays.delays[t - 1] for t in bucket(m + 2))
+        for m in range(decomp.count - 1))
+    suffix = all(
+        suffix_mass(j) >= sum(int(delays.delays[t - 1])
+                              for mm in range(j + 1, decomp.count + 1)
+                              for t in bucket(mm))
+        for j in range(1, decomp.count + 1))
+    return mono, dom, suffix
+
+
+def block_losses_by_block(instance: HardInstancePair, sign: int,
+                          rng: np.random.Generator) -> list[np.ndarray]:
+    """The hard instance's loss blocks, each drawn with its own call to the generator."""
+    out = []
+    for L, e in zip(instance.lengths, instance.eps):
+        u = rng.random(L)
+        block = np.full((L, instance.arms), 0.5)
+        block[:, SPECIAL_ARM] = (u < 0.5 + sign * e).astype(float)
+        out.append(block)
+    return out

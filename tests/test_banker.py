@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from prudentbanker.banker import BankerOMD, RoundRecord, step_size
 from prudentbanker.baselines import BankerOMDLearner
-from prudentbanker.errors import ProtocolError
+from prudentbanker.errors import ConfigError, ProtocolError
 from prudentbanker.harness import play
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
@@ -54,6 +54,17 @@ def test_step_size_with_outstanding_feedback():
 def test_step_size_requires_phase_membership():
     with pytest.raises(ProtocolError):
         step_size(ENT, 1, 2, 0, 0)
+
+
+@pytest.mark.parametrize("kind", [NEG_ENTROPY, TSALLIS_HALF])
+def test_one_arm_is_rejected_at_construction(kind):
+    # on one arm C1 = 0, and the step size divides by it
+    reg = Regularizer(kind, 1, 1.0)
+    sampler = RngSampler(stream(0, "act"))
+    with pytest.raises(ConfigError, match="at least 2 arms"):
+        BankerOMDLearner(reg, sampler)
+    with pytest.raises(ConfigError, match="at least 2 arms"):
+        PrudentBanker(reg, [1.0], 10, sampler)
 
 
 # -- credit allocation ------------------------------------------------------

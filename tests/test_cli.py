@@ -65,6 +65,13 @@ def test_unknown_config_key_exits_2(configs, tmp_path, capsys, line):
     assert configs == []
 
 
+def test_repeated_config_key_exits_2(configs, tmp_path, capsys):
+    # SHORT sets horizon=200 already
+    assert run_main(tmp_path, config_text=SHORT + "horizon=10\n") == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'cfg'}: key 'horizon' is set twice\n"
+    assert configs == []
+
+
 def test_bad_config_value_exits_2(configs, tmp_path, capsys):
     assert run_main(tmp_path, config_text="horizon=lots\n") == 2
     assert "horizon" in capsys.readouterr().err

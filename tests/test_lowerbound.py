@@ -11,6 +11,8 @@ from prudentbanker.errors import PreconditionError, ProtocolError
 from prudentbanker.protocol import DelaySequence
 from prudentbanker.rng import stream
 
+from reference import block_losses_by_block, bucket_inequalities_by_definition
+
 
 def random_admissible(rng, T):
     """Positive, non-increasing delays with d_t <= T + 1 - t."""
@@ -30,8 +32,6 @@ def test_buckets_unit_delays():
 def test_buckets_structured_q2():
     decomp = lb.greedy_buckets(lb.corollary_delays(2, 2))
     assert decomp.boundaries == (1, 3, 5, 7)
-    assert list(decomp.bucket(1)) == [1, 2]
-    assert list(decomp.bucket(3)) == [5, 6]
 
 
 def test_bucket_preconditions():
@@ -59,6 +59,35 @@ def test_bucket_inequalities_random():
 def test_bucket_inequalities_catch_a_broken_partition(boundaries, d, expected):
     decomp = lb.BucketDecomposition(boundaries=boundaries)
     assert lb.bucket_inequalities(decomp, DelaySequence(delays=np.array(d))) == expected
+
+
+@pytest.mark.parametrize("boundaries", [(1, 2, 5), (1, 2), (2, 3, 4), (1, 3, 2, 4), (1, 1, 4)],
+                         ids=["past-T", "short", "late-start", "falling", "empty-bucket"])
+def test_bucket_inequalities_reject_a_decomposition_that_does_not_tile(boundaries):
+    decomp = lb.BucketDecomposition(boundaries=boundaries)
+    with pytest.raises(PreconditionError, match="do not tile rounds 1..3"):
+        lb.bucket_inequalities(decomp, DelaySequence(delays=np.ones(3, dtype=np.int64)))
+
+
+@st.composite
+def tilings(draw):
+    """A random tiling of T <= 80 rounds and delays in [0, 3T].
+
+    The delays range wide enough that each of the three facts both holds and fails.
+    """
+    T = draw(st.integers(1, 80))
+    cuts = draw(st.sets(st.integers(2, T), max_size=T - 1)) if T > 1 else set()
+    d = draw(st.lists(st.integers(0, 3 * T), min_size=T, max_size=T))
+    return (lb.BucketDecomposition(boundaries=(1, *sorted(cuts), T + 1)),
+            DelaySequence(delays=np.array(d, dtype=np.int64)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=tilings())
+def test_bucket_inequalities_match_the_definition(case):
+    decomp, delays = case
+    expected = bucket_inequalities_by_definition(decomp, delays)
+    assert lb.bucket_inequalities(decomp, delays) == expected
 
 
 # -- structured delays ------------------------------------------------------
@@ -101,12 +130,23 @@ def test_sign_flip_changes_only_biased_arm():
     inst = lb.make_hard_instance((3, 2), 0.2, arms=3)
     plus = inst.block_losses(+1, stream(0, "bl"))
     minus = inst.block_losses(-1, stream(0, "bl"))
-    for bp, bm, e in zip(plus, minus, inst.eps):
-        np.testing.assert_array_equal(bp[:, 0], 0.5)
-        np.testing.assert_array_equal(bp[:, 2], 0.5)
-        np.testing.assert_array_equal(bp[:, 0], bm[:, 0])
-        # coupled draws: the two environments' biased-arm means differ by 2 eps
-        assert np.all(bp[:, lb.SPECIAL_ARM] >= bm[:, lb.SPECIAL_ARM])
+    assert plus.shape == minus.shape == (5, 3)
+    np.testing.assert_array_equal(plus[:, [0, 2]], 0.5)
+    np.testing.assert_array_equal(plus[:, [0, 2]], minus[:, [0, 2]])
+    # coupled draws: the two environments' biased-arm means differ by 2 eps
+    assert np.all(plus[:, lb.SPECIAL_ARM] >= minus[:, lb.SPECIAL_ARM])
+
+
+@pytest.mark.parametrize("lengths, arms", [((5, 3, 1), 2), ((1, 4), 3), ((2, 7, 2, 1), 4)])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_block_losses_match_the_per_block_draw(lengths, arms, sign):
+    inst = lb.make_hard_instance(lengths, 0.2, arms=arms)
+    rng, ref_rng = stream(3, "bl"), stream(3, "bl")
+    table = inst.block_losses(sign, rng)
+    expected = np.vstack(block_losses_by_block(inst, sign, ref_rng))
+    assert (table.shape, table.dtype) == (expected.shape, expected.dtype)
+    assert table.tobytes() == expected.tobytes()
+    assert rng.random() == ref_rng.random()  # the same draws, no more
 
 
 def test_hard_instance_comparator_anchors_arm_1():
@@ -117,7 +157,7 @@ def test_hard_instance_comparator_anchors_arm_1():
 def test_hard_instance_mean_bias():
     inst = lb.make_hard_instance((4,), 0.25, arms=2)
     rng = stream(1, "bl")
-    draws = np.array([inst.block_losses(+1, rng)[0][:, 1] for _ in range(20000)])
+    draws = np.array([inst.block_losses(+1, rng)[:, 1] for _ in range(20000)])
     assert draws.mean() == pytest.approx(0.5 + inst.eps[0], abs=0.005)
 
 
