@@ -13,26 +13,10 @@ import numpy as np
 from . import lowerbound as lb
 from .baselines import BankerOMDLearner
 from .errors import ConfigError
-from .harness import (SCALES, RunConfig, build_environment, emit,
-                      load_config_file, play, run)
+from .harness import SCALES, RunConfig, build_environment, emit, play, run
 from .mirror import NEG_ENTROPY, REGULARIZERS, Regularizer
 from .protocol import DELAY_MODELS, DelaySequence, EnvironmentConfig, LossTable
 from .rng import RngSampler, stream
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """The flags `run` and `sweep` share; `sweep` takes its grid instead of
-    `run`'s --learner, --delay-model and --seed."""
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--scale", choices=sorted(SCALES), default="desk")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--arms", type=int)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--regularizer", default=NEG_ENTROPY, choices=REGULARIZERS)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha-safe", type=float, default=0.1)
-    p.add_argument("--threshold-scale", type=float)
-    p.add_argument("--out", default="out/run")
 
 
 #: keys a --config file may set, with their types; each is also a flag
@@ -40,48 +24,78 @@ CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
                "threshold_scale": float}
 
 
-def _config_from_args(args, learner: str, delay_model: str, seed: int) -> RunConfig:
-    """Build the run config; a flag beats a --config file, which beats the profile."""
-    T, A, B = SCALES[args.scale]
-    values = {"horizon": T, "arms": A, "blocks": B, "delta": RunConfig.delta,
-              "threshold_scale": RunConfig.threshold_scale}
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{args.config}: unknown key {key!r} "
-                                  f"(allowed: {', '.join(CONFIG_KEYS)})")
-            try:
-                values[key] = CONFIG_KEYS[key](raw)
-            except ValueError:
-                raise ConfigError(f"{args.config}: bad value {raw!r} for {key!r}") from None
-    for key in CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The flags `run` and `sweep` share; `sweep` takes its grid instead of
+    `run`'s --learner, --delay-model and --seed."""
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--scale", choices=sorted(SCALES), default="desk")
+    for key, kind in CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
+    p.add_argument("--regularizer", default=RunConfig.regularizer, choices=REGULARIZERS)
+    p.add_argument("--alpha-safe", type=float, default=RunConfig.alpha_safe)
+    p.add_argument("--out", default="out/run")
 
-    env = EnvironmentConfig(
-        horizon=values["horizon"],
-        arms=values["arms"],
-        blocks=values["blocks"],
-        delay_model=delay_model,
-        seed=seed,
-    )
-    config = RunConfig(
-        env=env,
-        learner=learner,
-        regularizer=args.regularizer,
-        delta=values["delta"],
-        alpha_safe=args.alpha_safe,
-        threshold_scale=values["threshold_scale"],
-        seed=env.seed,
-    )
-    config.validate()  # a bad flag exits 2 before anything runs
-    return config
+
+def load_config_file(path: str | Path) -> dict[str, int | float]:
+    """Typed CONFIG_KEYS from a flat key=value file; '#' starts a comment.
+
+    A key is set at most once. A file with several faults reports its first
+    faulty line, and every error names the path.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    values = {}
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}: bad config line: {raw!r}")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown key {key!r} "
+                              f"(allowed: {', '.join(CONFIG_KEYS)})")
+        if key in values:
+            raise ConfigError(f"{path}: key {key!r} is set twice")
+        try:
+            values[key] = CONFIG_KEYS[key](val)
+        except ValueError:
+            raise ConfigError(f"{path}: bad value {val!r} for {key!r}") from None
+    return values
+
+
+def _cells(args):
+    """Builder of the run config of one (learner, delay model, seed) cell.
+
+    A flag beats a --config file, which beats the --scale profile; a setting
+    given by neither keeps RunConfig's default. Each cell is validated when
+    built, so a bad flag exits 2 before anything runs.
+    """
+    given = load_config_file(args.config) if args.config else {}
+    given.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                 if getattr(args, key) is not None)
+    env_given = {key: given.pop(key) for key in ("horizon", "arms", "blocks")
+                 if key in given}
+
+    def cell(learner: str, delay_model: str, seed: int) -> RunConfig:
+        env = dataclasses.replace(SCALES[args.scale], delay_model=delay_model,
+                                  seed=seed, **env_given)
+        config = RunConfig(env=env, learner=learner, regularizer=args.regularizer,
+                           alpha_safe=args.alpha_safe, seed=seed, **given)
+        config.validate()
+        return config
+
+    return cell
 
 
 def cmd_run(args) -> int:
     if Path(args.out).name in ("", ".."):  # "", ".", "/" or "out/.." name no file
         raise ConfigError(f"--out {args.out!r} names no file")
-    config = _config_from_args(args, args.learner, args.delay_model, args.seed)
+    config = _cells(args)(args.learner, args.delay_model, args.seed)
     trace = run(config)
     paths = emit(trace, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -100,22 +114,15 @@ def cmd_sweep(args) -> int:
         for i, value in enumerate(values):
             if value in values[:i]:  # a repeated cell would overwrite its own files
                 raise ConfigError(f"--{flag} repeats {value!r}")
-    # the base is the grid's first point; each cell is one (delay model, seed)
-    # environment, and the whole grid is checked before the first is built
-    base = _config_from_args(args, learners[0], delay_models[0], seeds[0])
-    grid = []
-    for delay_model, seed in itertools.product(delay_models, seeds):
-        env = dataclasses.replace(base.env, delay_model=delay_model, seed=seed)
-        configs = []
-        for learner in learners:
-            config = dataclasses.replace(base, env=env, learner=learner, seed=seed)
-            config.validate()
-            configs.append(config)
-        grid.append((env, configs))
+    # one row of learners per (delay model, seed) environment; the whole grid
+    # is checked before the first environment is built
+    cell = _cells(args)
+    grid = [[cell(learner, delay_model, seed) for learner in learners]
+            for delay_model, seed in itertools.product(delay_models, seeds)]
     out_dir = Path(args.out)
     summaries = []
-    for env, configs in grid:
-        table, delays = build_environment(env)
+    for configs in grid:
+        table, delays = build_environment(configs[0].env)
         for config in configs:
             trace = run(config, table=table, delays=delays)
             name = f"{config.learner}_{config.env.delay_model}_s{config.seed}"
@@ -209,9 +216,10 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="single configured run")
     _add_config_flags(p_run)
-    p_run.add_argument("--delay-model", default="none", choices=DELAY_MODELS)
-    p_run.add_argument("--learner", default="prudent-banker")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--delay-model", default=EnvironmentConfig.delay_model,
+                       choices=DELAY_MODELS)
+    p_run.add_argument("--learner", default=RunConfig.learner)
+    p_run.add_argument("--seed", type=int, default=RunConfig.seed)
     p_run.set_defaults(func=cmd_run)
 
     # no abbreviations: --seed, --learner and --delay-model would match the grid flags

@@ -29,8 +29,9 @@ CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
 #: CSV columns that change only at a restart or an arrival, so hold few values
 STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
 
-#: desk/paper experiment profiles (horizon, arms, blocks)
-SCALES = {"desk": (20000, 10, 100), "paper": (50000, 100, 500)}
+#: desk/paper experiment profiles; desk is the EnvironmentConfig defaults
+SCALES = {"desk": EnvironmentConfig(),
+          "paper": EnvironmentConfig(horizon=50000, arms=100, blocks=500)}
 
 
 def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
@@ -258,25 +259,3 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
         path.write_text(text)
         written.append(path)
     return written
-
-
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment, and a key is set at most once."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
-    out = {}
-    for raw in text.split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in out:
-            raise ConfigError(f"{path}: key {key!r} is set twice")
-        out[key] = val
-    return out

@@ -60,7 +60,7 @@ class DelaySequence:
     @property
     def total(self) -> int:
         """Total delay D, computed in exact integer arithmetic."""
-        return int(np.sum(self.delays, dtype=object)) if len(self.delays) else 0
+        return int(np.sum(self.delays, dtype=object))
 
 
 class _FeedbackFields(NamedTuple):

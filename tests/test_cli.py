@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from prudentbanker import cli
 from prudentbanker.banker import BankerOMD
 from prudentbanker.errors import ConfigError
+from prudentbanker.harness import RunConfig
+from prudentbanker.protocol import EnvironmentConfig
 from prudentbanker.prudent import build_comparator
 
 
@@ -52,10 +56,50 @@ def test_config_file_beats_profile(configs, tmp_path):
 
 
 def test_absent_flags_leave_the_profile(configs, tmp_path):
-    assert run_main(tmp_path, "--horizon", "100", "--blocks", "4") == 0
-    cfg, = configs
-    assert cfg.delta == 0.01 and cfg.threshold_scale == 1.0
-    assert cfg.env.arms == 10
+    for scale in ([], ["--scale", "paper"]):
+        assert run_main(tmp_path, *scale, "--horizon", "100", "--blocks", "4") == 0
+    desk, paper = configs
+    assert desk == RunConfig(env=EnvironmentConfig(horizon=100, blocks=4))
+    assert paper == RunConfig(env=EnvironmentConfig(horizon=100, arms=100, blocks=4))
+
+
+def test_run_and_a_one_cell_sweep_build_the_same_config(configs, tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text(SHORT + "delta=0.05  # from the file\n")
+    flags = ["--config", str(path), "--scale", "paper", "--arms", "3",
+             "--threshold-scale", "0.5", "--alpha-safe", "0.2",
+             "--regularizer", "tsallis-half"]
+    assert cli.main(["run", *flags, "--learner", "safe-exp3ix", "--delay-model", "lomax",
+                     "--seed", "2", "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["sweep", *flags, "--learners", "safe-exp3ix", "--delay-models", "lomax",
+                     "--seeds", "2", "--out", str(tmp_path / "sweep")]) == 0
+    from_run, from_sweep = configs
+    assert from_run == from_sweep
+    assert from_run == RunConfig(
+        env=EnvironmentConfig(horizon=200, arms=3, blocks=4, delay_model="lomax", seed=2),
+        learner="safe-exp3ix", regularizer="tsallis-half", delta=0.05, alpha_safe=0.2,
+        threshold_scale=0.5, seed=2)
+
+
+def test_load_config_file(tmp_path):
+    p = tmp_path / "cfg"
+    p.write_text("horizon = 500  # rounds\n\ndelta=0.05\n")
+    assert cli.load_config_file(p) == {"horizon": 500, "delta": 0.05}
+    p.write_text("horizon = 500  # rounds\n\nlearner=safe-exp3ix\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: unknown key 'learner'"):
+        cli.load_config_file(p)
+    # two faults: the first faulty line is reported
+    p.write_text("learnr=safe-exp3ix\nhorizon=500\nhorizon=600\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: unknown key 'learnr'"):
+        cli.load_config_file(p)
+
+
+def test_line_without_equals_names_the_path(configs, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("horizon=50\nno equals sign\n")
+    assert cli.main(["run", "--config", "bad.cfg", "--out", "run"]) == 2
+    assert capsys.readouterr().err == "error: bad.cfg: bad config line: 'no equals sign'\n"
+    assert configs == [] and list(tmp_path.iterdir()) == [tmp_path / "bad.cfg"]
 
 
 @pytest.mark.parametrize("line", ["learnr=safe-exp3ix", "delay_model=geometric"])

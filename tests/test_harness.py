@@ -8,7 +8,7 @@ from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ConfigError, NumericalError
 from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
-                                   load_config_file, play, pseudo_loss, run)
+                                   play, pseudo_loss, run)
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig, LossTable
 from prudentbanker.prudent import PrudentBanker, build_comparator, restart_columns
@@ -353,15 +353,6 @@ def test_config_validation():
         cfg.validate()
     with pytest.raises(ConfigError, match="seed"):
         small_cfg(env_seed=-1).validate()
-
-
-def test_load_config_file(tmp_path):
-    p = tmp_path / "cfg"
-    p.write_text("horizon = 500  # rounds\n\nlearner=safe-exp3ix\n")
-    assert load_config_file(p) == {"horizon": "500", "learner": "safe-exp3ix"}
-    p.write_text("no equals sign\n")
-    with pytest.raises(ConfigError):
-        load_config_file(p)
 
 
 # -- errors raised inside a round -------------------------------------------

@@ -149,6 +149,8 @@ def test_delay_sequence_invariants():
         with pytest.raises(ConfigError, match=error):
             DelaySequence(delays=bad)
     assert len(DelaySequence(delays=np.array([0, 5, 0]))) == 3
+    empty = DelaySequence(delays=np.zeros(0, np.int64)).total
+    assert empty == 0 and type(empty) is int
 
 
 def test_delays_none_and_degenerate(monkeypatch):
