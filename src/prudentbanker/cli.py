@@ -13,7 +13,7 @@ import numpy as np
 from . import lowerbound as lb
 from .baselines import BankerOMDLearner
 from .errors import ConfigError
-from .harness import SCALES, RunConfig, build_environment, emit, play, run
+from .harness import RunConfig, build_environment, emit, play, run
 from .mirror import NEG_ENTROPY, REGULARIZERS, Regularizer
 from .protocol import DELAY_MODELS, DelaySequence, EnvironmentConfig, LossTable
 from .rng import RngSampler, stream
@@ -22,6 +22,10 @@ from .rng import RngSampler, stream
 #: keys a --config file may set, with their types; each is also a flag
 CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
                "threshold_scale": float}
+
+#: desk/paper experiment profiles; desk is the EnvironmentConfig defaults
+SCALES = {"desk": EnvironmentConfig(),
+          "paper": EnvironmentConfig(horizon=50000, arms=100, blocks=500)}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -37,13 +41,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def load_config_file(path: str | Path) -> dict[str, int | float]:
-    """Typed CONFIG_KEYS from a flat key=value file; '#' starts a comment.
+    """Typed CONFIG_KEYS from a flat key=value UTF-8 file; '#' starts a comment.
 
     A key is set at most once. A file with several faults reports its first
     faulty line, and every error names the path.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
     except UnicodeDecodeError:

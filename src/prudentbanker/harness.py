@@ -29,10 +29,6 @@ CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
 #: CSV columns that change only at a restart or an arrival, so hold few values
 STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
 
-#: desk/paper experiment profiles; desk is the EnvironmentConfig defaults
-SCALES = {"desk": EnvironmentConfig(),
-          "paper": EnvironmentConfig(horizon=50000, arms=100, blocks=500)}
-
 
 def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
     """Expected loss <p_t, l_t> of playing distribution p_t."""

@@ -151,36 +151,25 @@ class PrudentBanker:
         self.tf = ThresholdFunctions.for_regularizer(reg, horizon, scale=threshold_scale)
 
         self.base = BankerOMD(reg)
-        self.stage = 1
-        self.delay_estimate = 1
         self.stage_start = 1
         self.stage_delay = 0  # realized delay of arrived feedback, current stage
-        self.phase = 1
-        self.alpha = min(1.0 / self.tf.rhat(self.delay_estimate), 1.0)
-        self.threshold = self.tf.restart_threshold(self.delay_estimate)  # B(D-hat)
         self.restarts: list[RestartRecord] = []
-
-    @property
-    def gap(self) -> float:
-        """Gap statistic of the loss sums the ledger applied in this phase."""
-        return gap_statistic(self.base.g.total, self.xc)
+        self._enter(1, 1)
 
     # -- round loop ---------------------------------------------------------
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
-        restarted = self._check_hard_restart(t)
-        if restarted:
+        if self.stage_delay > self.delay_estimate:  # hard restart
+            trigger = self.stage_delay
+            self._restart(t, "hard", float(trigger), next_delay_estimate(trigger), 1)
+            self.stage_start, self.stage_delay = t + 1, 0
             # The restart round still plays the mixture, anchored at the reset
             # base point; it is not part of the new stage's ledger.
-            xhat = self.reg.x0
-            commit = False
-        else:
-            xhat = self.base.begin_round(t)
-            commit = True
-        x = self.alpha * xhat + (1.0 - self.alpha) * self.xc
+            x = self.alpha * self.reg.x0 + (1.0 - self.alpha) * self.xc
+            return x, self.sampler.draw(x)
+        x = self.alpha * self.base.begin_round(t) + (1.0 - self.alpha) * self.xc
         arm = self.sampler.draw(x)
-        if commit:
-            self.base.commit(t, x, arm)
+        self.base.commit(t, x, arm)
         return x, arm
 
     def receive(self, events: list[FeedbackEvent], t: int) -> None:
@@ -188,36 +177,28 @@ class PrudentBanker:
             if ev.origin_round >= self.stage_start:
                 self.stage_delay += ev.delay
             self.base.ingest(ev)
-        self._check_soft_restart(t)
-
-    # -- restarts -----------------------------------------------------------
-
-    def _check_hard_restart(self, t: int) -> bool:
-        if self.stage_delay <= self.delay_estimate:
-            return False
-        trigger = self.stage_delay
-        self.stage += 1
-        self.stage_start = t + 1
-        self.stage_delay = 0
-        self._restart(t, "hard", float(trigger), next_delay_estimate(trigger), 1)
-        return True
-
-    def _check_soft_restart(self, t: int) -> None:
         if self.alpha >= 1.0:
             return
-        gap = self.gap
+        # soft restart when the gap of this phase's loss sums exceeds B(D-hat)
+        gap = gap_statistic(self.base.g.total, self.xc)
         if gap <= self.threshold:
             return
         self._restart(t, "soft", gap, self.delay_estimate, self.phase + 1)
 
+    # -- restarts -----------------------------------------------------------
+
+    def _enter(self, estimate: int, phase: int) -> None:
+        """Enter `phase` under D-hat = `estimate`: alpha = min(2^(phase-1) / R-hat, 1)."""
+        self.delay_estimate = estimate
+        self.phase = phase
+        self.alpha = min(2.0 ** (phase - 1) / self.tf.rhat(estimate), 1.0)
+        self.threshold = self.tf.restart_threshold(estimate)  # B(D-hat)
+
     def _restart(self, t: int, kind: str, trigger: float, estimate: int, phase: int) -> None:
         """Log the restart and start `phase` at round t + 1 under `estimate`."""
-        alpha = min(2.0 ** (phase - 1) / self.tf.rhat(estimate), 1.0)
+        old_estimate = self.delay_estimate
+        self._enter(estimate, phase)
         self.restarts.append(RestartRecord(
-            round=t, kind=kind, trigger=trigger, old_estimate=self.delay_estimate,
-            new_estimate=estimate, new_phase=phase, new_alpha=alpha))
-        self.delay_estimate = estimate
-        self.threshold = self.tf.restart_threshold(estimate)
-        self.phase = phase
-        self.alpha = alpha
+            round=t, kind=kind, trigger=trigger, old_estimate=old_estimate,
+            new_estimate=estimate, new_phase=phase, new_alpha=self.alpha))
         self.base.reset(t + 1)

@@ -137,6 +137,15 @@ def test_non_utf8_config_file_exits_2(configs, tmp_path, capsys):
     assert configs == []
 
 
+def test_config_file_with_a_byte_order_mark(configs, tmp_path):
+    for name, head in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(head + SHORT.encode())
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    plain, bom = configs
+    assert bom == plain == RunConfig(env=EnvironmentConfig(horizon=200, blocks=4))
+
+
 def test_verify_seeds_the_learner(configs, capsys):
     assert cli.main(["verify", "--seed", "3"]) == 0
     cfg, = configs

@@ -125,7 +125,7 @@ def test_hard_restart_fires_and_resets():
     learner = make_learner()
     learner.stage_delay = 3
     dist, _ = learner.act(5)
-    assert learner.stage == 2
+    assert [r.kind for r in learner.restarts] == ["hard"]
     assert learner.delay_estimate == 4
     assert learner.stage_start == 6 and learner.base.phase_start == 6
     assert learner.phase == 1 and learner.stage_delay == 0
@@ -148,7 +148,7 @@ def test_no_hard_restart_below_estimate():
     learner.delay_estimate = 8
     learner.stage_delay = 8
     learner.act(5)
-    assert learner.stage == 1 and learner.delay_estimate == 8
+    assert not learner.restarts and learner.delay_estimate == 8
 
 
 def test_restart_round_feedback_excluded_from_new_stage():
@@ -197,6 +197,29 @@ def test_soft_restart_threshold_follows_the_delay_estimate():
     learner.base.g.total[1] = -1.01 * b4 / (1.0 - 0.1)
     learner.receive([], 7)
     assert learner.phase == 2 and learner.restarts[-1].kind == "soft"
+
+
+def test_every_phase_is_entered_by_one_rule():
+    """alpha = min(2^(phase-1) / R-hat(D-hat), 1) and B(D-hat), exactly, at the
+    first phase and after a hard and a soft restart."""
+    def assert_entered(learner, estimate, phase):
+        assert (learner.delay_estimate, learner.phase) == (estimate, phase)
+        assert learner.alpha == min(2.0 ** (phase - 1) / learner.tf.rhat(estimate), 1.0)
+        assert learner.threshold == learner.tf.restart_threshold(estimate)
+
+    learner = make_learner()
+    assert_entered(learner, 1, 1)
+    assert learner.alpha < 0.25  # doubling alpha twice still leaves it below 1
+    learner.stage_delay = 3
+    learner.act(5)  # hard restart: D-hat 1 -> 4
+    assert_entered(learner, 4, 1)
+    hard = learner.restarts[-1]
+    assert (hard.kind, hard.old_estimate, hard.new_alpha) == ("hard", 1, learner.alpha)
+    learner.base.g.total[1] = -1.01 * learner.threshold / (1.0 - 0.1)  # gap > B(4)
+    learner.receive([], 6)  # soft restart: phase 1 -> 2
+    assert_entered(learner, 4, 2)
+    soft = learner.restarts[-1]
+    assert (soft.kind, soft.old_estimate, soft.new_alpha) == ("soft", 4, learner.alpha)
 
 
 def test_no_soft_restart_at_full_aggression():
@@ -300,10 +323,11 @@ def test_gap_stays_below_threshold_inside_phases():
     receive = learner.receive
 
     def checked_receive(events, t):
-        phase_before = (learner.stage, learner.phase)
+        restarts_before = len(learner.restarts)
         receive(events, t)
-        if (learner.stage, learner.phase) == phase_before and learner.alpha < 1.0:
-            assert learner.gap <= learner.tf.restart_threshold(learner.delay_estimate)
+        if len(learner.restarts) == restarts_before and learner.alpha < 1.0:
+            gap = gap_statistic(learner.base.g.total, learner.xc)
+            assert gap <= learner.tf.restart_threshold(learner.delay_estimate)
 
     learner.receive = checked_receive
     play(learner, table, delays)
