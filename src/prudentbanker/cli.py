@@ -76,7 +76,7 @@ def _cells(args):
     """Builder of the run config of one (learner, delay model, seed) cell.
 
     A flag beats a --config file, which beats the --scale profile; a setting
-    given by neither keeps RunConfig's default. Each cell is validated when
+    given by neither keeps RunConfig's default. A config checks itself when
     built, so a bad flag exits 2 before anything runs.
     """
     given = load_config_file(args.config) if args.config else {}
@@ -88,10 +88,8 @@ def _cells(args):
     def cell(learner: str, delay_model: str, seed: int) -> RunConfig:
         env = dataclasses.replace(SCALES[args.scale], delay_model=delay_model,
                                   seed=seed, **env_given)
-        config = RunConfig(env=env, learner=learner, regularizer=args.regularizer,
-                           alpha_safe=args.alpha_safe, seed=seed, **given)
-        config.validate()
-        return config
+        return RunConfig(env=env, learner=learner, regularizer=args.regularizer,
+                         alpha_safe=args.alpha_safe, seed=seed, **given)
 
     return cell
 

@@ -7,19 +7,18 @@ the master seed, so swapping learners never perturbs the environment.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines
 from .errors import ConfigError
-from .mirror import NEG_ENTROPY, REGULARIZERS, Regularizer
+from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses,
                        sample_delays)
-from .prudent import PrudentBanker, build_comparator, restart_columns
+from .prudent import PrudentBanker, ThresholdFunctions, build_comparator, restart_columns
 from .rng import RngSampler, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
@@ -46,9 +45,11 @@ def best_fixed_arm(table: LossTable) -> tuple[int, np.ndarray]:
     return istar, np.cumsum(table.losses[:, istar])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    env: EnvironmentConfig = field(default_factory=EnvironmentConfig)
+    """The settings of one run, checked when built and immutable."""
+
+    env: EnvironmentConfig = EnvironmentConfig()
     learner: str = "prudent-banker"
     regularizer: str = NEG_ENTROPY
     delta: float = 0.01
@@ -56,22 +57,18 @@ class RunConfig:
     threshold_scale: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
-        self.env.validate()
+    def __post_init__(self):
         if self.learner not in LEARNERS:
             raise ConfigError(f"unknown learner {self.learner!r}")
-        if self.regularizer not in REGULARIZERS:
-            raise ConfigError(f"unknown regularizer {self.regularizer!r}")
         if self.env.arms < 2 and self.learner in ("prudent-banker", "banker-omd"):
             # their step size divides by C1, which is 0 on one arm
             raise ConfigError(f"{self.learner} needs at least 2 arms")
-        if not (0.0 < self.delta <= 1.0 / self.env.arms):
-            raise ConfigError("delta must lie in (0, 1/arms]")
-        if not (0.0 < self.threshold_scale < math.inf):
-            raise ConfigError("threshold_scale must be positive and finite")
+        # the regularizer kind, delta and threshold scale are checked by their owners
+        reg = Regularizer(self.regularizer, self.env.arms, self.delta)
+        ThresholdFunctions.for_regularizer(reg, self.env.horizon, self.threshold_scale)
         if not (0.0 <= self.alpha_safe <= 1.0):
             raise ConfigError("alpha_safe must lie in [0, 1]")
-        if min(self.seed, self.env.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
 
@@ -194,7 +191,6 @@ def run(config: RunConfig, table: LossTable | None = None,
     environment across learners; by default both are generated from the seed.
     Errors inside a round carry a "round t" note (see ``play``).
     """
-    config.validate()
     if (table is None) != (delays is None):
         raise ConfigError("pass both table and delays, or neither")
     if table is None:

@@ -98,15 +98,17 @@ class FeedbackEvent(_FeedbackFields):
 P_ACTIVE, Q_GEO, LOMAX_SHAPE, LOMAX_SCALE = 0.03, 0.4, 2.5, 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvironmentConfig:
+    """The settings of one environment, checked when built and immutable."""
+
     horizon: int = 20000
     arms: int = 10
     blocks: int = 100
     delay_model: str = "none"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
         if self.arms < 1:
@@ -115,6 +117,8 @@ class EnvironmentConfig:
             raise ConfigError("need 1 <= blocks <= horizon")
         if self.delay_model not in DELAY_MODELS:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -> LossTable:
@@ -130,7 +134,6 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     still out of range. Every pass works through REDRAW_CHUNK entries at a
     time, so no mask or index array the size of the table is ever built.
     """
-    config.validate()
     T, A, B = config.horizon, config.arms, config.blocks
     means = rng.uniform(0.0, 1.0, size=(A, B))
     sds = rng.uniform(0.1, 0.2, size=(A, B))
@@ -169,7 +172,6 @@ def _outside(x: np.ndarray) -> np.ndarray:
 
 def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelaySequence:
     """Draw a delay sequence from the configured model."""
-    config.validate()
     T = config.horizon
     model = config.delay_model
     if model == "none":

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -61,6 +62,25 @@ def test_absent_flags_leave_the_profile(configs, tmp_path):
     desk, paper = configs
     assert desk == RunConfig(env=EnvironmentConfig(horizon=100, blocks=4))
     assert paper == RunConfig(env=EnvironmentConfig(horizon=100, arms=100, blocks=4))
+
+
+def test_profiles_cannot_be_changed(monkeypatch, tmp_path):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cli.SCALES["desk"].horizon = 50
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def recording_run(config):
+        seen.append(config)
+        raise Stop  # the config is all this test needs; skip the 20000 rounds
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    with pytest.raises(Stop):
+        cli.main(["run", "--out", str(tmp_path / "run")])
+    cfg, = seen
+    assert cfg.env == EnvironmentConfig()
 
 
 def test_run_and_a_one_cell_sweep_build_the_same_config(configs, tmp_path):
@@ -203,13 +223,15 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
                                   *(["run", "--horizon", "50", "--blocks", "5", "--out", out]
                                     for out in ("", ".", "/", "out/..")),
                                   ["run", "--config", "missing.cfg"],
-                                  ["run", "--config", "."]],
+                                  ["run", "--config", "."],
+                                  ["run", "--horizon", "50"]],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
                               "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
                               "sweep-negative-seed", "lowerbound-negative-seed",
                               "verify-negative-seed", "run-one-arm", "threshold-scale-nan",
                               "threshold-scale-inf", "out-empty", "out-dot", "out-root",
-                              "out-dotdot", "config-missing", "config-directory"])
+                              "out-dotdot", "config-missing", "config-directory",
+                              "profile-blocks-above-horizon"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ def small_cfg(learner="prudent-banker", horizon=300, **kw):
     env = EnvironmentConfig(horizon=horizon, arms=4, blocks=5,
                             delay_model=kw.pop("delay_model", "geometric"),
                             seed=kw.pop("env_seed", 0))
-    return RunConfig(env=env, learner=learner, delta=0.1, seed=0, **kw)
+    return RunConfig(env=env, learner=learner, **{"delta": 0.1, "seed": 0, **kw})
 
 
 # -- metrics ----------------------------------------------------------------
@@ -334,26 +336,35 @@ def test_run_rejects_a_lone_or_mismatched_environment():
 # -- config handling --------------------------------------------------------
 
 def test_config_validation():
-    cfg = small_cfg()
-    cfg.learner = "mystery"
     with pytest.raises(ConfigError):
-        run(cfg)
-    cfg = small_cfg()
-    cfg.delta = 0.5  # > 1/arms
+        small_cfg(learner="mystery")
     with pytest.raises(ConfigError):
-        run(cfg)
-    cfg = small_cfg(threshold_scale=-1.0)
+        small_cfg(delta=0.5)  # > 1/arms
     with pytest.raises(ConfigError):
-        run(cfg)
-    # every learner is given the Regularizer, so the kind is checked for every learner
+        small_cfg(threshold_scale=-1.0)
+    # the config builds the Regularizer whatever the learner, so the kind is
+    # checked for every learner
     with pytest.raises(ConfigError, match="regularizer"):
-        small_cfg("play-comparator", regularizer="mystery").validate()
-    cfg = small_cfg()
-    cfg.seed = -1
+        small_cfg("play-comparator", regularizer="mystery")
     with pytest.raises(ConfigError, match="seed"):
-        cfg.validate()
+        small_cfg(seed=-1)
     with pytest.raises(ConfigError, match="seed"):
-        small_cfg(env_seed=-1).validate()
+        small_cfg(env_seed=-1)
+
+
+def test_configs_are_checked_when_built():
+    run_config, env_config = RunConfig(), EnvironmentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run_config.delta = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        env_config.blocks = 0
+    # replace builds a new config, so the copy is checked too
+    with pytest.raises(ConfigError, match="delta"):
+        dataclasses.replace(run_config, delta=2.0)
+    with pytest.raises(ConfigError, match="blocks"):
+        dataclasses.replace(env_config, blocks=0)
+    with pytest.raises(ConfigError, match="seed"):
+        EnvironmentConfig(seed=-1)
 
 
 # -- errors raised inside a round -------------------------------------------
