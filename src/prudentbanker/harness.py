@@ -16,8 +16,8 @@ from . import baselines
 from .errors import ConfigError
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
-                       FeedbackQueue, LossTable, generate_block_losses,
-                       sample_delays)
+                       FeedbackQueue, LossTable, check_integer,
+                       generate_block_losses, sample_delays)
 from .prudent import PrudentBanker, ThresholdFunctions, build_comparator, restart_columns
 from .rng import RngSampler, stream
 
@@ -68,6 +68,7 @@ class RunConfig:
         ThresholdFunctions.for_regularizer(reg, self.env.horizon, self.threshold_scale)
         if not (0.0 <= self.alpha_safe <= 1.0):
             raise ConfigError("alpha_safe must lie in [0, 1]")
+        check_integer("seed", self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

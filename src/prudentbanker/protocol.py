@@ -6,6 +6,7 @@ round t + d_t and is first usable for the decision at round t + d_t + 1.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,6 +99,17 @@ class FeedbackEvent(_FeedbackFields):
 P_ACTIVE, Q_GEO, LOMAX_SHAPE, LOMAX_SCALE = 0.03, 0.4, 2.5, 1.0
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError naming `name` unless `value` is an integer.
+
+    numpy integers pass; a float such as 1.5, or even 2.0, does not.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EnvironmentConfig:
     """The settings of one environment, checked when built and immutable."""
@@ -109,6 +121,8 @@ class EnvironmentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("horizon", "arms", "blocks", "seed"):
+            check_integer(name, getattr(self, name))
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
         if self.arms < 1:
@@ -127,7 +141,10 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     Each arm/block pair gets a mean ~ Unif(0,1) and a stddev ~ Unif(0.1,0.2);
     per-round losses are normal draws truncated to [0, 1] (rejection sampling
     with at most 100 attempts, then clamping the whole table if any entry is
-    still out of range). Block b holds rows [b w, (b + 1) w) with
+    still out of range). Each draw is a standard normal z, scaled and shifted
+    in place as z * sd + mean: the same stream, one z per entry in C order,
+    and the same bits as ``rng.normal(mean, sd)``, which computes
+    mean + sd * z. Block b holds rows [b w, (b + 1) w) with
     w = floor(T/B) + 1; B w > T, so the last blocks may be short or empty.
 
     Redraws go pass by pass, each pass in row-major order over the entries
@@ -142,14 +159,19 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     losses = np.empty((T, A))
     for b, start in enumerate(range(0, T, width)):
         rows = losses[start:start + width]
-        rows[:] = rng.normal(means[:, b], sds[:, b], size=rows.shape)
+        rng.standard_normal(out=rows)
+        rows *= sds[:, b]
+        rows += means[:, b]
 
     flat = losses.reshape(-1)  # a view
 
     def redraw(i):
         """Redraw flat entries i; return those still out of range."""
-        a, b = i % A, i // (width * A)
-        x = rng.normal(means[a, b], sds[a, b])
+        row = i // A
+        k = (i - row * A) * B + row // width  # flat index of (arm, block) in means
+        x = rng.standard_normal(len(i))
+        x *= sds.take(k)
+        x += means.take(k)
         flat[i] = x
         return i[_outside(x)]
 

@@ -367,6 +367,12 @@ def test_configs_are_checked_when_built():
         EnvironmentConfig(seed=-1)
 
 
+def test_run_config_needs_an_integer_seed():
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        small_cfg(seed=1.5)
+    assert small_cfg(seed=np.int64(1)) == small_cfg(seed=1)
+
+
 # -- errors raised inside a round -------------------------------------------
 
 class TwoArgError(Exception):

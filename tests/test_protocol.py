@@ -62,10 +62,12 @@ def reference_block_losses(T, A, B, rng):
 # (T, A, B): single round, B = T, and 20000/500 with 12 empty trailing blocks
 SHAPES = [(1, 1, 1), (1, 4, 1), (2, 3, 2), (6, 2, 2), (10, 3, 10), (97, 5, 13),
           (200, 3, 5), (1000, 10, 1000), (20000, 10, 500)]
+# the one shape that paper-scale runs build: 2 M entries, about 350 k redrawn
+PAPER_SHAPE = (20000, 100, 500)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("T,A,B", SHAPES)
+@pytest.mark.parametrize("T,A,B,seed", [(*shape, seed) for shape in SHAPES for seed in (0, 1, 7)]
+                         + [(*PAPER_SHAPE, 0)])
 def test_block_losses_match_reference(T, A, B, seed):
     ref_rng, rng = stream(seed, "losses"), stream(seed, "losses")
     expected = reference_block_losses(T, A, B, ref_rng)
@@ -95,8 +97,14 @@ class WideNormal:
     def uniform(self, low, high, size=None):
         return self.rng.uniform(low, high, size)
 
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
+        z *= 500.0
+        return z
+
     def normal(self, loc, scale, size=None):
-        return self.rng.normal(loc, np.multiply(scale, 500.0), size)
+        shape = np.broadcast(loc, scale).shape if size is None else size
+        return loc + scale * self.standard_normal(shape)
 
 
 @pytest.mark.parametrize("chunk", [7, protocol.REDRAW_CHUNK])
@@ -125,11 +133,26 @@ def test_block_losses_build_no_table_sized_temporary():
     assert peak - table.losses.nbytes <= 0.25 * table.losses.nbytes
 
 
-def test_block_losses_config_errors():
-    with pytest.raises(ConfigError):
-        generate_block_losses(EnvironmentConfig(horizon=5, blocks=6), stream(0, "x"))
-    with pytest.raises(ConfigError):
-        generate_block_losses(EnvironmentConfig(horizon=5, blocks=0), stream(0, "x"))
+def test_environment_config_needs_blocks_from_one_to_horizon():
+    with pytest.raises(ConfigError, match="blocks"):
+        EnvironmentConfig(horizon=5, blocks=6)
+    with pytest.raises(ConfigError, match="blocks"):
+        EnvironmentConfig(horizon=5, blocks=0)
+
+
+@pytest.mark.parametrize("field", ["horizon", "arms", "blocks", "seed"])
+def test_environment_config_needs_integer_sizes_and_seed(field):
+    # a float seed would otherwise be truncated by rng.stream, and a float
+    # size would fail only inside generate_block_losses
+    for value in (1.5, 2.0):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            EnvironmentConfig(**{"horizon": 100, "blocks": 5, field: value})
+
+
+def test_environment_config_accepts_numpy_integers():
+    cfg = EnvironmentConfig(horizon=np.int64(100), arms=np.int32(3), blocks=np.uint8(5),
+                            seed=np.int64(2))
+    assert cfg == EnvironmentConfig(horizon=100, arms=3, blocks=5, seed=2)
 
 
 def test_loss_table_invariants():
