@@ -20,6 +20,13 @@ from .mirror import Regularizer
 from .protocol import FeedbackEvent
 
 
+class OneStage:
+    """The stage read-outs of a learner without stages: stage 1, phase 1 and alpha = 1."""
+    alpha = 1.0
+    delay_estimate = 0
+    restarts = ()
+
+
 def cucb_bounds(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
                 delta_ucb: float, default_arm: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-arm (LCB, UCB) reward bounds at 0-indexed round t0.
@@ -46,7 +53,7 @@ def cucb_bounds(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
     return lcb, ucb
 
 
-class ConservativeUCB:
+class ConservativeUCB(OneStage):
     """Conservative-UCB with delayed observations.
 
     Plays the UCB-optimistic candidate only if a pessimistic budget check
@@ -99,7 +106,7 @@ def exp3ix_rate(arms: int, horizon: int) -> float:
     return min(0.5, math.sqrt(math.log(arms) / (arms * horizon)))
 
 
-class SafeExp3IX:
+class SafeExp3IX(OneStage):
     """EXP3-IX behind a conservative budget gate.
 
     Default-arm plays are credited at the known mean r0 immediately;
@@ -151,7 +158,7 @@ class SafeExp3IX:
             self.budget += 1.0 - ev.loss_value
 
 
-class BankerOMDLearner:
+class BankerOMDLearner(OneStage):
     """Unconstrained Banker-OMD (ablation): no comparator, no restarts."""
 
     def __init__(self, reg: Regularizer, sampler):
@@ -169,7 +176,7 @@ class BankerOMDLearner:
             self.base.ingest(ev)
 
 
-class PlayDistribution:
+class PlayDistribution(OneStage):
     """Plays a fixed distribution every round (comparator or point mass)."""
 
     def __init__(self, dist: np.ndarray, sampler):

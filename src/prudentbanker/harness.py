@@ -7,7 +7,7 @@ the master seed, so swapping learners never perturbs the environment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ class RunConfig:
     alpha_safe: float = 0.1
     threshold_scale: float = 1.0
     seed: int = 0
+    reg: Regularizer = field(init=False, compare=False, repr=False)  # built by __post_init__
 
     def __post_init__(self):
         if self.learner not in LEARNERS:
@@ -64,8 +65,8 @@ class RunConfig:
             # their step size divides by C1, which is 0 on one arm
             raise ConfigError(f"{self.learner} needs at least 2 arms")
         # the regularizer kind, delta and threshold scale are checked by their owners
-        reg = Regularizer(self.regularizer, self.env.arms, self.delta)
-        ThresholdFunctions.for_regularizer(reg, self.env.horizon, self.threshold_scale)
+        object.__setattr__(self, "reg", Regularizer(self.regularizer, self.env.arms, self.delta))
+        ThresholdFunctions.for_regularizer(self.reg, self.env.horizon, self.threshold_scale)
         if not (0.0 <= self.alpha_safe <= 1.0):
             raise ConfigError("alpha_safe must lie in [0, 1]")
         check_integer("seed", self.seed)
@@ -115,12 +116,11 @@ def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
     """The configured learner; xc is the comparator anchored on arm istar."""
     A, T = config.env.arms, config.env.horizon
     sampler = RngSampler(stream(config.seed, f"action:{config.learner}"))
-    reg = Regularizer(config.regularizer, A, config.delta)
     name = config.learner
     if name == "prudent-banker":
-        return PrudentBanker(reg, xc, T, sampler, threshold_scale=config.threshold_scale)
+        return PrudentBanker(config.reg, xc, T, sampler, threshold_scale=config.threshold_scale)
     if name == "banker-omd":
-        return baselines.BankerOMDLearner(reg, sampler)
+        return baselines.BankerOMDLearner(config.reg, sampler)
     if name == "conservative-ucb":
         return baselines.ConservativeUCB(A, istar, r0, T, alpha_safe=config.alpha_safe)
     if name == "safe-exp3ix":
@@ -206,13 +206,12 @@ def run(config: RunConfig, table: LossTable | None = None,
     r0 = float(np.mean(1.0 - table.losses[:, istar]))
     xc = build_comparator(A, config.delta, istar)
     learner = make_learner(config, istar, r0, xc)
-    alpha0 = getattr(learner, "alpha", 1.0)
+    alpha0 = learner.alpha
     cols = play(learner, table, delays)
 
     loss_B = np.cumsum(cols.loss)
     loss_c = np.cumsum(table.losses @ xc)
-    restarts = getattr(learner, "restarts", [])
-    stage, phase, alpha = restart_columns(restarts, alpha0, T)
+    stage, phase, alpha = restart_columns(learner.restarts, alpha0, T)
     summary = {
         "learner": config.learner,
         "seed": int(config.seed),
@@ -225,9 +224,9 @@ def run(config: RunConfig, table: LossTable | None = None,
         "r0_source": "oracle (hindsight best arm)",
         "comparator_anchor_source": "oracle (hindsight best arm)",
         "stages": int(stage[-1]),
-        "phases": len(restarts) + 1,
+        "phases": len(learner.restarts) + 1,
         "final_alpha": float(alpha[-1]),
-        "final_delay_estimate": int(getattr(learner, "delay_estimate", 0)),
+        "final_delay_estimate": int(learner.delay_estimate),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,

@@ -249,6 +249,11 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
 # safety-gap identity probe
 # ---------------------------------------------------------------------------
 
+#: table entries per chunk of rows in the safety-gap probe: its trials x slots
+#: tables are drawn and reduced a chunk of rows at a time; only Z, as bool, is kept whole
+PROBE_CHUNK = 1 << 18
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     mean_regret: float
@@ -274,28 +279,33 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     """
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
+    if policy not in ("arm1", "arm2", "comparator"):
+        raise PreconditionError(f"unknown policy {policy!r}")
     eps = np.repeat(instance.eps, instance.lengths)
     weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
     delta = instance.delta
     n_slots = len(eps)
+    rows = max(1, PROBE_CHUNK // n_slots)
+    chunks = [slice(lo, lo + rows) for lo in range(0, trials, rows)]
 
-    # arm-2 losses under E+, one row per trial
-    Z = (rng.random((trials, n_slots)) < 0.5 + eps).astype(float)
-    comp_loss = np.sum(0.5 * (1.0 - delta) + delta * Z, axis=1)
+    # arm-2 losses under E+, one row per trial; all of Z is drawn before any U
+    Z = np.empty((trials, n_slots), dtype=bool)
+    comp_loss = np.empty(trials)
+    for c in chunks:
+        z = Z[c]
+        np.less(rng.random(z.shape), 0.5 + eps, out=z)
+        comp_loss[c] = np.sum(0.5 * (1.0 - delta) + delta * z, axis=1)
 
-    if policy == "arm1":
-        play2 = np.zeros((trials, n_slots), dtype=bool)
-    elif policy == "arm2":
-        play2 = np.ones((trials, n_slots), dtype=bool)
-    elif policy == "comparator":
-        # with probability delta the comparator puts us on the biased arm
-        U = rng.random((trials, n_slots))
-        play2 = U < delta
-    else:
-        raise PreconditionError(f"unknown policy {policy!r}")
-
-    learner_loss = np.sum(np.where(play2, Z, 0.5), axis=1)
-    W = play2 @ weights
+    learner_loss, W = np.empty(trials), np.empty(trials)
+    for c in chunks:
+        z = Z[c]
+        if policy == "comparator":
+            # with probability delta the comparator puts us on the biased arm
+            play2 = rng.random(z.shape) < delta
+        else:
+            play2 = np.full(z.shape, policy == "arm2")
+        learner_loss[c] = np.sum(np.where(play2, z, 0.5), axis=1)
+        W[c] = play2 @ weights
     regret = learner_loss - comp_loss
     scale = instance.gamma * math.sqrt(instance.V)
     residual = regret - scale * (W - delta)

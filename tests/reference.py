@@ -155,3 +155,29 @@ def block_losses_by_block(instance: HardInstancePair, sign: int,
         block[:, SPECIAL_ARM] = (u < 0.5 + sign * e).astype(float)
         out.append(block)
     return out
+
+
+def stage_schedule(delays: DelaySequence) -> list[tuple[int, int, int]]:
+    """Prudent-Banker's hard restarts as (round, trigger, new estimate), from the delays alone.
+
+    D-hat starts at 1. Round t restarts when the delays of the stage's rounds
+    whose feedback arrived by the end of round t - 1 sum to more than D-hat;
+    the sum is the trigger, and D-hat becomes the least power of two at or
+    above it. The next stage starts at round t + 1; feedback that arrives
+    after round T is never seen.
+    """
+    d = [int(x) for x in delays.delays]
+    T = len(d)
+    arriving = {}  # round -> origin rounds whose feedback arrives at its end
+    for u in range(1, T + 1):
+        arriving.setdefault(u + d[u - 1], []).append(u)
+    estimate, stage_start, stage_delay, restarts = 1, 1, 0, []
+    for t in range(1, T + 1):
+        if stage_delay > estimate:
+            estimate = 1
+            while estimate < stage_delay:
+                estimate *= 2
+            restarts.append((t, stage_delay, estimate))
+            stage_start, stage_delay = t + 1, 0
+        stage_delay += sum(d[u - 1] for u in arriving.get(t, ()) if u >= stage_start)
+    return restarts

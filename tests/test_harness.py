@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prudentbanker import harness
-from prudentbanker.baselines import BankerOMDLearner
+from prudentbanker.baselines import BankerOMDLearner, OneStage
 from prudentbanker.errors import ConfigError, NumericalError
 from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
@@ -16,7 +16,7 @@ from prudentbanker.protocol import DelaySequence, EnvironmentConfig, LossTable
 from prudentbanker.prudent import PrudentBanker, build_comparator, restart_columns
 from prudentbanker.rng import RngSampler, stream
 
-from reference import csv_string_each_entry, outstanding_counters, parse_csv
+from reference import csv_string_each_entry, outstanding_counters, parse_csv, stage_schedule
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):
@@ -132,22 +132,30 @@ def assert_columns_match(readings, stage, phase, alpha):
     np.testing.assert_array_equal(alpha, want_alpha)
 
 
-def test_play_columns_build_the_trace():
+def test_play_columns_build_the_trace(monkeypatch):
     # the desk geometric run at threshold_scale 0.02 has both kinds of restart
     cfg = RunConfig(env=EnvironmentConfig(delay_model="geometric"), threshold_scale=0.02)
-    table, delays = build_environment(cfg.env)
-    trace = run(cfg, table, delays, keep_learner=True)
+    real_make_learner, watched = harness.make_learner, []
+
+    def make_learner(*args):
+        learner = real_make_learner(*args)
+        watched.append(watch_restart_state(learner))
+        return learner
+
+    monkeypatch.setattr(harness, "make_learner", make_learner)
+    trace = run(cfg, keep_learner=True)
     assert {r.kind for r in trace.learner.restarts} == {"hard", "soft"}
-    istar, _ = best_fixed_arm(table)
-    learner = harness.make_learner(cfg, istar, trace.summary["r0"],
-                                   build_comparator(cfg.env.arms, cfg.delta, istar))
-    readings = watch_restart_state(learner)
-    cols = play(learner, table, delays)
+    [readings] = watched
     assert_columns_match(readings, trace.stage, trace.phase, trace.alpha)
-    np.testing.assert_array_equal(np.cumsum(cols.loss), trace.loss_B)
-    # the played arm's loss is the feedback the learner saw
-    base = trace.learner.base
-    for u, rec in base.records.items():
+
+
+def test_play_arm_column_is_the_played_arm():
+    cfg = small_cfg(horizon=300)
+    table, delays = build_environment(cfg.env)
+    learner = harness.make_learner(cfg, 0, 0.5, build_comparator(cfg.env.arms, cfg.delta, 0))
+    cols = play(learner, table, delays)
+    assert learner.base.records
+    for u, rec in learner.base.records.items():
         assert rec.arm == cols.arm[u - 1]
 
 
@@ -221,6 +229,23 @@ def test_prudent_stage_bound_and_doubling(delays, seed):
     # ceil(log2 D) + 1 in exact integers; a single stage when D <= 1
     bound = (max(delays.total, 1) - 1).bit_length() + 1
     assert len(hard) + 1 == stage[-1] <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(delays=delay_sequences(), seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=2))
+def test_hard_restarts_depend_only_on_the_delays(delays, seeds):
+    # two loss tables and two threshold scales move the soft restarts, not the hard ones
+    T = len(delays)
+    schedule = stage_schedule(delays)
+    for seed in seeds:
+        for scale in (1.0, 0.01):
+            learner = PrudentBanker(Regularizer(NEG_ENTROPY, 3, 0.1),
+                                    build_comparator(3, 0.1, 0), T,
+                                    RngSampler(stream(seed, "act")), threshold_scale=scale)
+            play(learner, random_table(T, seed), delays)
+            hard = [(r.round, r.trigger, r.new_estimate)
+                    for r in learner.restarts if r.kind == "hard"]
+            assert hard == schedule, (seed, scale)
 
 
 # -- serialization ----------------------------------------------------------
@@ -367,10 +392,55 @@ def test_configs_are_checked_when_built():
         EnvironmentConfig(seed=-1)
 
 
+def test_run_config_keeps_the_regularizer_it_checked():
+    cfg = small_cfg(regularizer="tsallis-half")
+    assert (cfg.reg.kind, cfg.reg.arms, cfg.reg.delta) == ("tsallis-half", 4, 0.1)
+    # equal configs compare equal whatever their regularizer objects
+    assert small_cfg() == small_cfg() and small_cfg().reg is not small_cfg().reg
+    assert dataclasses.replace(cfg, delta=0.2).reg.delta == 0.2
+
+
 def test_run_config_needs_an_integer_seed():
     with pytest.raises(ConfigError, match="seed must be an integer"):
         small_cfg(seed=1.5)
     assert small_cfg(seed=np.int64(1)) == small_cfg(seed=1)
+
+
+# -- the stage read-outs of every learner -----------------------------------
+
+def assert_stage_read_outs(name, learner):
+    assert isinstance(learner.alpha, float) and 0.0 < learner.alpha <= 1.0
+    assert isinstance(learner.delay_estimate, int)
+    assert all(r.kind in ("hard", "soft") for r in learner.restarts)
+    if name != "prudent-banker":
+        assert (learner.alpha, learner.delay_estimate, learner.restarts) == (1.0, 0, ())
+
+
+@pytest.mark.parametrize("name", harness.LEARNERS)
+def test_every_learner_states_its_stage_read_outs(name):
+    cfg = small_cfg(name, horizon=100, threshold_scale=0.02)
+    table, delays = build_environment(cfg.env)
+    istar, _ = best_fixed_arm(table)
+    learner = harness.make_learner(cfg, istar, 0.5,
+                                   build_comparator(cfg.env.arms, cfg.delta, istar))
+    assert_stage_read_outs(name, learner)
+    play(learner, table, delays)
+    assert_stage_read_outs(name, learner)
+    if name in ("prudent-banker", "banker-omd"):
+        assert learner.base.reg is cfg.reg  # the config's own, not a rebuilt one
+
+
+READ_OUTS = {"alpha": 1.0, "delay_estimate": 0, "restarts": ()}
+
+
+@pytest.mark.parametrize("missing", sorted(READ_OUTS))
+def test_run_needs_every_stage_read_out(monkeypatch, missing):
+    attrs = {"act": lambda self, t: (np.array([1.0, 0.0, 0.0, 0.0]), 0),
+             "receive": lambda self, events, t: None,
+             **{k: v for k, v in READ_OUTS.items() if k != missing}}
+    monkeypatch.setattr(harness, "make_learner", lambda *a: type("Partial", (), attrs)())
+    with pytest.raises(AttributeError, match=missing):
+        run(small_cfg(horizon=20))
 
 
 # -- errors raised inside a round -------------------------------------------
@@ -383,7 +453,7 @@ class TwoArgError(Exception):
         self.code = code
 
 
-class FailingLearner:
+class FailingLearner(OneStage):
     """Plays arm 0; raises `exc` from act or receive at round `at`."""
 
     def __init__(self, exc, at, where):

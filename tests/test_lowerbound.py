@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,24 @@ def test_probe_three_policies():
     rc = lb.safety_gap_probe(inst, "comparator", 20000, rng)
     assert rc.mean_W == pytest.approx(0.25, abs=0.02)
     assert rc.ok
+
+
+def test_probe_memory_grows_by_one_byte_per_trial_slot():
+    # only Z, one bool a trial-slot, is kept whole; the uniforms, the played
+    # arm and the losses are drawn and reduced a fixed chunk of rows at a time
+    delays = lb.corollary_delays(1, 3000)
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    slots = len(delays)
+    for policy in ("arm1", "arm2", "comparator"):
+        peaks = []
+        for trials in (500, 2000):
+            tracemalloc.start()
+            try:
+                lb.safety_gap_probe(inst, policy, trials, stream(0, "probe"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.1 * (2000 - 500) * slots, policy
 
 
 def test_probe_rejects_bad_input():
