@@ -20,6 +20,12 @@ from .mirror import Regularizer
 from .protocol import FeedbackEvent
 
 
+def check_alpha_safe(alpha_safe: float) -> None:
+    """The safety-budget rule of the safe baselines: alpha_safe lies in [0, 1]."""
+    if not (0.0 <= alpha_safe <= 1.0):  # NaN fails too
+        raise ConfigError("alpha_safe must lie in [0, 1]")
+
+
 class OneStage:
     """The stage read-outs of a learner without stages: stage 1, phase 1 and alpha = 1."""
     alpha = 1.0
@@ -63,8 +69,7 @@ class ConservativeUCB(OneStage):
 
     def __init__(self, arms: int, default_arm: int, r0: float, horizon: int,
                  alpha_safe: float = 0.1):
-        if not (0.0 <= alpha_safe <= 1.0):
-            raise ConfigError("alpha_safe must lie in [0, 1]")
+        check_alpha_safe(alpha_safe)
         self.arms = arms
         self.default_arm = default_arm
         self.r0 = r0
@@ -118,8 +123,7 @@ class SafeExp3IX(OneStage):
 
     def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
                  sampler, alpha_safe: float = 0.1):
-        if not (0.0 <= alpha_safe <= 1.0):
-            raise ConfigError("alpha_safe must lie in [0, 1]")
+        check_alpha_safe(alpha_safe)
         self.arms = arms
         self.default_arm = default_arm
         self.r0 = r0

@@ -16,10 +16,9 @@ from . import baselines
 from .errors import ConfigError
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
-                       FeedbackQueue, LossTable, check_integer,
-                       generate_block_losses, sample_delays)
+                       FeedbackQueue, LossTable, generate_block_losses, sample_delays)
 from .prudent import PrudentBanker, ThresholdFunctions, build_comparator, restart_columns
-from .rng import RngSampler, stream
+from .rng import RngSampler, check_seed, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
             "play-comparator", "play-fixed-arm")
@@ -57,6 +56,7 @@ class RunConfig:
     threshold_scale: float = 1.0
     seed: int = 0
     reg: Regularizer = field(init=False, compare=False, repr=False)  # built by __post_init__
+    thresholds: ThresholdFunctions = field(init=False, compare=False, repr=False)  # likewise
 
     def __post_init__(self):
         if self.learner not in LEARNERS:
@@ -65,13 +65,12 @@ class RunConfig:
             # their step size divides by C1, which is 0 on one arm
             raise ConfigError(f"{self.learner} needs at least 2 arms")
         # the regularizer kind, delta and threshold scale are checked by their owners
-        object.__setattr__(self, "reg", Regularizer(self.regularizer, self.env.arms, self.delta))
-        ThresholdFunctions.for_regularizer(self.reg, self.env.horizon, self.threshold_scale)
-        if not (0.0 <= self.alpha_safe <= 1.0):
-            raise ConfigError("alpha_safe must lie in [0, 1]")
-        check_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        reg = Regularizer(self.regularizer, self.env.arms, self.delta)
+        object.__setattr__(self, "reg", reg)
+        object.__setattr__(self, "thresholds",
+                           ThresholdFunctions(reg, self.env.horizon, self.threshold_scale))
+        baselines.check_alpha_safe(self.alpha_safe)
+        check_seed(self.seed)
 
 
 def _repr_each_value_once(col: np.ndarray):
@@ -118,7 +117,7 @@ def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
     sampler = RngSampler(stream(config.seed, f"action:{config.learner}"))
     name = config.learner
     if name == "prudent-banker":
-        return PrudentBanker(config.reg, xc, T, sampler, threshold_scale=config.threshold_scale)
+        return PrudentBanker(config.thresholds, xc, sampler)
     if name == "banker-omd":
         return baselines.BankerOMDLearner(config.reg, sampler)
     if name == "conservative-ucb":

@@ -10,6 +10,7 @@ deterministic 1/2.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .errors import PreconditionError, ProtocolError
 from .harness import PlayColumns, play
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import DelaySequence, LossTable
-from .prudent import PrudentBanker, build_comparator
+from .prudent import PrudentBanker, ThresholdFunctions, build_comparator
 from .rng import RngSampler, stream
 
 #: index of the biased ("special") arm in hard instances
@@ -229,11 +230,11 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
     prefix = np.zeros((decomp.boundaries[j - 1] - 1, instance.arms))
     table = LossTable(np.vstack([prefix, blocks]))
     T = table.horizon
-    reg = Regularizer(NEG_ENTROPY, instance.arms, instance.delta)
+    tf = ThresholdFunctions(Regularizer(NEG_ENTROPY, instance.arms, instance.delta), T)
     xc = instance.comparator
 
     def learner():
-        return PrudentBanker(reg, xc, T, RngSampler(stream(seed, "lowerbound-tape")))
+        return PrudentBanker(tf, xc, RngSampler(stream(seed, "lowerbound-tape")))
 
     native = play(learner(), table, delays)
     batched = play(BatchedView(learner(), decomp), table, delays)
@@ -250,7 +251,7 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
 # ---------------------------------------------------------------------------
 
 #: table entries per chunk of rows in the safety-gap probe: its trials x slots
-#: tables are drawn and reduced a chunk of rows at a time; only Z, as bool, is kept whole
+#: tables are drawn and reduced a chunk of rows at a time, and none is kept whole
 PROBE_CHUNK = 1 << 18
 
 
@@ -275,38 +276,38 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
 
     Policies: "arm1" (always the anchor arm), "arm2" (always the biased arm),
     "comparator" (sample from x^c each slot). W is the length-weighted play
-    fraction of the biased arm, sum_m L_m N_m / V.
+    fraction of the biased arm, sum_m L_m N_m / V. `rng` must run on PCG64, as
+    `stream` and `default_rng` do.
     """
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
     if policy not in ("arm1", "arm2", "comparator"):
         raise PreconditionError(f"unknown policy {policy!r}")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise PreconditionError(f"the probe needs PCG64, not {type(rng.bit_generator).__name__}")
     eps = np.repeat(instance.eps, instance.lengths)
     weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
     delta = instance.delta
     n_slots = len(eps)
     rows = max(1, PROBE_CHUNK // n_slots)
-    chunks = [slice(lo, lo + rows) for lo in range(0, trials, rows)]
 
-    # arm-2 losses under E+, one row per trial; all of Z is drawn before any U
-    Z = np.empty((trials, n_slots), dtype=bool)
-    comp_loss = np.empty(trials)
-    for c in chunks:
-        z = Z[c]
-        np.less(rng.random(z.shape), 0.5 + eps, out=z)
-        comp_loss[c] = np.sum(0.5 * (1.0 - delta) + delta * z, axis=1)
-
-    learner_loss, W = np.empty(trials), np.empty(trials)
-    for c in chunks:
-        z = Z[c]
+    # The stream holds every Z uniform, then the comparator's U: a copy advanced
+    # past the Z (a PCG64 double is one output) draws U chunk by chunk beside Z.
+    u_rng = copy.deepcopy(rng)
+    u_rng.bit_generator.advance(trials * n_slots)
+    regret, W = np.empty(trials), np.empty(trials)
+    for lo in range(0, trials, rows):
+        c = slice(lo, min(lo + rows, trials))
+        z = rng.random((c.stop - lo, n_slots)) < 0.5 + eps  # arm-2 losses under E+
+        comp_loss = np.sum(0.5 * (1.0 - delta) + delta * z, axis=1)
         if policy == "comparator":
             # with probability delta the comparator puts us on the biased arm
-            play2 = rng.random(z.shape) < delta
+            play2 = u_rng.random(z.shape) < delta
         else:
             play2 = np.full(z.shape, policy == "arm2")
-        learner_loss[c] = np.sum(np.where(play2, z, 0.5), axis=1)
+        regret[c] = np.sum(np.where(play2, z, 0.5), axis=1) - comp_loss
         W[c] = play2 @ weights
-    regret = learner_loss - comp_loss
+    rng.bit_generator.state = u_rng.bit_generator.state  # past every uniform drawn
     scale = instance.gamma * math.sqrt(instance.V)
     residual = regret - scale * (W - delta)
     se = float(residual.std(ddof=1) / math.sqrt(trials))

@@ -6,13 +6,13 @@ round t + d_t and is first usable for the decision at round t + d_t + 1.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
+from .rng import check_integer, check_seed
 
 DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
 # table entries scanned, or redrawn, at a time when rejecting out-of-range losses
@@ -99,17 +99,6 @@ class FeedbackEvent(_FeedbackFields):
 P_ACTIVE, Q_GEO, LOMAX_SHAPE, LOMAX_SCALE = 0.03, 0.4, 2.5, 1.0
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ConfigError naming `name` unless `value` is an integer.
-
-    numpy integers pass; a float such as 1.5, or even 2.0, does not.
-    """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class EnvironmentConfig:
     """The settings of one environment, checked when built and immutable."""
@@ -121,7 +110,7 @@ class EnvironmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("horizon", "arms", "blocks", "seed"):
+        for name in ("horizon", "arms", "blocks"):
             check_integer(name, getattr(self, name))
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
@@ -131,8 +120,7 @@ class EnvironmentConfig:
             raise ConfigError("need 1 <= blocks <= horizon")
         if self.delay_model not in DELAY_MODELS:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        check_seed(self.seed)
 
 
 def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -> LossTable:

@@ -28,15 +28,13 @@ from .protocol import FeedbackEvent
 class ThresholdFunctions:
     """Restart thresholds R-hat, xi-hat and their sum B as functions of D.
 
-    `scale` multiplies both components; 1.0 is the analysis value. The
-    theoretical constants are very conservative, so qualitative experiment
-    reproductions run with a smaller calibration (see harness).
+    C1, C2 and delta come from `reg`. `scale` multiplies both components; 1.0 is
+    the analysis value. The theoretical constants are very conservative, so
+    qualitative experiment reproductions run with a smaller calibration (see harness).
     """
 
+    reg: Regularizer
     horizon: int
-    c1: float
-    c2: float
-    delta: float
     scale: float = 1.0
 
     def __post_init__(self):
@@ -45,11 +43,6 @@ class ThresholdFunctions:
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
 
-    @classmethod
-    def for_regularizer(cls, reg: Regularizer, horizon: int, scale: float = 1.0) -> "ThresholdFunctions":
-        c1, c2 = reg.constants()
-        return cls(horizon=horizon, c1=c1, c2=c2, delta=reg.delta, scale=scale)
-
     def rhat(self, D: int | float) -> float:
         """R-hat(D) = sqrt(C1 C2) * (3 sqrt(T) + 7 sqrt(2 D ln(D+1)))."""
         if D < 0:
@@ -57,13 +50,14 @@ class ThresholdFunctions:
         term = 0.0
         if D > 0:
             term = 7.0 * math.sqrt(2.0 * D * math.log(D + 1.0))
-        return self.scale * math.sqrt(self.c1 * self.c2) * (3.0 * math.sqrt(self.horizon) + term)
+        c1, c2 = self.reg.constants()
+        return self.scale * math.sqrt(c1 * c2) * (3.0 * math.sqrt(self.horizon) + term)
 
     def xi(self, D: int | float) -> float:
         """xi-hat(D) = (sqrt(8D + 1) - 1) / delta."""
         if D < 0:
             raise ConfigError("D must be nonnegative")
-        return self.scale * (math.sqrt(8.0 * D + 1.0) - 1.0) / self.delta
+        return self.scale * (math.sqrt(8.0 * D + 1.0) - 1.0) / self.reg.delta
 
     def restart_threshold(self, D: int | float) -> float:
         """B(D) = 2 R-hat(D) + xi-hat(D)."""
@@ -136,21 +130,19 @@ def restart_columns(restarts: list[RestartRecord], alpha0: float,
 class PrudentBanker:
     """The full learner; exposes the standard act/receive interface."""
 
-    def __init__(self, reg: Regularizer, comparator: np.ndarray, horizon: int,
-                 sampler, threshold_scale: float = 1.0):
+    def __init__(self, thresholds: ThresholdFunctions, comparator: np.ndarray, sampler):
+        self.tf, self.reg = thresholds, thresholds.reg  # the thresholds' regularizer
         comparator = np.asarray(comparator, dtype=float)
-        if comparator.shape != (reg.arms,):
+        if comparator.shape != (self.reg.arms,):
             raise ConfigError("comparator dimension mismatch")
-        if not comparator.min() >= reg.delta - 1e-12:  # NaN fails too
+        if not comparator.min() >= self.reg.delta - 1e-12:  # NaN fails too
             raise ConfigError("comparator must have every coordinate >= delta")
         if abs(comparator.sum() - 1.0) > 1e-9:
             raise ConfigError("comparator must sum to 1")
-        self.reg = reg
         self.xc = comparator
         self.sampler = sampler
-        self.tf = ThresholdFunctions.for_regularizer(reg, horizon, scale=threshold_scale)
 
-        self.base = BankerOMD(reg)
+        self.base = BankerOMD(self.reg)
         self.stage_start = 1
         self.stage_delay = 0  # realized delay of arrived feedback, current stage
         self.restarts: list[RestartRecord] = []

@@ -6,6 +6,7 @@ on byte-identical environments.
 """
 from __future__ import annotations
 
+import operator
 import zlib
 
 import numpy as np
@@ -13,14 +14,28 @@ import numpy as np
 from .errors import ConfigError, ProtocolError
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError naming `name` unless `value` is an integer; 2.0 is not, np.int64(2) is."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed) -> None:
+    """The seed rule: a nonnegative integer (numpy integers pass)."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+
+
 def stream(seed: int, name: str) -> np.random.Generator:
     """Return an independent generator derived from (seed, name).
 
     The name is hashed with CRC32, which is stable across platforms and
-    Python processes (unlike the builtin hash). The seed must be nonnegative.
+    Python processes (unlike the builtin hash). The seed must pass check_seed.
     """
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    check_seed(seed)
     key = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), key]))
 

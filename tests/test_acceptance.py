@@ -230,7 +230,7 @@ def test_criterion_11_desk_scale_structure(desk_runs):
 
         # comparator pseudo-regret against the uncalibrated restart threshold
         reg = Regularizer(NEG_ENTROPY, DESK_A, DESK_DELTA)
-        tf = ThresholdFunctions.for_regularizer(reg, DESK_T)
+        tf = ThresholdFunctions(reg, DESK_T)
         bound = geo.summary["stages"] * (
             tf.restart_threshold(geo.summary["final_delay_estimate"]) + 2.0)
         ok = ok and geo.summary["comparator_gap"] <= bound

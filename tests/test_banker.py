@@ -15,7 +15,7 @@ from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, LossTable,
                                     generate_block_losses, sample_delays)
-from prudentbanker.prudent import PrudentBanker, build_comparator
+from prudentbanker.prudent import PrudentBanker, ThresholdFunctions, build_comparator
 from prudentbanker.rng import RngSampler, stream
 
 from reference import expected_mirror_step_divergence
@@ -64,7 +64,7 @@ def test_one_arm_is_rejected_at_construction(kind):
     with pytest.raises(ConfigError, match="at least 2 arms"):
         BankerOMDLearner(reg, sampler)
     with pytest.raises(ConfigError, match="at least 2 arms"):
-        PrudentBanker(reg, [1.0], 10, sampler)
+        PrudentBanker(ThresholdFunctions(reg, 10), [1.0], sampler)
 
 
 # -- credit allocation ------------------------------------------------------
@@ -317,8 +317,8 @@ def test_ledger_holds_the_phase_loss_sums():
     # dropped feedback leaves them alone, and reset zeroes them
     arms, T = 4, 3000
     reg = Regularizer(NEG_ENTROPY, arms, 1.0 / (2 * arms))
-    learner = PrudentBanker(reg, build_comparator(arms, reg.delta, 0), T,
-                            RngSampler(stream(2, "act")), threshold_scale=0.02)
+    learner = PrudentBanker(ThresholdFunctions(reg, T, 0.02),
+                            build_comparator(arms, reg.delta, 0), RngSampler(stream(2, "act")))
     base = learner.base
     applied = [[] for _ in range(arms)]
     seen = {"resets": 0, "dropped": 0}

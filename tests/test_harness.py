@@ -13,7 +13,8 @@ from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
                                    play, pseudo_loss, run)
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig, LossTable
-from prudentbanker.prudent import PrudentBanker, build_comparator, restart_columns
+from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions, build_comparator,
+                                   restart_columns)
 from prudentbanker.rng import RngSampler, stream
 
 from reference import csv_string_each_entry, outstanding_counters, parse_csv, stage_schedule
@@ -215,8 +216,8 @@ def test_banker_outstanding_sum_matches_reference(delays, seed):
 @given(delays=delay_sequences(), seed=st.integers(0, 2**16))
 def test_prudent_stage_bound_and_doubling(delays, seed):
     T = len(delays)
-    learner = PrudentBanker(Regularizer(NEG_ENTROPY, 3, 0.1), build_comparator(3, 0.1, 0),
-                            T, RngSampler(stream(seed, "act")), threshold_scale=0.01)
+    learner = PrudentBanker(ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), T, 0.01),
+                            build_comparator(3, 0.1, 0), RngSampler(stream(seed, "act")))
     alpha0 = learner.alpha
     readings = watch_restart_state(learner)
     play(learner, random_table(T, seed), delays)
@@ -239,9 +240,9 @@ def test_hard_restarts_depend_only_on_the_delays(delays, seeds):
     schedule = stage_schedule(delays)
     for seed in seeds:
         for scale in (1.0, 0.01):
-            learner = PrudentBanker(Regularizer(NEG_ENTROPY, 3, 0.1),
-                                    build_comparator(3, 0.1, 0), T,
-                                    RngSampler(stream(seed, "act")), threshold_scale=scale)
+            tf = ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), T, scale)
+            learner = PrudentBanker(tf, build_comparator(3, 0.1, 0),
+                                    RngSampler(stream(seed, "act")))
             play(learner, random_table(T, seed), delays)
             hard = [(r.round, r.trigger, r.new_estimate)
                     for r in learner.restarts if r.kind == "hard"]
@@ -398,6 +399,14 @@ def test_run_config_keeps_the_regularizer_it_checked():
     # equal configs compare equal whatever their regularizer objects
     assert small_cfg() == small_cfg() and small_cfg().reg is not small_cfg().reg
     assert dataclasses.replace(cfg, delta=0.2).reg.delta == 0.2
+    # the thresholds it checked are built on that regularizer and kept too
+    assert cfg.thresholds.reg is cfg.reg
+    assert (cfg.thresholds.horizon, cfg.thresholds.scale) == (cfg.env.horizon, 1.0)
+    a, b = small_cfg(), small_cfg()
+    assert a.thresholds is not b.thresholds and a == b and hash(a) == hash(b)
+    assert "thresholds" not in repr(a)
+    scaled = dataclasses.replace(cfg, delta=0.2, threshold_scale=0.5)
+    assert scaled.thresholds.reg is scaled.reg and scaled.thresholds.scale == 0.5
 
 
 def test_run_config_needs_an_integer_seed():
@@ -428,6 +437,8 @@ def test_every_learner_states_its_stage_read_outs(name):
     assert_stage_read_outs(name, learner)
     if name in ("prudent-banker", "banker-omd"):
         assert learner.base.reg is cfg.reg  # the config's own, not a rebuilt one
+    if name == "prudent-banker":
+        assert learner.tf is cfg.thresholds
 
 
 READ_OUTS = {"alpha": 1.0, "delay_estimate": 0, "restarts": ()}

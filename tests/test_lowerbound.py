@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prudentbanker import lowerbound as lb
-from prudentbanker.errors import PreconditionError, ProtocolError
+from prudentbanker.errors import ConfigError, PreconditionError, ProtocolError
 from prudentbanker.protocol import DelaySequence
 from prudentbanker.rng import stream
 
-from reference import block_losses_by_block, bucket_inequalities_by_definition
+from reference import (block_losses_by_block, bucket_inequalities_by_definition,
+                       safety_gap_probe_two_pass)
 
 
 def random_admissible(rng, T):
@@ -221,6 +222,14 @@ def test_mis_sized_block_is_rejected(no_learner, rows):
         lb.batched_simulate(inst, delays, 0)
 
 
+def test_batched_simulate_needs_an_integer_seed(no_learner):
+    # a float seed would otherwise be truncated, so 1.5 would play seed 1
+    delays = lb.corollary_delays(2, 2)
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        lb.batched_simulate(inst, delays, 1.5)
+
+
 def test_instance_for_another_suffix_is_rejected(no_learner):
     delays = lb.corollary_delays(2, 2)
     inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
@@ -278,22 +287,49 @@ def test_probe_three_policies():
     assert rc.ok
 
 
-def test_probe_memory_grows_by_one_byte_per_trial_slot():
-    # only Z, one bool a trial-slot, is kept whole; the uniforms, the played
-    # arm and the losses are drawn and reduced a fixed chunk of rows at a time
-    delays = lb.corollary_delays(1, 3000)
+@pytest.mark.parametrize("n, trials, chunk", [
+    (3000, 1500, lb.PROBE_CHUNK),  # 87 rows a chunk: the last chunk is short
+    (3, 10001, 64),  # 8 rows a chunk, 10,001 trials
+    (30, 50, 16)],  # 31 slots > 16: one row a chunk
+    ids=["many-slots", "short-last-chunk", "row-per-chunk"])
+def test_probe_draws_as_the_two_pass_probe(monkeypatch, n, trials, chunk):
+    monkeypatch.setattr(lb, "PROBE_CHUNK", chunk)
+    delays = lb.corollary_delays(1, n)
     inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
-    slots = len(delays)
+    for policy in ("arm1", "arm2", "comparator"):
+        rng, ref_rng = stream(0, "probe"), stream(0, "probe")
+        result = lb.safety_gap_probe(inst, policy, trials, rng)
+        assert result == safety_gap_probe_two_pass(inst, policy, trials, ref_rng), policy
+        assert rng.random() == ref_rng.random(), policy  # the caller's stream moved on alike
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_probe_memory_grows_by_32_bytes_per_trial(n):
+    # every trials x slots table is drawn and reduced a fixed chunk of rows at
+    # a time; per trial, the probe keeps the regret and W, and the residual and
+    # its spread briefly take two float64s more
+    delays = lb.corollary_delays(1, n)
+    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     for policy in ("arm1", "arm2", "comparator"):
         peaks = []
-        for trials in (500, 2000):
+        for trials in (2000, 8000):  # each spans more than one chunk of rows
             tracemalloc.start()
             try:
                 lb.safety_gap_probe(inst, policy, trials, stream(0, "probe"))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 1.1 * (2000 - 500) * slots, policy
+        assert peaks[1] - peaks[0] <= 32 * (8000 - 2000), policy
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_probe_needs_a_generator_that_skips_doubles(bit_generator):
+    # MT19937 cannot skip ahead; Philox skips whole blocks of four outputs
+    inst = lb.make_hard_instance((2, 2), 0.25, arms=2)
+    rng = np.random.Generator(bit_generator(0))
+    with pytest.raises(PreconditionError, match="PCG64"):
+        lb.safety_gap_probe(inst, "comparator", 100, rng)
+    assert rng.random() == np.random.Generator(bit_generator(0)).random()  # nothing drawn
 
 
 def test_probe_rejects_bad_input():

@@ -314,6 +314,14 @@ def test_stream_rejects_a_negative_seed():
         stream(-1, "delays")
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+def test_stream_needs_an_integer_seed(seed):
+    # a float seed would otherwise be truncated, so 1.5 would play seed 1
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        stream(seed, "delays")
+    assert stream(np.int64(2), "delays").random() == stream(2, "delays").random()
+
+
 def test_outstanding_counters_examples():
     zeros = DelaySequence(delays=np.zeros(6, dtype=np.int64))
     for t in range(1, 7):

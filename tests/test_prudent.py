@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,23 +14,28 @@ from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
                                    next_delay_estimate)
 from prudentbanker.rng import RngSampler, stream
 
-LARGE_TF = ThresholdFunctions(horizon=50000, c1=math.log(100), c2=1000.0, delta=0.001)
+# C1 = log 100 and C2 = 1 / 0.001 = 1000 exactly
+LARGE_TF = ThresholdFunctions(Regularizer(NEG_ENTROPY, 100, 0.001), horizon=50000)
+LARGE_C = math.sqrt(math.log(100) * 1000.0)
 
 
 def make_learner(arms=4, delta=0.1, horizon=100, seed=0, scale=1.0):
-    reg = Regularizer(NEG_ENTROPY, arms, delta)
+    tf = ThresholdFunctions(Regularizer(NEG_ENTROPY, arms, delta), horizon, scale)
     xc = build_comparator(arms, delta, 0)
-    return PrudentBanker(reg, xc, horizon, RngSampler(stream(seed, "act")),
-                         threshold_scale=scale)
+    return PrudentBanker(tf, xc, RngSampler(stream(seed, "act")))
 
 
 # -- threshold functions ----------------------------------------------------
 
+def test_thresholds_read_their_constants_from_the_regularizer():
+    assert LARGE_TF.reg.constants() == (math.log(100), 1000.0)
+    assert [f.name for f in dataclasses.fields(ThresholdFunctions)] == ["reg", "horizon", "scale"]
+
+
 def test_rhat_values():
-    c = math.sqrt(LARGE_TF.c1 * LARGE_TF.c2)
-    assert LARGE_TF.rhat(0) == pytest.approx(3.0 * c * math.sqrt(50000))
+    assert LARGE_TF.rhat(0) == pytest.approx(3.0 * LARGE_C * math.sqrt(50000))
     assert LARGE_TF.rhat(1) - LARGE_TF.rhat(0) == pytest.approx(
-        c * 7.0 * math.sqrt(2.0 * math.log(2.0)))
+        LARGE_C * 7.0 * math.sqrt(2.0 * math.log(2.0)))
     D = 0
     probes = [LARGE_TF.rhat(D) for D in (0, 1, 2, 4, 100, 10000)]
     assert probes == sorted(probes)
@@ -38,7 +44,7 @@ def test_rhat_values():
 def test_xi_values():
     assert LARGE_TF.xi(0) == 0.0
     assert LARGE_TF.xi(1) == pytest.approx((3.0 - 1.0) / 0.001)
-    tf = ThresholdFunctions(horizon=10, c1=1.0, c2=1.0, delta=0.5)
+    tf = ThresholdFunctions(Regularizer(NEG_ENTROPY, 2, 0.5), horizon=10)
     assert tf.xi(3) == pytest.approx((5.0 - 1.0) / 0.5)
 
 
@@ -47,7 +53,7 @@ def test_restart_threshold_composition():
         assert LARGE_TF.restart_threshold(D) == pytest.approx(
             2.0 * LARGE_TF.rhat(D) + LARGE_TF.xi(D))
     assert LARGE_TF.restart_threshold(0) == pytest.approx(
-        2.0 * 3.0 * math.sqrt(LARGE_TF.c1 * LARGE_TF.c2 * 50000))
+        2.0 * 3.0 * LARGE_C * math.sqrt(50000))
     for D in (1, 2, 8, 512):
         assert LARGE_TF.restart_threshold(2 * D) >= LARGE_TF.restart_threshold(D)
 
@@ -91,7 +97,7 @@ def test_build_comparator():
 def test_prudent_banker_rejects_a_non_probability_comparator(xc, error):
     reg = Regularizer(NEG_ENTROPY, 3, 0.1)
     with pytest.raises(ConfigError, match=error):  # at construction, not in round 1
-        PrudentBanker(reg, np.array(xc), 100, RngSampler(stream(0, "act")))
+        PrudentBanker(ThresholdFunctions(reg, 100), np.array(xc), RngSampler(stream(0, "act")))
 
 
 @pytest.mark.parametrize("horizon, scale, error", [
@@ -103,8 +109,8 @@ def test_prudent_banker_rejects_a_non_probability_comparator(xc, error):
 def test_prudent_banker_rejects_bad_thresholds(horizon, scale, error):
     reg = Regularizer(NEG_ENTROPY, 3, 0.1)
     with pytest.raises(ConfigError, match=error):  # at construction, not in round 1
-        PrudentBanker(reg, build_comparator(3, 0.1, 0), horizon,
-                      RngSampler(stream(0, "act")), threshold_scale=scale)
+        PrudentBanker(ThresholdFunctions(reg, horizon, scale), build_comparator(3, 0.1, 0),
+                      RngSampler(stream(0, "act")))
 
 
 # -- hard restarts ----------------------------------------------------------
