@@ -7,8 +7,12 @@ Two mirror maps are supported:
 
 The simplex-constrained conjugate map for negative entropy is the softmax
 (computed with a max shift); for Tsallis it has no closed form, and the
-normalization multiplier is found by a monotone Newton solve, also after a
-max shift.
+normalization multiplier is solved for, also after a max shift. That solve
+starts at -max theta, which is the root for the duals the ledger stores,
+keeps a bracket on the root, and steps to the root of a two-pole model of the
+normalization function, with a clamped Newton step as the fallback: about two
+evaluations of the function per solve in a desk-scale run, against four for
+Newton from the bracket's left end.
 """
 from __future__ import annotations
 
@@ -62,7 +66,7 @@ class Regularizer:
 
 def _require_interior(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.min() < GRAD_FLOOR:
+    if not x.min() >= GRAD_FLOOR:  # NaN fails too
         raise DomainError("point has a (numerically) zero coordinate")
     return x
 
@@ -102,22 +106,74 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
     # precision: unshifted, at |theta| ~ 1e4 the ulp of lam alone moves f by
     # more than the tolerance, and the solve fails on well-posed input.
     #
-    # Newton runs on h(lam) = f(lam)^(-1/2), solving h = 1 from lam = 1. h is a
-    # power mean (exponent -2) of the affine maps lam - theta_i, so it is
-    # concave and increasing: each tangent lies above h and crosses 1 at or
-    # left of the root, so the iterates rise monotonically and never leave the
-    # bracket. h is exactly linear when theta is constant (one step).
-    lam = 1.0
-    for _ in range(50):  # 3-4 steps are typical
+    # The solve starts at -max theta, clamped into [1, sqrt(A)]. The unshifted
+    # root is a convex, nondecreasing function of theta, and it is 0 at a
+    # conjugate's own dual and at grad_psi of a distribution. So -max theta is
+    # the root there, and bounds it from above for a convex mixture of such
+    # duals (begin_round) or for one with a coordinate lowered (ingest): every
+    # theta the ledger builds.
+    #
+    # Each evaluation of f narrows the bracket [lo, hi] by the sign of f - 1.
+    # The next point is the root of a two-pole model of f, fitted at lam: the
+    # max coordinate's term 1/lam^2 exactly, plus one pole K/(lam - p)^2 with
+    # the value and slope of the other terms. Their poles lie at or left of 0,
+    # so p <= 0 and the model is defined on the whole bracket. The model root
+    # is taken only strictly inside (lo, hi); otherwise lam takes a Newton step
+    # on h(lam) = f(lam)^(-1/2). h is a power mean (exponent -2) of the affine
+    # maps lam - theta_i, so it is concave and increasing, and each tangent
+    # lies above h: the step lands at or left of the root. From the right it
+    # can land left of the bracket (for theta = (-2, -1000, -1000, -1000), from
+    # lam = 2 at 0.999994), so it is clamped into [lo, hi].
+    #
+    # On the seed-0 desk-tsallis benchmark run a solve takes 2.0 evaluations of
+    # f (4.0 from lam = 1 by Newton on h alone), and 2.3-3.0 at 100 arms or at
+    # alpha = 1.
+    lo, hi = 1.0, math.sqrt(shifted.size)
+    lam = min(max(-float(top), lo), hi)
+    for _ in range(50):
         r = 1.0 / (lam - shifted)
         r2 = r * r
         f = float(r2.sum())
         if abs(f - 1.0) <= 1e-13:
             break
-        lam += f * (f ** 0.5 - 1.0) / float(np.dot(r2, r))
+        if f > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        s3 = float(np.dot(r2, r))  # -f'(lam) / 2
+        guess = _two_pole_root(lam, f, s3, lo)
+        if not lo < guess < hi:  # NaN fails too
+            guess = min(max(lam + f * (f ** 0.5 - 1.0) / s3, lo), hi)
+        lam = guess
     if abs(f - 1.0) > 1e-12:
         raise NumericalError("tsallis conjugate Newton solve did not converge")
     x = r2 / f  # remove the residual normalization error
     dual = shifted - lam
     return x, dual
 
+
+def _two_pole_root(lam: float, f: float, s3: float, lo: float) -> float:
+    """Root right of lo of the model 1/mu^2 + K/(mu - p)^2 = 1 of f; NaN if none.
+
+    f and s3 = sum_i (lam - theta_i)^-3 give f's value and slope at lam. The
+    max coordinate's term 1/lam^2 is kept exactly and the pole fits the rest.
+    Newton on the model's own h starts at lo: where the model lies above 1
+    there, it rises to the root without passing it; otherwise the root is left
+    of lo. No evaluation of f is made.
+    """
+    a = 1.0 / lam
+    f_rest, s3_rest = f - a * a, s3 - a * a * a
+    if not (f_rest > 0.0 and s3_rest > 0.0):
+        return math.nan
+    span = f_rest / s3_rest  # lam - p
+    gain = f_rest * span * span  # K
+    mu = lo
+    for _ in range(8):  # 1-4 steps are typical
+        a, b = 1.0 / mu, 1.0 / (mu - lam + span)
+        m = a * a + gain * b * b
+        if abs(m - 1.0) <= 1e-15:
+            break
+        if m < 1.0:
+            return math.nan
+        mu += m * (m ** 0.5 - 1.0) / (a * a * a + gain * b * b * b)
+    return mu

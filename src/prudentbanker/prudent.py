@@ -24,6 +24,11 @@ from .mirror import Regularizer
 from .protocol import FeedbackEvent
 
 
+def _check_delay(D: int | float) -> None:
+    if not D >= 0:  # NaN fails too
+        raise ConfigError("D must be nonnegative")
+
+
 @dataclass(frozen=True)
 class ThresholdFunctions:
     """Restart thresholds R-hat, xi-hat and their sum B as functions of D.
@@ -45,8 +50,7 @@ class ThresholdFunctions:
 
     def rhat(self, D: int | float) -> float:
         """R-hat(D) = sqrt(C1 C2) * (3 sqrt(T) + 7 sqrt(2 D ln(D+1)))."""
-        if D < 0:
-            raise ConfigError("D must be nonnegative")
+        _check_delay(D)
         term = 0.0
         if D > 0:
             term = 7.0 * math.sqrt(2.0 * D * math.log(D + 1.0))
@@ -55,8 +59,7 @@ class ThresholdFunctions:
 
     def xi(self, D: int | float) -> float:
         """xi-hat(D) = (sqrt(8D + 1) - 1) / delta."""
-        if D < 0:
-            raise ConfigError("D must be nonnegative")
+        _check_delay(D)
         return self.scale * (math.sqrt(8.0 * D + 1.0) - 1.0) / self.reg.delta
 
     def restart_threshold(self, D: int | float) -> float:

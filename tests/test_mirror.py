@@ -55,10 +55,10 @@ def test_gradients_at_uniform():
 
 def test_gradient_domain_error():
     ent, tsa = regs(arms=3)
-    bad = np.array([0.5, 0.5, 0.0])
-    for reg in (ent, tsa):
-        with pytest.raises(DomainError):
-            grad_psi(reg, bad)
+    for bad in ([0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]):
+        for reg in (ent, tsa):
+            with pytest.raises(DomainError):
+                grad_psi(reg, np.array(bad))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -203,23 +203,51 @@ def tsallis_conjugate_by_bisection(theta):
     return x / x.sum(), shifted - lam
 
 
-@st.composite
-def ingest_duals(draw):
-    """theta = grad_psi(x) - c e_a, built as BankerOMD.ingest builds it, plus an offset."""
+def lowered_gradient(draw, reg, rng):
+    """theta = grad_psi(x) - c e_a for a random distribution x, as BankerOMD.ingest builds it."""
+    concentration = 10.0 ** draw(st.floats(-2, 2))
+    x = rng.dirichlet(np.full(reg.arms, concentration))
+    x = np.maximum(x, 1e-300)
+    theta = grad_psi(reg, x)
+    theta[draw(st.integers(0, reg.arms - 1))] -= 10.0 ** draw(st.floats(-3, 6))
+    return theta
+
+
+def draw_regularizer(draw):
     A = draw(st.integers(1, 1000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    concentration = 10.0 ** draw(st.floats(-2, 2))
-    x = rng.dirichlet(np.full(A, concentration))
-    x = np.maximum(x, 1e-300)
-    reg = Regularizer(TSALLIS_HALF, A, 1.0 / A)
-    theta = grad_psi(reg, x)
-    theta[draw(st.integers(0, A - 1))] -= 10.0 ** draw(st.floats(-3, 6))
-    theta += draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-3, 6))
-    return reg, theta
+    return Regularizer(TSALLIS_HALF, A, 1.0 / A), rng
+
+
+def draw_offset(draw):
+    return draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-3, 6))
+
+
+@st.composite
+def ingest_duals(draw, offset=True):
+    """theta = grad_psi(x) - c e_a, built as BankerOMD.ingest builds it, plus an offset."""
+    reg, rng = draw_regularizer(draw)
+    theta = lowered_gradient(draw, reg, rng)
+    return reg, theta + draw_offset(draw) if offset else theta
+
+
+@st.composite
+def begin_round_duals(draw, offset=True):
+    """theta as BankerOMD.begin_round builds it, plus an offset: a convex mixture
+    of the conjugate duals of 1-3 ingest-style theta and of the borrow term
+    grad_psi(x0)."""
+    reg, rng = draw_regularizer(draw)
+    terms = [grad_psi_star_with_dual(reg, lowered_gradient(draw, reg, rng))[1]
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        terms.append(grad_psi(reg, reg.x0))
+    weights = rng.dirichlet(np.ones(len(terms)))
+    theta = sum(w * term for w, term in zip(weights, terms))
+    return reg, theta + draw_offset(draw) if offset else theta
 
 
 @settings(max_examples=300, deadline=None)
-@given(ingest_duals())
+@given(st.one_of(ingest_duals(), begin_round_duals()))
 def test_tsallis_conjugate_matches_bisection(case):
     reg, theta = case
     x, dual = grad_psi_star_with_dual(reg, theta)
@@ -229,3 +257,30 @@ def test_tsallis_conjugate_matches_bisection(case):
     assert np.ptp(shift) <= 1e-10 * max(1.0, np.max(np.abs(dual_ref)))
     assert abs(x.sum() - 1.0) <= 1e-12
     assert x.min() > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ingest_duals(offset=False), begin_round_duals(offset=False)))
+def test_tsallis_root_is_at_most_minus_the_max_dual(case):
+    # the solve starts at -max theta: the normalizer is 0 at a conjugate's dual
+    # and at grad_psi of a distribution, and convex and nondecreasing in theta
+    reg, theta = case
+    _, dual_ref = tsallis_conjugate_by_bisection(theta)
+    root = -dual_ref.max()  # the max coordinate's shifted entry is 0
+    assert root <= -theta.max() + 1e-12 * max(1.0, abs(theta.max()))
+
+
+@pytest.mark.parametrize("theta", [
+    # from lam = 2, a Newton step on h would land at 0.999994, left of the bracket
+    (-2.0, -1000.0, -1000.0, -1000.0),
+    # the other terms' slope rounds away, so there is no model; the Newton step
+    # on h from lam = 2 lands at 1 - 7e-16 and is clamped at 1
+    (-2.0, -1e8, -1e8, -1e8),
+])
+def test_tsallis_conjugate_where_a_newton_step_leaves_the_bracket(theta):
+    theta = np.array(theta)
+    reg = Regularizer(TSALLIS_HALF, theta.size, 1.0 / theta.size)
+    x, dual = grad_psi_star_with_dual(reg, theta)
+    x_ref, dual_ref = tsallis_conjugate_by_bisection(theta)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12
+    assert np.max(np.abs(dual - dual_ref)) <= 1e-12 * np.max(np.abs(dual_ref))

@@ -58,6 +58,13 @@ def test_restart_threshold_composition():
         assert LARGE_TF.restart_threshold(2 * D) >= LARGE_TF.restart_threshold(D)
 
 
+@pytest.mark.parametrize("D", [math.nan, -1])
+def test_thresholds_reject_a_bad_delay(D):
+    for threshold in (LARGE_TF.rhat, LARGE_TF.xi, LARGE_TF.restart_threshold):
+        with pytest.raises(ConfigError, match="D must be nonnegative"):
+            threshold(D)
+
+
 # -- gap statistic ----------------------------------------------------------
 
 def test_gap_statistic_examples():
