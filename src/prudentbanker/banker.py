@@ -140,7 +140,7 @@ class BankerOMD:
         rec = self.records[u]
         if rec.arm != event.arm:
             raise ProtocolError(f"feedback arm mismatch at round {u}")
-        x_at_arm = float(rec.x[event.arm])
+        x_at_arm = rec.x.item(event.arm)
         if x_at_arm <= 0.0:
             raise ProtocolError(f"played probability 0 at round {u}, arm {event.arm}")
         w = event.loss_value / x_at_arm

@@ -75,7 +75,7 @@ class ConservativeUCB(OneStage):
         self.r0 = r0
         self.alpha_safe = alpha_safe
         self.delta_ucb = 1.0 / max(horizon, 2)
-        # float64 counts are exact, and the bounds and np.dot then cast nothing
+        # float64 counts are exact, and the bounds and the dot then cast nothing
         self.n_obs = np.zeros(arms)
         self.sums = np.zeros(arms)
         self.n_play = np.zeros(arms)
@@ -87,7 +87,7 @@ class ConservativeUCB(OneStage):
     def choose(self, t0: int) -> int:
         lcb, ucb = self.bounds(t0)
         candidate = int(ucb.argmax())  # ties to lowest index
-        budget = float(np.dot(self.n_play, lcb)) + lcb.item(candidate)
+        budget = float(self.n_play.dot(lcb)) + lcb.item(candidate)
         required = (1.0 - self.alpha_safe) * (t0 + 1) * self.r0
         if budget >= required:
             return candidate
@@ -136,7 +136,7 @@ class SafeExp3IX(OneStage):
         self._q_played: dict[int, float] = {}
 
     def distribution(self) -> np.ndarray:
-        shifted = self.log_w - np.maximum.reduce(self.log_w)
+        shifted = self.log_w - self.log_w.item(self.log_w.argmax())
         w = np.exp(shifted)
         return w / np.add.reduce(w)
 

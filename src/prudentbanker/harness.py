@@ -34,7 +34,7 @@ def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
     loss_row = np.asarray(loss_row, dtype=float)
     if p.shape != loss_row.shape:
         raise ConfigError(f"dimension mismatch {p.shape} vs {loss_row.shape}")
-    return float(np.dot(p, loss_row))
+    return float(p.dot(loss_row))
 
 
 def best_fixed_arm(table: LossTable) -> tuple[int, np.ndarray]:

@@ -74,7 +74,7 @@ def gap_statistic(g: np.ndarray, xc: np.ndarray) -> float:
     (irrelevant for the value, fixed for determinism of the argmin).
     """
     g = np.asarray(g, dtype=float)
-    return float(np.dot(g, xc) - g.min())
+    return float(g.dot(xc) - g.item(g.argmin()))
 
 
 def build_comparator(arms: int, delta: float, anchor: int) -> np.ndarray:

@@ -45,9 +45,10 @@ def sample_arm(dist: np.ndarray, u: float) -> int:
 
     Raises ProtocolError unless `dist` is nonnegative and sums to 1 within 1e-9.
     """
-    cdf = np.add.accumulate(dist)  # np.cumsum and dist.min() without their wrappers
+    cdf = np.add.accumulate(dist)  # np.cumsum without its wrapper
     total = cdf.item(-1)
-    if not abs(total - 1.0) <= 1e-9 or np.minimum.reduce(dist) < 0.0:
+    # a NaN makes the total NaN; the min is read by index, cheaper than a reduction
+    if not abs(total - 1.0) <= 1e-9 or dist.item(dist.argmin()) < 0.0:
         raise ProtocolError(f"not a probability vector: {dist!r}")
     # Guard against cumulative rounding leaving cdf[-1] slightly below u.
     cdf[-1] = max(total, 1.0)

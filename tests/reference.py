@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from prudentbanker import lowerbound
-from prudentbanker.errors import ConfigError
+from prudentbanker.errors import ConfigError, DomainError, NumericalError
 from prudentbanker.harness import CSV_HEADER
 from prudentbanker.lowerbound import (SPECIAL_ARM, BucketDecomposition, HardInstancePair,
                                       ProbeResult)
-from prudentbanker.mirror import NEG_ENTROPY, Regularizer, grad_psi, grad_psi_star_with_dual
+from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, Regularizer, _two_pole_root,
+                                  grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence
 
 
@@ -226,3 +227,61 @@ def stage_schedule(delays: DelaySequence) -> list[tuple[int, int, int]]:
             stage_start, stage_delay = t + 1, 0
         stage_delay += sum(d[u - 1] for u in arriving.get(t, ()) if u >= stage_start)
     return restarts
+
+
+# -- the round path's extrema taken by ufunc reductions ----------------------
+# The simulator reads minima and maxima as v.item(v.argmin()) / argmax; these
+# are the same functions with np.minimum.reduce / np.maximum.reduce, .min(),
+# .sum() and np.dot, for byte-for-byte comparison.
+
+def grad_psi_by_reduction(reg: Regularizer, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not x.min() >= GRAD_FLOOR:  # NaN fails too
+        raise DomainError("point has a (numerically) zero coordinate")
+    if reg.kind == NEG_ENTROPY:
+        return 1.0 + np.log(x)
+    return -1.0 / np.sqrt(x)
+
+
+def grad_psi_star_with_dual_by_reduction(reg: Regularizer,
+                                         theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.asarray(theta, dtype=float)
+    top = np.maximum.reduce(theta)
+    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(theta))):
+        raise DomainError("dual vector must be finite")
+    shifted = theta - top
+    if reg.kind == NEG_ENTROPY:
+        w = np.exp(shifted)
+        z = w.sum()
+        return w / z, 1.0 + shifted - np.log(z)
+    lo, hi = 1.0, math.sqrt(shifted.size)
+    lam = min(max(-float(top), lo), hi)
+    for _ in range(50):
+        r = 1.0 / (lam - shifted)
+        r2 = r * r
+        f = float(r2.sum())
+        if abs(f - 1.0) <= 1e-13:
+            break
+        if f > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        s3 = float(np.dot(r2, r))
+        guess = _two_pole_root(lam, f, s3, lo)
+        if not lo < guess < hi:  # NaN fails too
+            guess = min(max(lam + f * (f ** 0.5 - 1.0) / s3, lo), hi)
+        lam = guess
+    if abs(f - 1.0) > 1e-12:
+        raise NumericalError("tsallis conjugate Newton solve did not converge")
+    return r2 / f, shifted - lam
+
+
+def gap_statistic_by_reduction(g: np.ndarray, xc: np.ndarray) -> float:
+    g = np.asarray(g, dtype=float)
+    return float(np.dot(g, xc) - g.min())
+
+
+def exp3ix_distribution_by_reduction(log_w: np.ndarray) -> np.ndarray:
+    """SafeExp3IX.distribution for the weights log_w."""
+    w = np.exp(log_w - np.maximum.reduce(log_w))
+    return w / np.add.reduce(w)

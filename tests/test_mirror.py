@@ -61,6 +61,16 @@ def test_gradient_domain_error():
                 grad_psi(reg, np.array(bad))
 
 
+@pytest.mark.parametrize("v", [np.full(2, 0.5), np.array([]), np.full((1, 4), 0.25)],
+                         ids=["2-vector", "empty", "1x4"])
+def test_a_vector_of_the_wrong_shape_is_a_domain_error(v):
+    for reg in regs(arms=4):
+        with pytest.raises(DomainError):
+            grad_psi(reg, v)
+        with pytest.raises(DomainError):
+            grad_psi_star_with_dual(reg, v)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [0, 2, 3])
 def test_conjugate_rejects_a_non_finite_entry(bad, at):

@@ -299,6 +299,20 @@ def test_sample_arm_rejects_non_distributions(dist):
         sample_arm(np.array(dist), 0.9)
 
 
+@pytest.mark.parametrize("arms", [10, 100])
+@pytest.mark.parametrize("bad", [-0.25, np.nan])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_sample_arm_rejects_a_negative_or_nan_entry(arms, bad, at):
+    dist = np.full(arms, 1.0 / arms)
+    i = {"first": 0, "middle": arms // 2, "last": arms - 1}[at]
+    dist[i] = bad
+    if bad < 0.0:  # moved to the next arm, so the total alone is still 1
+        dist[(i + 1) % arms] += 1.0 / arms - bad
+        assert abs(dist.sum() - 1.0) <= 1e-9
+    with pytest.raises(ProtocolError):
+        sample_arm(dist, 0.9)
+
+
 def test_sampler_draws_equal_one_uniform_per_call():
     # more than two refills of the sampler's block of uniforms
     n = 3 * DRAW_BLOCK + 17
