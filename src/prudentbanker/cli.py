@@ -142,7 +142,7 @@ def cmd_lowerbound(args) -> int:
     # the report is computed in full before it prints: a bad flag or seed prints nothing
     delays = lb.corollary_delays(q, N)
     decomp = lb.greedy_buckets(delays)
-    instance = lb.make_hard_instance(decomp.lengths, args.delta, arms=2)
+    instance = lb.HardInstancePair(decomp.lengths, args.delta)
     T = len(delays)
     mono, dom, suffix = lb.bucket_inequalities(decomp, delays)
     rng = stream(args.seed, "lowerbound-probe")

@@ -129,7 +129,6 @@ def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
         return baselines.PlayDistribution(xc, sampler)
     if name == "play-fixed-arm":
         return baselines.PlayDistribution(np.eye(A)[istar], sampler)
-    raise ConfigError(name)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .harness import PlayColumns, play
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import DelaySequence, LossTable
 from .prudent import PrudentBanker, ThresholdFunctions, build_comparator
-from .rng import RngSampler, stream
+from .rng import RngSampler, check_integer, stream
 
 #: index of the biased ("special") arm in hard instances
 SPECIAL_ARM = 1
@@ -112,14 +112,38 @@ class HardInstancePair:
 
     In block m the special arm's loss is Bernoulli(1/2 + sign * eps_m); all
     other arms lose a deterministic 1/2. The comparator is anchored on arm 1.
+    From integer block lengths L_1..L_n it derives gamma = 1/(32 sqrt(L_1 delta)),
+    V = sum L_m^2 and eps_m = gamma L_m / sqrt(V); it requires L_1/(64 V) <= delta
+    <= 1/arms, whose lower end caps eps_m at 1/4. A `replace` copy is built alike.
     """
 
     lengths: tuple[int, ...]
     delta: float
-    arms: int
-    gamma: float
-    V: int
-    eps: tuple[float, ...]
+    arms: int = 2
+    gamma: float = field(init=False)
+    V: int = field(init=False)
+    eps: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        for L in self.lengths:
+            check_integer("block length", L)
+        lengths = tuple(int(L) for L in self.lengths)
+        if not lengths or any(L < 1 for L in lengths):
+            raise PreconditionError("block lengths must be positive")
+        delta, arms, L1 = self.delta, self.arms, lengths[0]
+        check_integer("arms", arms)
+        if arms < 2:
+            raise PreconditionError("need at least 2 arms")
+        V = sum(L * L for L in lengths)
+        if not delta >= L1 / (64.0 * V):  # NaN fails too
+            raise PreconditionError(
+                f"precondition delta >= L1/(64 V) fails: {delta} < {L1 / (64.0 * V)}")
+        if delta > 1.0 / arms:
+            raise PreconditionError(f"precondition delta <= 1/arms fails: {delta} > {1.0 / arms}")
+        gamma = 1.0 / (32.0 * math.sqrt(L1 * delta))
+        eps = tuple(gamma * L / math.sqrt(V) for L in lengths)
+        for name, value in (("lengths", lengths), ("gamma", gamma), ("V", V), ("eps", eps)):
+            object.__setattr__(self, name, value)  # past the frozen __setattr__
 
     @property
     def comparator(self) -> np.ndarray:
@@ -139,31 +163,6 @@ class HardInstancePair:
         table = np.full((len(u), self.arms), 0.5)
         table[:, SPECIAL_ARM] = u < 0.5 + sign * np.repeat(self.eps, self.lengths)
         return table
-
-
-def make_hard_instance(lengths, delta: float, arms: int = 2) -> HardInstancePair:
-    """Construct the hard-instance pair for block lengths L_1..L_n.
-
-    gamma = 1/(32 sqrt(L_1 delta)), eps_m = gamma L_m / sqrt(V) with
-    V = sum L_m^2; requires delta >= L_1 / (64 V) (which caps eps_m at 1/4)
-    and delta <= 1/arms.
-    """
-    lengths = tuple(int(L) for L in lengths)
-    if not lengths or any(L < 1 for L in lengths):
-        raise PreconditionError("block lengths must be positive")
-    if arms < 2:
-        raise PreconditionError("need at least 2 arms")
-    L1 = lengths[0]
-    V = sum(L * L for L in lengths)
-    if not delta >= L1 / (64.0 * V):  # NaN fails too
-        raise PreconditionError(
-            f"precondition delta >= L1/(64 V) fails: {delta} < {L1 / (64.0 * V)}")
-    if delta > 1.0 / arms:
-        raise PreconditionError(f"precondition delta <= 1/arms fails: {delta} > {1.0 / arms}")
-    gamma = 1.0 / (32.0 * math.sqrt(L1 * delta))
-    eps = tuple(gamma * L / math.sqrt(V) for L in lengths)
-    return HardInstancePair(lengths=lengths, delta=delta, arms=arms,
-                            gamma=gamma, V=V, eps=eps)
 
 
 # ---------------------------------------------------------------------------

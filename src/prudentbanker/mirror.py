@@ -78,8 +78,8 @@ def _require_arms(reg: Regularizer, v: np.ndarray) -> np.ndarray:
 
 
 def _require_interior(x: np.ndarray) -> np.ndarray:
-    if not x.item(x.argmin()) >= GRAD_FLOOR:  # NaN fails too
-        raise DomainError("point has a (numerically) zero coordinate")
+    if not (x.item(x.argmin()) >= GRAD_FLOOR and x.item(x.argmax()) < math.inf):  # NaN fails too
+        raise DomainError("point has a non-finite or (numerically) zero coordinate")
     return x
 
 

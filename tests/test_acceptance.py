@@ -12,8 +12,8 @@ import pytest
 
 from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
                                    emit, make_learner, play, run)
-from prudentbanker.lowerbound import (bucket_inequalities, corollary_delays,
-                                      greedy_buckets, make_hard_instance,
+from prudentbanker.lowerbound import (HardInstancePair, bucket_inequalities,
+                                      corollary_delays, greedy_buckets,
                                       batched_simulate, safety_gap_probe)
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
@@ -194,13 +194,13 @@ def test_criterion_8_greedy_bucket_inequalities():
 def test_criterion_9_batched_reduction_identity():
     delays = corollary_delays(2, 2)
     decomp = greedy_buckets(delays)
-    inst = make_hard_instance(decomp.lengths, 0.25, arms=2)
+    inst = HardInstancePair(decomp.lengths, 0.25, arms=2)
     ok = all(batched_simulate(inst, delays, seed).identical for seed in range(100))
     report(9, "delayed-to-batched pathwise identity on 100 coupled seeds", ok)
 
 
 def test_criterion_10_hard_instance_probe():
-    inst = make_hard_instance((2, 2, 2), 0.25, arms=2)
+    inst = HardInstancePair((2, 2, 2), 0.25, arms=2)
     rng = stream(10, "probe")
     ok = all(safety_gap_probe(inst, policy, 100000, rng).ok
              for policy in ("arm1", "arm2", "comparator"))

@@ -167,6 +167,18 @@ def test_ingest_of_uncommitted_round_raises():
         b.ingest(FeedbackEvent(2, 0, 0.5, 3))
 
 
+@pytest.mark.parametrize("misuse, message", [
+    (lambda b: b.commit(1, ENT.x0, 0), "commit without a matching begin_round"),
+    (lambda b: run_rounds(b, [(ENT.x0, 0)], {1: [FeedbackEvent(1, 1, 0.5, 1)]}),
+     "feedback arm mismatch at round 1"),
+    (lambda b: run_rounds(b, [([0.5, 0.5, 0.0, 0.0], 2)], {1: [FeedbackEvent(1, 2, 0.5, 1)]}),
+     "played probability 0 at round 1, arm 2")],
+    ids=["commit-without-begin", "arm-mismatch", "played-probability-0"])
+def test_ledger_misuse_is_a_protocol_error(misuse, message):
+    with pytest.raises(ProtocolError, match=message):
+        misuse(BankerOMD(ENT))
+
+
 def test_estimator_unbiased_small():
     rng = np.random.default_rng(0)
     x = np.array([0.5, 0.2, 0.2, 0.1])

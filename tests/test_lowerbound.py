@@ -110,7 +110,7 @@ def test_corollary_delays_closed_form():
 # -- hard instances ---------------------------------------------------------
 
 def test_hard_instance_arithmetic():
-    inst = lb.make_hard_instance((2, 2, 2), 0.25, arms=2)
+    inst = lb.HardInstancePair((2, 2, 2), 0.25, arms=2)
     assert inst.V == 12
     assert inst.gamma == pytest.approx(1.0 / (32.0 * math.sqrt(0.5)))
     assert inst.gamma == pytest.approx(0.04419, abs=1e-5)
@@ -121,15 +121,82 @@ def test_hard_instance_arithmetic():
 
 def test_hard_instance_preconditions():
     # boundary delta = L1/(64 V) accepted
-    lb.make_hard_instance((2, 2, 2), 2.0 / (64.0 * 12.0), arms=2)
+    lb.HardInstancePair((2, 2, 2), 2.0 / (64.0 * 12.0), arms=2)
     with pytest.raises(PreconditionError):
-        lb.make_hard_instance((2, 2, 2), 1.0 / (64.0 * 12.0), arms=2)
+        lb.HardInstancePair((2, 2, 2), 1.0 / (64.0 * 12.0), arms=2)
     with pytest.raises(PreconditionError):
-        lb.make_hard_instance((2, 2, 2), 0.6, arms=2)  # delta > 1/A
+        lb.HardInstancePair((2, 2, 2), 0.6, arms=2)  # delta > 1/A
+
+
+@st.composite
+def instance_args(draw):
+    """1-6 block lengths in 1..20, 2-4 arms, and two deltas drawn from NaN, 0,
+    [0, 1], and L_1/(64 V) and 1/arms with a neighbouring float on each side."""
+    lengths = tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=6)))
+    arms = draw(st.integers(2, 4))
+    edges = (lengths[0] / (64.0 * sum(L * L for L in lengths)), 1.0 / arms)
+    near = [math.nextafter(e, side) for e in edges for side in (0.0, 1.0)]
+    delta = st.one_of(st.sampled_from([math.nan, 0.0, *edges, *near]), st.floats(0.0, 1.0))
+    return lengths, arms, draw(delta), draw(delta)
+
+
+def outcome(f, *args, **kwargs):
+    """f's result, or the type and message of the ConfigError it raised."""
+    try:
+        return f(*args, **kwargs)
+    except ConfigError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_args())
+def test_hard_instance_checks_and_derives_when_built(args):
+    lengths, arms, delta, other = args
+    L1, V = lengths[0], sum(L * L for L in lengths)
+    inst = outcome(lb.HardInstancePair, lengths, delta, arms)
+    if not L1 / (64.0 * V) <= delta <= 1.0 / arms:  # NaN fails too
+        assert inst[0] is PreconditionError
+        return
+    gamma = 1.0 / (32.0 * math.sqrt(L1 * delta))
+    assert (inst.lengths, inst.delta, inst.arms) == (lengths, delta, arms)
+    assert (inst.gamma, inst.V) == (gamma, V)
+    assert inst.eps == tuple(gamma * L / math.sqrt(V) for L in lengths)
+    # a copy with another delta is checked and derived anew
+    expected = outcome(lb.HardInstancePair, lengths, other, arms)
+    assert outcome(dataclasses.replace, inst, delta=other) == expected
+
+
+def test_a_replaced_copy_has_no_stale_gamma():
+    inst = dataclasses.replace(lb.HardInstancePair((2, 2, 2), 0.25), delta=0.1)
+    assert inst.gamma == pytest.approx(1.0 / (32.0 * math.sqrt(0.2)))  # 0.0699, not 0.0442
+    with pytest.raises(PreconditionError, match="delta <= 1/arms"):
+        dataclasses.replace(inst, delta=0.9)
+
+
+@pytest.mark.parametrize("lengths, arms, name", [
+    ((2.5, 1.9), 2, "block length"), ((2, 2.0), 2, "block length"), ((2, 2), 2.0, "arms")],
+    ids=["fractional-lengths", "float-length", "float-arms"])
+def test_hard_instance_needs_integer_lengths_and_arms(lengths, arms, name):
+    # (2.5, 1.9) would otherwise play blocks (2, 1), and arms=2.0 fail in block_losses
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        lb.HardInstancePair(lengths, 0.25, arms)
+
+
+def test_hard_instance_accepts_numpy_integers():
+    inst = lb.HardInstancePair(np.array([3, 2]), 0.2, np.int64(3))
+    assert inst == lb.HardInstancePair((3, 2), 0.2, 3)
+    assert all(type(L) is int for L in inst.lengths)
+
+
+def test_derived_fields_are_not_arguments():
+    with pytest.raises(TypeError, match="gamma"):
+        lb.HardInstancePair((2, 2), 0.25, gamma=0.1)
+    with pytest.raises(ValueError, match="gamma"):
+        dataclasses.replace(lb.HardInstancePair((2, 2), 0.25), gamma=0.1)
 
 
 def test_sign_flip_changes_only_biased_arm():
-    inst = lb.make_hard_instance((3, 2), 0.2, arms=3)
+    inst = lb.HardInstancePair((3, 2), 0.2, arms=3)
     plus = inst.block_losses(+1, stream(0, "bl"))
     minus = inst.block_losses(-1, stream(0, "bl"))
     assert plus.shape == minus.shape == (5, 3)
@@ -142,7 +209,7 @@ def test_sign_flip_changes_only_biased_arm():
 @pytest.mark.parametrize("lengths, arms", [((5, 3, 1), 2), ((1, 4), 3), ((2, 7, 2, 1), 4)])
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_block_losses_match_the_per_block_draw(lengths, arms, sign):
-    inst = lb.make_hard_instance(lengths, 0.2, arms=arms)
+    inst = lb.HardInstancePair(lengths, 0.2, arms=arms)
     rng, ref_rng = stream(3, "bl"), stream(3, "bl")
     table = inst.block_losses(sign, rng)
     expected = np.vstack(block_losses_by_block(inst, sign, ref_rng))
@@ -152,12 +219,12 @@ def test_block_losses_match_the_per_block_draw(lengths, arms, sign):
 
 
 def test_hard_instance_comparator_anchors_arm_1():
-    inst = lb.make_hard_instance((3, 2), 0.2, arms=3)
+    inst = lb.HardInstancePair((3, 2), 0.2, arms=3)
     np.testing.assert_array_equal(inst.comparator, [1 - 2 * 0.2, 0.2, 0.2])
 
 
 def test_hard_instance_mean_bias():
-    inst = lb.make_hard_instance((4,), 0.25, arms=2)
+    inst = lb.HardInstancePair((4,), 0.25, arms=2)
     rng = stream(1, "bl")
     draws = np.array([inst.block_losses(+1, rng)[:, 1] for _ in range(20000)])
     assert draws.mean() == pytest.approx(0.5 + inst.eps[0], abs=0.005)
@@ -167,7 +234,7 @@ def test_hard_instance_mean_bias():
 
 def simulate_once(seed, j=1):
     delays = lb.corollary_delays(2, 2)
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths[j - 1:], 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths[j - 1:], 0.25, arms=2)
     return lb.batched_simulate(inst, delays, seed, j=j)
 
 
@@ -200,7 +267,7 @@ def test_identity_sees_the_played_distributions():
 def test_wrapper_plays_the_native_distributions(monkeypatch):
     # the arms alone can agree even when feedback comes a round late
     delays = lb.corollary_delays(3, 4)
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     played, act = {}, lb.PrudentBanker.act
 
     def recording_act(self, t):  # keyed by learner, which the dict keeps alive
@@ -217,7 +284,7 @@ def test_wrapper_plays_the_native_distributions(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 3])
 def test_mis_sized_block_is_rejected(no_learner, rows):
     delays = lb.corollary_delays(2, 2)  # three buckets of two rounds
-    inst = lb.make_hard_instance((2, rows, 2), 0.25, arms=2)
+    inst = lb.HardInstancePair((2, rows, 2), 0.25, arms=2)
     with pytest.raises(PreconditionError, match="lengths \\(2, 2, 2\\) of buckets 1..3"):
         lb.batched_simulate(inst, delays, 0)
 
@@ -225,14 +292,14 @@ def test_mis_sized_block_is_rejected(no_learner, rows):
 def test_batched_simulate_needs_an_integer_seed(no_learner):
     # a float seed would otherwise be truncated, so 1.5 would play seed 1
     delays = lb.corollary_delays(2, 2)
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     with pytest.raises(ConfigError, match="seed must be an integer"):
         lb.batched_simulate(inst, delays, 1.5)
 
 
 def test_instance_for_another_suffix_is_rejected(no_learner):
     delays = lb.corollary_delays(2, 2)
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     with pytest.raises(PreconditionError, match="buckets 2..3"):
         lb.batched_simulate(inst, delays, 0, j=2)
 
@@ -241,7 +308,7 @@ def test_wrapper_rejects_feedback_due_inside_its_bucket(monkeypatch):
     delays = lb.corollary_delays(2, 2)  # round 1's feedback is due at round 3
     monkeypatch.setattr(lb, "greedy_buckets",
                         lambda d: lb.BucketDecomposition(boundaries=(1, len(d) + 1)))
-    inst = lb.make_hard_instance((len(delays),), 0.25, arms=2)
+    inst = lb.HardInstancePair((len(delays),), 0.25, arms=2)
     with pytest.raises(ProtocolError, match="round 1 "):
         lb.batched_simulate(inst, delays, 0)
 
@@ -258,7 +325,7 @@ def admissible_delays(draw):
 @given(delays=admissible_delays(), seed=st.integers(0, 2**16))
 def test_identity_on_uneven_buckets(delays, seed):
     # unlike corollary_delays, these buckets may differ in length
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     assert lb.batched_simulate(inst, delays, seed).identical
 
 
@@ -271,7 +338,7 @@ def test_prefix_rounds_are_free():
 # -- safety-gap probe -------------------------------------------------------
 
 def test_probe_three_policies():
-    inst = lb.make_hard_instance((2, 2, 2), 0.25, arms=2)
+    inst = lb.HardInstancePair((2, 2, 2), 0.25, arms=2)
     rng = stream(0, "probe")
     scale = inst.gamma * math.sqrt(inst.V)
     r1 = lb.safety_gap_probe(inst, "arm1", 20000, rng)
@@ -295,7 +362,7 @@ def test_probe_three_policies():
 def test_probe_draws_as_the_two_pass_probe(monkeypatch, n, trials, chunk):
     monkeypatch.setattr(lb, "PROBE_CHUNK", chunk)
     delays = lb.corollary_delays(1, n)
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     for policy in ("arm1", "arm2", "comparator"):
         rng, ref_rng = stream(0, "probe"), stream(0, "probe")
         result = lb.safety_gap_probe(inst, policy, trials, rng)
@@ -309,7 +376,7 @@ def test_probe_memory_grows_by_32_bytes_per_trial(n):
     # a time; per trial, the probe keeps the regret and W, and the residual and
     # its spread briefly take two float64s more
     delays = lb.corollary_delays(1, n)
-    inst = lb.make_hard_instance(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
+    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
     for policy in ("arm1", "arm2", "comparator"):
         peaks = []
         for trials in (2000, 8000):  # each spans more than one chunk of rows
@@ -325,15 +392,38 @@ def test_probe_memory_grows_by_32_bytes_per_trial(n):
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
 def test_probe_needs_a_generator_that_skips_doubles(bit_generator):
     # MT19937 cannot skip ahead; Philox skips whole blocks of four outputs
-    inst = lb.make_hard_instance((2, 2), 0.25, arms=2)
+    inst = lb.HardInstancePair((2, 2), 0.25, arms=2)
     rng = np.random.Generator(bit_generator(0))
     with pytest.raises(PreconditionError, match="PCG64"):
         lb.safety_gap_probe(inst, "comparator", 100, rng)
     assert rng.random() == np.random.Generator(bit_generator(0)).random()  # nothing drawn
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: lb.greedy_buckets(DelaySequence(delays=np.array([], dtype=np.int64))),
+     "empty delay sequence"),
+    (lambda: lb.HardInstancePair((2,), 0.25).block_losses(0, stream(0, "bl")),
+     "sign must be \\+1 or -1"),
+    (lambda: lb.batched_simulate(lb.HardInstancePair((2, 2, 2), 0.25),
+                                 lb.corollary_delays(2, 2), 0, j=0),
+     "suffix start bucket out of range"),
+    (lambda: lb.batched_simulate(lb.HardInstancePair((2,), 0.25),
+                                 lb.corollary_delays(2, 2), 0, j=4),
+     "suffix start bucket out of range")],
+    ids=["empty-delays", "sign-zero", "j-zero", "j-past-the-last-bucket"])
+def test_lowerbound_rejects_bad_input(no_learner, call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
+def test_probe_result_without_spread_needs_a_zero_residual():
+    exact = lb.ProbeResult(0.0, 0.0, 0.0, residual_mean=1e-10, residual_se=0.0)
+    assert exact.ok
+    assert not dataclasses.replace(exact, residual_mean=1e-8).ok
+
+
 def test_probe_rejects_bad_input():
-    inst = lb.make_hard_instance((2,), 0.25, arms=2)
+    inst = lb.HardInstancePair((2,), 0.25, arms=2)
     with pytest.raises(PreconditionError):
         lb.safety_gap_probe(inst, "nope", 100, stream(0, "p"))
     with pytest.raises(PreconditionError):

@@ -36,10 +36,11 @@ def test_constants_are_python_floats_computed_once():
 
 
 def test_invalid_regularizer_config():
-    with pytest.raises(ConfigError):
-        Regularizer("unknown", 4, 0.1)
-    with pytest.raises(ConfigError):
-        Regularizer(NEG_ENTROPY, 4, 0.3)  # delta > 1/A
+    for kind, arms, delta, message in [("unknown", 4, 0.1, "unknown regularizer kind 'unknown'"),
+                                       (NEG_ENTROPY, 0, 0.1, "arms must be positive"),
+                                       (NEG_ENTROPY, 4, 0.3, "delta must lie in")]:  # delta > 1/A
+        with pytest.raises(ConfigError, match=message):
+            Regularizer(kind, arms, delta)
 
 
 def test_gradients_at_uniform():
@@ -55,7 +56,7 @@ def test_gradients_at_uniform():
 
 def test_gradient_domain_error():
     ent, tsa = regs(arms=3)
-    for bad in ([0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]):
+    for bad in ([0.5, 0.5, 0.0], [np.nan, 0.5, 0.5], [0.5, np.inf, 0.5], [-np.inf, 0.5, 0.5]):
         for reg in (ent, tsa):
             with pytest.raises(DomainError):
                 grad_psi(reg, np.array(bad))

@@ -149,6 +149,23 @@ def test_environment_config_needs_integer_sizes_and_seed(field):
             EnvironmentConfig(**{"horizon": 100, "blocks": 5, field: value})
 
 
+def stepped_queue():
+    q = FeedbackQueue(horizon=5)
+    q.step(1)
+    return q
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EnvironmentConfig(horizon=0), ConfigError, "horizon must be positive"),
+    (lambda: EnvironmentConfig(arms=0), ConfigError, "arms must be positive"),
+    (lambda: stepped_queue().enqueue(FeedbackEvent(1, 0, 0.5, 1)), ProtocolError,
+     "event for round 1 arrives at already-queried round 1")],
+    ids=["horizon-zero", "arms-zero", "enqueue-for-a-stepped-round"])
+def test_protocol_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_environment_config_accepts_numpy_integers():
     cfg = EnvironmentConfig(horizon=np.int64(100), arms=np.int32(3), blocks=np.uint8(5),
                             seed=np.int64(2))

@@ -95,6 +95,19 @@ def test_build_comparator():
         build_comparator(4, 0.3, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_comparator(4, 0.25, 4), "anchor arm out of range"),
+    (lambda: build_comparator(4, 0.25, -1), "anchor arm out of range"),
+    (lambda: next_delay_estimate(0), "trigger must be >= 1"),
+    (lambda: PrudentBanker(ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), 100),
+                           np.array([0.5, 0.5]), RngSampler(stream(0, "act"))),
+     "comparator dimension mismatch")],
+    ids=["anchor-past-the-arms", "anchor-negative", "trigger-zero", "comparator-shape"])
+def test_prudent_rejects_bad_input(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("xc, error", [
     ([np.nan, 0.5, 0.5], "every coordinate >= delta"),
     ([0.05, 0.5, 0.5], "every coordinate >= delta"),
