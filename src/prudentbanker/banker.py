@@ -29,13 +29,16 @@ class Kahan:
         self._c = np.zeros(shape)
 
     def add(self, x: float, at) -> None:
-        y = x - self._c[at]
-        t = self.total[at] + y
-        self._c[at] = (t - self.total[at]) - y
-        self.total[at] = t
+        # on Python floats: the same IEEE operations as on numpy scalars, at less cost
+        total, c = self.total, self._c
+        s = total.item(at)
+        y = x - c.item(at)
+        t = s + y
+        c[at] = (t - s) - y
+        total[at] = t
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     sigma: float
     v: float
@@ -101,7 +104,8 @@ class BankerOMD:
 
         allocation, b = self._allocate(t, sigma)
         # Without a borrow, theta starts from the first donor's term: a zero
-        # borrow term would change no bit, as no conjugate dual entry is -0.0.
+        # borrow term would change no bit, as no stored dual entry is -0.0
+        # (ingest's theta has none, so neither has its conjugate's dual).
         theta = (b / sigma) * self._dual_x0 if b > 0.0 else None
         for u, amount in allocation:
             rec = self.records[u]
@@ -144,7 +148,10 @@ class BankerOMD:
         if x_at_arm <= 0.0:
             raise ProtocolError(f"played probability 0 at round {u}, arm {event.arm}")
         w = event.loss_value / x_at_arm
-        theta = grad_psi(self.reg, np.maximum(rec.x, GRAD_FLOOR))
+        x = rec.x
+        if not x.item(x.argmin()) >= GRAD_FLOOR:  # NaN too: grad_psi rejects it
+            x = np.maximum(x, GRAD_FLOOR)
+        theta = grad_psi(self.reg, x)
         theta[event.arm] -= w / rec.sigma
         _, rec.dual_z = grad_psi_star_with_dual(self.reg, theta)
         self.missing.remove(u)

@@ -149,6 +149,7 @@ class PrudentBanker:
         self.stage_start = 1
         self.stage_delay = 0  # realized delay of arrived feedback, current stage
         self.restarts: list[RestartRecord] = []
+        self._safe_alpha = self._safe_part = None  # see _mix
         self._enter(1, 1)
 
     # -- round loop ---------------------------------------------------------
@@ -160,9 +161,9 @@ class PrudentBanker:
             self.stage_start, self.stage_delay = t + 1, 0
             # The restart round still plays the mixture, anchored at the reset
             # base point; it is not part of the new stage's ledger.
-            x = self.alpha * self.reg.x0 + (1.0 - self.alpha) * self.xc
+            x = self._mix(self.reg.x0)
             return x, self.sampler.draw(x)
-        x = self.alpha * self.base.begin_round(t) + (1.0 - self.alpha) * self.xc
+        x = self._mix(self.base.begin_round(t))
         arm = self.sampler.draw(x)
         self.base.commit(t, x, arm)
         return x, arm
@@ -179,6 +180,19 @@ class PrudentBanker:
         if gap <= self.threshold:
             return
         self._restart(t, "soft", gap, self.delay_estimate, self.phase + 1)
+
+    def _mix(self, xhat: np.ndarray) -> np.ndarray:
+        """alpha * xhat + (1 - alpha) * x^c, formed in place on the fresh array xhat.
+
+        (1 - alpha) * x^c is kept with the alpha it was built from, so it is
+        rebuilt only when alpha changes, whoever changes it.
+        """
+        alpha = self.alpha
+        if alpha != self._safe_alpha:
+            self._safe_alpha, self._safe_part = alpha, (1.0 - alpha) * self.xc
+        xhat *= alpha
+        xhat += self._safe_part
+        return xhat
 
     # -- restarts -----------------------------------------------------------
 

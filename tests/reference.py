@@ -253,7 +253,7 @@ def grad_psi_star_with_dual_by_reduction(reg: Regularizer,
     if reg.kind == NEG_ENTROPY:
         w = np.exp(shifted)
         z = w.sum()
-        return w / z, 1.0 + shifted - np.log(z)
+        return w / z, shifted
     lo, hi = 1.0, math.sqrt(shifted.size)
     lam = min(max(-float(top), lo), hi)
     for _ in range(50):

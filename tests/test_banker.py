@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prudentbanker.banker import BankerOMD, RoundRecord, step_size
+from prudentbanker.banker import BankerOMD, Kahan, RoundRecord, step_size
 from prudentbanker.baselines import BankerOMDLearner
-from prudentbanker.errors import ConfigError, ProtocolError
+from prudentbanker.errors import ConfigError, DomainError, ProtocolError
 from prudentbanker.harness import play
-from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
+from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, LossTable,
@@ -177,6 +177,50 @@ def test_ingest_of_uncommitted_round_raises():
 def test_ledger_misuse_is_a_protocol_error(misuse, message):
     with pytest.raises(ProtocolError, match=message):
         misuse(BankerOMD(ENT))
+
+
+@pytest.mark.parametrize("kind", [NEG_ENTROPY, TSALLIS_HALF])
+def test_ingest_floors_an_exact_zero_coordinate_as_np_maximum_does(kind):
+    reg = Regularizer(kind, 4, 0.1)
+    x = np.array([0.5, 0.0, 0.3, 0.2])
+    b = BankerOMD(reg)
+    run_rounds(b, [(x, 2)], {1: [FeedbackEvent(1, 2, 0.7, 1)]})
+    theta = grad_psi(reg, np.maximum(x, GRAD_FLOOR))
+    theta[2] -= (0.7 / 0.3) / b.records[1].sigma
+    assert b.records[1].dual_z.tobytes() == grad_psi_star_with_dual(reg, theta)[1].tobytes()
+
+
+@pytest.mark.parametrize("kind", [NEG_ENTROPY, TSALLIS_HALF])
+def test_ingest_of_a_point_with_a_nan_coordinate_is_a_domain_error(kind):
+    reg = Regularizer(kind, 4, 0.1)
+    b = BankerOMD(reg)
+    with pytest.raises(DomainError):
+        run_rounds(b, [([0.5, np.nan, 0.3, 0.2], 2)], {1: [FeedbackEvent(1, 2, 0.7, 1)]})
+
+
+def kahan_add_on_numpy_scalars(kahan, x, at):
+    """Kahan.add as it reads with numpy scalars, the form it must match bit for bit."""
+    y = x - kahan._c[at]
+    t = kahan.total[at] + y
+    kahan._c[at] = (t - kahan.total[at]) - y
+    kahan.total[at] = t
+
+
+KAHAN_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                  1e300, -1e300, 1.0, 1e-16]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(KAHAN_SPECIALS),
+                                    st.floats(-1e300, 1e300)),
+                          st.integers(0, 2)), max_size=30))
+def test_kahan_add_matches_the_numpy_scalar_form(adds):
+    got, want = Kahan(3), Kahan(3)
+    for x, at in adds:
+        got.add(x, at)
+        kahan_add_on_numpy_scalars(want, x, at)
+        assert got.total.tobytes() == want.total.tobytes()
+        assert got._c.tobytes() == want._c.tobytes()
 
 
 def test_estimator_unbiased_small():

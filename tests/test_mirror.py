@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prudentbanker import mirror
 from prudentbanker.errors import ConfigError, DomainError
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
@@ -156,6 +157,33 @@ def test_dual_output_matches_gradient():
         # dual equals grad_psi(x) up to an additive constant
         diff = dual - grad_psi(reg, x)
         np.testing.assert_allclose(diff, diff[0], atol=1e-8)
+
+
+def test_negative_entropy_dual_is_theta_minus_its_max():
+    reg = Regularizer(NEG_ENTROPY, 4, 0.25)
+    theta = np.array([0.5, -2.0, 3.25, 1.0])
+    assert grad_psi_star_with_dual(reg, theta)[1].tobytes() == (theta - 3.25).tobytes()
+
+
+@pytest.mark.parametrize("arms", [10, 100])
+def test_tsallis_conjugate_of_its_own_dual_solves_at_the_first_evaluation(arms, monkeypatch):
+    """The warm start -max theta is the root at a dual with constant 0, so no
+    step is taken there; a dual shifted to max 0 would need the model."""
+    calls = []
+    real_root = mirror._two_pole_root
+    monkeypatch.setattr(mirror, "_two_pole_root",
+                        lambda *args: calls.append(args) or real_root(*args))
+    reg = Regularizer(TSALLIS_HALF, arms, 1.0 / arms)
+    rng = np.random.default_rng(arms)
+    duals = [grad_psi_star_with_dual(reg, rng.normal(scale=scale, size=arms))[1]
+             for scale in (0.01, 1.0, 100.0, 1e4) for _ in range(10)]
+    calls.clear()
+    for dual in duals:
+        grad_psi_star_with_dual(reg, dual)
+    assert calls == []
+    for dual in duals:
+        grad_psi_star_with_dual(reg, dual - dual.max())
+    assert len(calls) >= len(duals)
 
 
 def test_bregman_basics():

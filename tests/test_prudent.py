@@ -268,6 +268,38 @@ def test_act_mixture_arithmetic():
     np.testing.assert_allclose(dist, 0.5 * np.array([0.5, 0.5]) + 0.5 * learner.xc)
 
 
+def test_act_plays_the_mixture_bit_for_bit_as_alpha_changes():
+    """act's distribution is alpha * xhat + (1 - alpha) * x^c to the last bit
+    after a direct set of alpha, on a hard-restart round and after a soft restart."""
+    learner = make_learner()
+    predictions = []
+
+    def begin_round(t, begin_round=learner.base.begin_round):
+        xhat = begin_round(t)
+        predictions.append(xhat.copy())  # act mixes into xhat in place
+        return xhat
+
+    learner.base.begin_round = begin_round
+
+    def assert_mixture(dist, xhat):
+        want = learner.alpha * xhat + (1.0 - learner.alpha) * learner.xc
+        assert dist.tobytes() == want.tobytes()
+
+    assert_mixture(learner.act(1)[0], predictions[-1])
+    learner.alpha = 0.5
+    assert_mixture(learner.act(2)[0], predictions[-1])
+    learner.stage_delay = 3
+    dist, _ = learner.act(3)  # hard restart: plays the mixture at the base point
+    assert learner.restarts[-1].kind == "hard" and len(predictions) == 2
+    assert_mixture(dist, learner.reg.x0)
+    assert_mixture(learner.act(4)[0], predictions[-1])
+    learner.base.g.total[1] = -1.01 * learner.threshold / (1.0 - 0.1)
+    alpha = learner.alpha
+    learner.receive([], 4)  # soft restart: alpha doubles
+    assert learner.alpha == 2.0 * alpha
+    assert_mixture(learner.act(5)[0], predictions[-1])
+
+
 def test_played_probabilities_floor_and_weight_cap(monkeypatch):
     weights = []
     real_ingest = BankerOMD.ingest
