@@ -2,13 +2,21 @@
 
 The run set is every learner under every delay model at T=500 with 5 blocks
 and threshold_scale 0.02, the two Banker learners under 1/2-Tsallis as well,
-and one 2,000-round paper-shape (100 arms, 500 blocks) Lomax run of
-Prudent-Banker. For each run the sampled arms, the integer CSV columns and
-the restart rounds and kinds must match exactly. Every float (the summary
-fields, the restart log's triggers and alphas, and the float CSV columns at
-ten checkpoint rounds) must match within a relative 1e-12. A loss sum is at
-most T, so the two summary fields that are differences of loss sums (the
-regret and the comparator gap) may also move by 1e-12 * T.
+and two 2,000-round runs of Prudent-Banker: a paper-shape (100 arms, 500
+blocks) Lomax run and a desk geometric run at threshold_scale 0.02. For each
+run the sampled arms, the integer CSV columns and the restart rounds and
+kinds must match exactly. Every float (the summary fields, the restart log's
+triggers and alphas, and the float CSV columns at ten checkpoint rounds) must
+match within a relative 1e-12. A loss sum is at most T, so the two summary
+fields that are differences of loss sums (the regret and the comparator gap)
+may also move by 1e-12 * T.
+
+Each run also stores the sha256 of the CSV and JSON that ``emit`` writes for
+it. The tests leave these out, as a last-bit change of exp or log on another
+SIMD target moves them; a change that claims the same bytes as its parent
+checks them on one machine with
+
+    PYTHONPATH=src python3 tests/test_golden.py --bytes
 
 A change that moves outputs on purpose re-records the file with
 
@@ -22,13 +30,15 @@ import functools
 import hashlib
 import json
 import math
+import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from prudentbanker import harness
-from prudentbanker.harness import LEARNERS, RunConfig, build_environment, run
+from prudentbanker.harness import LEARNERS, RunConfig, build_environment, emit, run
 from prudentbanker.mirror import TSALLIS_HALF
 from prudentbanker.protocol import DELAY_MODELS, EnvironmentConfig
 
@@ -41,6 +51,8 @@ RESTART_FIELDS = ("round", "kind", "trigger", "old_estimate", "new_estimate",
                   "new_phase", "new_alpha")
 #: summary fields that are differences of two loss sums, each at most T
 DIFFERENCES = ("regret_vs_best_fixed_arm", "comparator_gap")
+#: the key of a run's CSV and JSON digests, which only --bytes compares
+BYTES = "bytes_sha256"
 
 
 def golden_configs() -> dict[str, RunConfig]:
@@ -56,6 +68,8 @@ def golden_configs() -> dict[str, RunConfig]:
                 env=env, learner=learner, regularizer=TSALLIS_HALF, threshold_scale=0.02)
     paper = EnvironmentConfig(horizon=2000, arms=100, blocks=500, delay_model="lomax")
     configs["paper_prudent-banker_lomax"] = RunConfig(env=paper)
+    desk_2000 = EnvironmentConfig(horizon=2000, delay_model="geometric")
+    configs["desk_prudent-banker_geometric"] = RunConfig(env=desk_2000, threshold_scale=0.02)
     return configs
 
 
@@ -87,6 +101,13 @@ def sha256(column) -> str:
     return hashlib.sha256(column.astype("<i8").tobytes()).hexdigest()
 
 
+def emitted_digests(trace) -> dict[str, str]:
+    """The sha256 of the CSV and of the JSON that emit writes for the trace."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {path.suffix: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in emit(trace, Path(tmp) / "run")}
+
+
 def record(config: RunConfig) -> dict:
     """The stored form of one run: digests, restart log, checkpoints, summary."""
     with captured_play() as played:
@@ -101,6 +122,7 @@ def record(config: RunConfig) -> dict:
         "checkpoints": {name: getattr(trace, name)[checkpoints].tolist()
                         for name in FLOAT_COLUMNS},
         "summary": trace.summary,
+        BYTES: emitted_digests(trace),
     }
 
 
@@ -129,11 +151,19 @@ def test_golden_covers_the_run_set():
     assert sorted(golden()) == sorted(CONFIGS)
 
 
+def test_golden_stores_the_emitted_digests_of_every_run():
+    for stored in golden().values():
+        assert sorted(stored[BYTES]) == [".csv", ".json"]
+        assert all(len(digest) == 64 for digest in stored[BYTES].values())
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_matches_golden(name):
     config = CONFIGS[name]
     got = json.loads(json.dumps(record(config)))  # tuples and keys as stored
-    assert mismatches(golden()[name], got, config.env.horizon) == []
+    want = dict(golden()[name])
+    del got[BYTES], want[BYTES]  # compared only by --bytes
+    assert mismatches(want, got, config.env.horizon) == []
 
 
 def test_restart_rounds_and_integer_fields_compare_exactly():
@@ -149,13 +179,24 @@ def test_restart_rounds_and_integer_fields_compare_exactly():
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--write", action="store_true",
-                        help=f"re-record {GOLDEN_PATH.name} from the current code")
-    if not parser.parse_args().write:
-        parser.error("nothing to do without --write")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true",
+                      help=f"re-record {GOLDEN_PATH.name} from the current code")
+    mode.add_argument("--bytes", action="store_true",
+                      help="compare each run's emitted CSV and JSON with the stored sha256")
+    args = parser.parse_args()
     records = {name: record(config) for name, config in CONFIGS.items()}
-    GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} runs to {GOLDEN_PATH}")
+    if args.write:
+        GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(records)} runs to {GOLDEN_PATH}")
+        return
+    moved = [f"{name}{suffix}" for name in sorted(records)
+             for suffix, digest in records[name][BYTES].items()
+             if golden()[name][BYTES][suffix] != digest]
+    for name in moved:
+        print(f"moved: {name}")
+    print(f"{2 * len(records) - len(moved)} of {2 * len(records)} files byte-identical")
+    sys.exit(1 if moved else 0)
 
 
 if __name__ == "__main__":
