@@ -103,18 +103,25 @@ class BankerOMD:
         sigma = step_size(self.reg, t, self.phase_start, d_t, self.outstanding_sum)
 
         allocation, b = self._allocate(t, sigma)
-        # Without a borrow, theta starts from the first donor's term: a zero
-        # borrow term would change no bit, as no stored dual entry is -0.0
-        # (ingest's theta has none, so neither has its conjugate's dual).
-        theta = (b / sigma) * self._dual_x0 if b > 0.0 else None
+        # theta starts from the first donor's term. The borrow term, if any,
+        # is one scalar added to it: grad Psi(x0) has one value in every
+        # coordinate and addition commutes, so the bits are those of the borrow
+        # vector plus that term. A zero borrow term would change no bit, as no
+        # stored dual entry is -0.0 (ingest's theta has none, so neither has
+        # its conjugate's dual).
+        theta = None
         for u, amount in allocation:
             rec = self.records[u]
             if theta is None:
                 theta = (amount / sigma) * rec.dual_z
+                if b > 0.0:
+                    theta += (b / sigma) * self._dual_x0.item(0)
             else:
                 theta += (amount / sigma) * rec.dual_z
             if rec.v <= 0.0:
                 del self.records[u]
+        if theta is None:  # no arrived credit: the borrow alone
+            theta = (b / sigma) * self._dual_x0
         xhat, _ = grad_psi_star_with_dual(self.reg, theta)
 
         self._pending = (t, sigma)

@@ -50,9 +50,8 @@ def sample_arm(dist: np.ndarray, u: float) -> int:
     # a NaN makes the total NaN; the min is read by index, cheaper than a reduction
     if not abs(total - 1.0) <= 1e-9 or dist.item(dist.argmin()) < 0.0:
         raise ProtocolError(f"not a probability vector: {dist!r}")
-    # Guard against cumulative rounding leaving cdf[-1] slightly below u.
-    cdf[-1] = max(total, 1.0)
-    return int(cdf.searchsorted(u, side="right"))
+    # Cumulative rounding can leave the total slightly below u: past it is the last arm.
+    return min(int(cdf.searchsorted(u, side="right")), cdf.size - 1)
 
 
 #: uniforms drawn per refill; a block gives the values of as many random()

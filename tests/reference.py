@@ -229,6 +229,14 @@ def stage_schedule(delays: DelaySequence) -> list[tuple[int, int, int]]:
     return restarts
 
 
+def sample_arm_stored_guard(dist: np.ndarray, u: float) -> int:
+    """rng.sample_arm for a valid distribution, with the cumulative total stored
+    as at least 1 before the search, in place of clamping the index."""
+    cdf = np.cumsum(dist)
+    cdf[-1] = max(cdf[-1], 1.0)
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
 # -- the round path's extrema taken by ufunc reductions ----------------------
 # The simulator reads minima and maxima as v.item(v.argmin()) / argmax; these
 # are the same functions with np.minimum.reduce / np.maximum.reduce, .min(),
@@ -258,22 +266,22 @@ def grad_psi_star_with_dual_by_reduction(reg: Regularizer,
     lam = min(max(-float(top), lo), hi)
     for _ in range(50):
         r = 1.0 / (lam - shifted)
-        r2 = r * r
-        f = float(r2.sum())
+        f = float(np.dot(r, r))
         if abs(f - 1.0) <= 1e-13:
             break
         if f > 1.0:
             lo = lam
         else:
             hi = lam
-        s3 = float(np.dot(r2, r))
-        guess = _two_pole_root(lam, f, s3, lo)
+        s3 = float(np.dot(r * r, r))
+        step = min(max(lam + f * (f ** 0.5 - 1.0) / s3, lo), hi)
+        guess = _two_pole_root(lam, f, s3, step)
         if not lo < guess < hi:  # NaN fails too
-            guess = min(max(lam + f * (f ** 0.5 - 1.0) / s3, lo), hi)
+            guess = step
         lam = guess
     if abs(f - 1.0) > 1e-12:
         raise NumericalError("tsallis conjugate Newton solve did not converge")
-    return r2 / f, shifted - lam
+    return (r * r) / f, shifted - lam
 
 
 def gap_statistic_by_reduction(g: np.ndarray, xc: np.ndarray) -> float:

@@ -259,6 +259,15 @@ def delayed_games(draw):
     return kind, arms, delays, draw(st.integers(0, 2**32 - 1))
 
 
+@pytest.mark.parametrize("kind", [NEG_ENTROPY, TSALLIS_HALF])
+def test_gradient_at_the_uniform_point_has_one_value_in_every_coordinate(kind):
+    # begin_round adds the borrow term grad Psi(x0) to theta as one scalar
+    for arms in range(2, 101):
+        reg = Regularizer(kind, arms, 1.0 / arms)
+        dual_x0 = grad_psi(reg, reg.x0)
+        assert np.all(dual_x0 == dual_x0[0]), arms
+
+
 def watch_predictions(base):
     """Check each x-hat of `base` against an out-of-place reference sum.
 

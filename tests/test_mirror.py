@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prudentbanker import mirror
+from prudentbanker import banker, mirror
 from prudentbanker.errors import ConfigError, DomainError
+from prudentbanker.harness import RunConfig, build_environment, run
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
+from prudentbanker.protocol import EnvironmentConfig
 
 from reference import bregman
 
@@ -242,6 +246,35 @@ def tsallis_conjugate_by_bisection(theta):
     return x / x.sum(), shifted - lam
 
 
+def two_pole_model_root_by_bisection(lam, f, s3):
+    """Root of the two-pole model of f fitted at lam, bisected to the last ulp.
+
+    The model is 1/mu^2 + K/(mu - p)^2 as in mirror._two_pole_root; it falls
+    from +inf at mu = 0 to 0, so the root is unique. None where there is no
+    model.
+    """
+    a = 1.0 / lam
+    f_rest, s3_rest = f - a * a, s3 - a * a * a
+    if not (f_rest > 0.0 and s3_rest > 0.0):
+        return None
+    span = f_rest / s3_rest  # lam - p
+    gain = f_rest * span * span  # K
+
+    def model(mu):
+        return 1.0 / mu ** 2 + gain / (mu - lam + span) ** 2
+
+    lo, hi = 0.0, 2.0 * math.sqrt(1.0 + gain)  # p <= 0, so model(hi) <= 1/4
+    assert model(hi) < 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if model(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def lowered_gradient(draw, reg, rng):
     """theta = grad_psi(x) - c e_a for a random distribution x, as BankerOMD.ingest builds it."""
     concentration = 10.0 ** draw(st.floats(-2, 2))
@@ -296,6 +329,56 @@ def test_tsallis_conjugate_matches_bisection(case):
     assert np.ptp(shift) <= 1e-10 * max(1.0, np.max(np.abs(dual_ref)))
     assert abs(x.sum() - 1.0) <= 1e-12
     assert x.min() > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ingest_duals(), begin_round_duals()))
+def test_tsallis_model_starts_at_the_clamped_newton_step_left_of_its_root(case):
+    """Each model solve starts at the Newton step on h = f^(-1/2), clamped into
+    the bracket: at lo, or at most the model's root (a Newton step on a concave
+    h with the model's value and slope); at lo where the root is left of lo."""
+    reg, theta = case
+    calls, real_root = [], mirror._two_pole_root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mirror, "_two_pole_root",
+                   lambda *args: calls.append(args) or real_root(*args))
+        grad_psi_star_with_dual(reg, theta)
+    lo, hi = 1.0, math.sqrt(reg.arms)
+    for lam, f, s3, start in calls:  # the bracket as the solve narrows it
+        if f > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        assert start == min(max(lam + f * (f ** 0.5 - 1.0) / s3, lo), hi)
+        root = two_pole_model_root_by_bisection(lam, f, s3)
+        if root is not None:
+            assert lo <= start <= max(lo, root * (1.0 + 1e-14))
+
+
+def test_tsallis_solves_of_a_short_desk_game_take_about_two_evaluations(monkeypatch):
+    """Replay the conjugate inputs of a 1,000-round seed-0 desk geometric
+    1/2-Tsallis Prudent-Banker game: each solve evaluates f 1-3 times, 2.04
+    times on average. An evaluation that does not end the solve fits the model
+    once, so a solve's evaluations are its model calls plus one."""
+    inputs, real_conjugate = [], banker.grad_psi_star_with_dual
+    monkeypatch.setattr(banker, "grad_psi_star_with_dual",
+                        lambda reg, theta: inputs.append((reg, theta.copy()))
+                        or real_conjugate(reg, theta))
+    config = RunConfig(env=EnvironmentConfig(horizon=1000, delay_model="geometric"),
+                       regularizer=TSALLIS_HALF)
+    run(config, *build_environment(config.env))
+    monkeypatch.undo()
+    calls, real_root = [], mirror._two_pole_root
+    monkeypatch.setattr(mirror, "_two_pole_root",
+                        lambda *args: calls.append(args) or real_root(*args))
+    evaluations = []
+    for reg, theta in inputs:
+        before = len(calls)
+        grad_psi_star_with_dual(reg, theta)
+        evaluations.append(len(calls) - before + 1)
+    assert len(evaluations) > 1000  # every prediction and every applied feedback
+    assert 1 <= min(evaluations) and max(evaluations) <= 3
+    assert sum(evaluations) / len(evaluations) <= 2.05
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,7 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     generate_block_losses, sample_delays)
 from prudentbanker.rng import DRAW_BLOCK, RngSampler, sample_arm, stream
 
-from reference import block_index, outstanding_counters
+from reference import block_index, outstanding_counters, sample_arm_stored_guard
 
 
 def test_block_assignment_small():
@@ -328,6 +328,36 @@ def test_sample_arm_rejects_a_negative_or_nan_entry(arms, bad, at):
         assert abs(dist.sum() - 1.0) <= 1e-9
     with pytest.raises(ProtocolError):
         sample_arm(dist, 0.9)
+
+
+@st.composite
+def short_distributions(draw):
+    """A distribution of 2-100 arms, maybe with zero arms last, whose cumulative
+    total is 1, up to 8 ulps below 1, or one ulp above it."""
+    A = draw(st.integers(2, 100))
+    dist = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(A))
+    dist[A - draw(st.integers(0, A - 1)):] = 0.0
+    dist /= dist.sum()
+    # move the total to the target by its largest arm, which stays positive
+    target = 1.0 - draw(st.integers(-2, 8)) * 2.0 ** -53
+    big = int(dist.argmax())
+    for _ in range(20):
+        total = float(np.cumsum(dist)[-1])
+        if total == target:
+            break
+        dist[big] += target - total
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_distributions(), st.data())
+def test_sample_arm_matches_the_stored_guard_form(dist, data):
+    cdf = np.cumsum(dist)
+    u = data.draw(st.one_of(
+        st.floats(0.0, 1.0 - 2.0 ** -53),
+        st.integers(1, 16).map(lambda k: 1.0 - k * 2.0 ** -53),  # up to the largest u
+        st.sampled_from(cdf[cdf < 1.0].tolist() or [0.0])))  # u on a cumulative boundary
+    assert sample_arm(dist, u) == sample_arm_stored_guard(dist, u)
 
 
 def test_sampler_draws_equal_one_uniform_per_call():
