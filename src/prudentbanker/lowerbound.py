@@ -10,7 +10,6 @@ deterministic 1/2.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -275,25 +274,21 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
 
     Policies: "arm1" (always the anchor arm), "arm2" (always the biased arm),
     "comparator" (sample from x^c each slot). W is the length-weighted play
-    fraction of the biased arm, sum_m L_m N_m / V. `rng` must run on PCG64, as
-    `stream` and `default_rng` do.
+    fraction of the biased arm, sum_m L_m N_m / V. The biased arm's losses come
+    from `rng`, which moves past exactly trials x slots uniforms; the
+    comparator's uniforms come from a stream spawned from it, `rng.spawn(1)[0]`.
     """
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
     if policy not in ("arm1", "arm2", "comparator"):
         raise PreconditionError(f"unknown policy {policy!r}")
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise PreconditionError(f"the probe needs PCG64, not {type(rng.bit_generator).__name__}")
     eps = np.repeat(instance.eps, instance.lengths)
     weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
     delta = instance.delta
     n_slots = len(eps)
     rows = max(1, PROBE_CHUNK // n_slots)
 
-    # The stream holds every Z uniform, then the comparator's U: a copy advanced
-    # past the Z (a PCG64 double is one output) draws U chunk by chunk beside Z.
-    u_rng = copy.deepcopy(rng)
-    u_rng.bit_generator.advance(trials * n_slots)
+    u_rng = rng.spawn(1)[0]
     regret, W = np.empty(trials), np.empty(trials)
     for lo in range(0, trials, rows):
         c = slice(lo, min(lo + rows, trials))
@@ -306,7 +301,6 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
             play2 = np.full(z.shape, policy == "arm2")
         regret[c] = np.sum(np.where(play2, z, 0.5), axis=1) - comp_loss
         W[c] = play2 @ weights
-    rng.bit_generator.state = u_rng.bit_generator.state  # past every uniform drawn
     scale = instance.gamma * math.sqrt(instance.V)
     residual = regret - scale * (W - delta)
     se = float(residual.std(ddof=1) / math.sqrt(trials))

@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
+from .rng import check_integer
 
 NEG_ENTROPY = "negative-entropy"
 TSALLIS_HALF = "tsallis-half"
@@ -58,6 +59,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in REGULARIZERS:
             raise ConfigError(f"unknown regularizer kind {self.kind!r}")
+        check_integer("arms", self.arms)
         if self.arms < 1:
             raise ConfigError("arms must be positive")
         if not (0.0 < self.delta <= 1.0 / self.arms):

@@ -22,6 +22,7 @@ from .banker import BankerOMD
 from .errors import ConfigError
 from .mirror import Regularizer
 from .protocol import FeedbackEvent
+from .rng import check_integer
 
 
 def _check_delay(D: int | float) -> None:
@@ -45,6 +46,7 @@ class ThresholdFunctions:
     def __post_init__(self):
         if not (0.0 < self.scale < math.inf):  # NaN fails too
             raise ConfigError("threshold_scale must be positive and finite")
+        check_integer("horizon", self.horizon)
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
 
@@ -81,6 +83,7 @@ def build_comparator(arms: int, delta: float, anchor: int) -> np.ndarray:
     """Full-support comparator: 1-(A-1)delta on the anchor arm, delta elsewhere."""
     if not (0.0 < delta <= 1.0 / arms):
         raise ConfigError("delta must lie in (0, 1/arms]")
+    check_integer("anchor", anchor)
     if not (0 <= anchor < arms):
         raise ConfigError("anchor arm out of range")
     xc = np.full(arms, delta)

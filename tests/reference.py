@@ -164,10 +164,10 @@ def safety_gap_probe_two_pass(instance: HardInstancePair, policy: str, trials: i
                               rng: np.random.Generator) -> ProbeResult:
     """The safety-gap probe in two passes over the trials, with all of Z kept whole.
 
-    The first pass draws every Z (the arm-2 losses under E+), the second the
-    comparator's U, so the generator yields its uniforms in the same order as
-    in ``lowerbound.safety_gap_probe``, which draws both in one pass. Both
-    take their chunk of rows from ``lowerbound.PROBE_CHUNK``.
+    The first pass draws every Z (the arm-2 losses under E+) from `rng`, the
+    second the comparator's U from ``rng.spawn(1)[0]``, the streams
+    ``lowerbound.safety_gap_probe`` reads side by side in one pass. Both take
+    their chunk of rows from ``lowerbound.PROBE_CHUNK``.
     """
     eps = np.repeat(instance.eps, instance.lengths)
     weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
@@ -183,11 +183,12 @@ def safety_gap_probe_two_pass(instance: HardInstancePair, policy: str, trials: i
         np.less(rng.random(z.shape), 0.5 + eps, out=z)
         comp_loss[c] = np.sum(0.5 * (1.0 - delta) + delta * z, axis=1)
 
+    u_rng = rng.spawn(1)[0]
     learner_loss, W = np.empty(trials), np.empty(trials)
     for c in chunks:
         z = Z[c]
         if policy == "comparator":
-            play2 = rng.random(z.shape) < delta
+            play2 = u_rng.random(z.shape) < delta
         else:
             play2 = np.full(z.shape, policy == "arm2")
         learner_loss[c] = np.sum(np.where(play2, z, 0.5), axis=1)

@@ -22,7 +22,9 @@ A change that moves outputs on purpose re-records the file with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 
-and states in CHANGES.md which runs moved and by how much.
+and states in CHANGES.md which runs moved and by how much. A stored run whose
+fields still match keeps them and has only its digests refreshed; a run that
+fails to match is re-recorded whole.
 """
 import argparse
 import dataclasses
@@ -142,6 +144,18 @@ def mismatches(want, got, horizon: int, path: str = "") -> list[str]:
     return [] if ok else [f"{path or 'value'}: expected {want!r}, got {got!r}"]
 
 
+def merge(stored: dict | None, got: dict, horizon: int) -> tuple[dict, bool]:
+    """The run --write stores, and whether it is re-recorded whole.
+
+    A stored run whose fields, digests left out, still match `got` keeps them
+    and takes only got's digests; any other run is replaced by `got`.
+    """
+    if stored is not None and not mismatches(
+            {**stored, BYTES: None}, {**got, BYTES: None}, horizon):
+        return {**stored, BYTES: got[BYTES]}, False
+    return got, True
+
+
 @functools.cache
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -177,6 +191,23 @@ def test_restart_rounds_and_integer_fields_compare_exactly():
             f".restarts[0][{at}]: expected {first[at]!r}, got {value!r}"]
 
 
+def test_write_keeps_matching_fields_and_refreshes_the_digests():
+    stored = {"summary": {"total_loss": 250.0, "comparator_gap": 3.0},
+              BYTES: {".csv": "0" * 64, ".json": "1" * 64}}
+    digests = {".csv": "2" * 64, ".json": "3" * 64}
+
+    def nudged(rel):
+        return {"summary": {"total_loss": 250.0 * (1 + rel), "comparator_gap": 3.0},
+                BYTES: digests}
+
+    kept, whole = merge(stored, nudged(1e-14), horizon=500)
+    assert (kept, whole) == ({**stored, BYTES: digests}, False)
+    assert kept["summary"]["total_loss"] == 250.0  # the stored value, not the nudged one
+    got = nudged(1e-9)
+    assert merge(stored, got, horizon=500) == (got, True)
+    assert merge(None, got, horizon=500) == (got, True)  # a run new to the set
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -185,8 +216,17 @@ def main() -> None:
     mode.add_argument("--bytes", action="store_true",
                       help="compare each run's emitted CSV and JSON with the stored sha256")
     args = parser.parse_args()
-    records = {name: record(config) for name, config in CONFIGS.items()}
+    records = {name: json.loads(json.dumps(record(config)))  # tuples and keys as stored
+               for name, config in CONFIGS.items()}
     if args.write:
+        stored = golden() if GOLDEN_PATH.exists() else {}
+        for name in sorted(records):
+            records[name], whole = merge(stored.get(name), records[name],
+                                         CONFIGS[name].env.horizon)
+            if whole:
+                print(f"re-recorded: {name}")
+            elif records[name][BYTES] != stored[name][BYTES]:
+                print(f"digests refreshed: {name}")
         GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(records)} runs to {GOLDEN_PATH}")
         return

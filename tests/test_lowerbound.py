@@ -389,14 +389,23 @@ def test_probe_memory_grows_by_32_bytes_per_trial(n):
         assert peaks[1] - peaks[0] <= 32 * (8000 - 2000), policy
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
-def test_probe_needs_a_generator_that_skips_doubles(bit_generator):
-    # MT19937 cannot skip ahead; Philox skips whole blocks of four outputs
-    inst = lb.HardInstancePair((2, 2), 0.25, arms=2)
-    rng = np.random.Generator(bit_generator(0))
-    with pytest.raises(PreconditionError, match="PCG64"):
-        lb.safety_gap_probe(inst, "comparator", 100, rng)
-    assert rng.random() == np.random.Generator(bit_generator(0)).random()  # nothing drawn
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+@pytest.mark.parametrize("chunk", [16, lb.PROBE_CHUNK])
+def test_probe_runs_on_every_bit_generator(monkeypatch, bit_generator, chunk):
+    # the comparator's uniforms come from a spawned stream, so no generator
+    # needs to skip ahead, and the caller's moves past the losses alone
+    monkeypatch.setattr(lb, "PROBE_CHUNK", chunk)
+    inst = lb.HardInstancePair((2, 3), 0.25, arms=2)
+    trials, n_slots = 101, 5
+    for policy in ("arm1", "arm2", "comparator"):
+        rng, ref_rng = (np.random.Generator(bit_generator(7)) for _ in range(2))
+        result = lb.safety_gap_probe(inst, policy, trials, rng)
+        assert result == safety_gap_probe_two_pass(inst, policy, trials, ref_rng), policy
+        fresh = np.random.Generator(bit_generator(7))
+        fresh.random(trials * n_slots)
+        assert rng.random() == fresh.random(), policy
 
 
 @pytest.mark.parametrize("call, message", [

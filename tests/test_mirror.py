@@ -43,6 +43,7 @@ def test_constants_are_python_floats_computed_once():
 def test_invalid_regularizer_config():
     for kind, arms, delta, message in [("unknown", 4, 0.1, "unknown regularizer kind 'unknown'"),
                                        (NEG_ENTROPY, 0, 0.1, "arms must be positive"),
+                                       (NEG_ENTROPY, 2.5, 0.1, "arms must be an integer"),
                                        (NEG_ENTROPY, 4, 0.3, "delta must lie in")]:  # delta > 1/A
         with pytest.raises(ConfigError, match=message):
             Regularizer(kind, arms, delta)

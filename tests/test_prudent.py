@@ -98,11 +98,13 @@ def test_build_comparator():
 @pytest.mark.parametrize("call, message", [
     (lambda: build_comparator(4, 0.25, 4), "anchor arm out of range"),
     (lambda: build_comparator(4, 0.25, -1), "anchor arm out of range"),
+    (lambda: build_comparator(4, 0.1, 1.5), "anchor must be an integer"),
     (lambda: next_delay_estimate(0), "trigger must be >= 1"),
     (lambda: PrudentBanker(ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), 100),
                            np.array([0.5, 0.5]), RngSampler(stream(0, "act"))),
      "comparator dimension mismatch")],
-    ids=["anchor-past-the-arms", "anchor-negative", "trigger-zero", "comparator-shape"])
+    ids=["anchor-past-the-arms", "anchor-negative", "anchor-not-an-integer", "trigger-zero",
+         "comparator-shape"])
 def test_prudent_rejects_bad_input(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
@@ -123,9 +125,9 @@ def test_prudent_banker_rejects_a_non_probability_comparator(xc, error):
 @pytest.mark.parametrize("horizon, scale, error", [
     (100, 0.0, "threshold_scale"), (100, -1.0, "threshold_scale"),
     (100, math.nan, "threshold_scale"), (100, math.inf, "threshold_scale"),
-    (0, 1.0, "horizon"), (-5, 1.0, "horizon")],
+    (0, 1.0, "horizon"), (-5, 1.0, "horizon"), (2.5, 1.0, "horizon must be an integer")],
     ids=["scale-zero", "scale-negative", "scale-nan", "scale-inf", "horizon-zero",
-         "horizon-negative"])
+         "horizon-negative", "horizon-not-an-integer"])
 def test_prudent_banker_rejects_bad_thresholds(horizon, scale, error):
     reg = Regularizer(NEG_ENTROPY, 3, 0.1)
     with pytest.raises(ConfigError, match=error):  # at construction, not in round 1
