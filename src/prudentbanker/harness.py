@@ -26,6 +26,8 @@ LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
 CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
 #: CSV columns that change only at a restart or an arrival, so hold few values
 STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
+#: rows of the CSV formatted at a time, so that emit never holds the whole text
+CSV_CHUNK = 4096
 
 
 def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
@@ -85,6 +87,14 @@ def _repr_each_value_once(col: np.ndarray):
 
 @dataclass
 class RunTrace:
+    """The per-round columns of one run, one CSV column each, and its summary.
+
+    The trace owns its eight columns: `run` builds each once and hands it
+    over, and nothing writes them after; `csv_chunks`, `csv_string` and
+    `emit` only read them. They must be 1-D and of one length, checked when
+    built.
+    """
+
     t: np.ndarray
     stage: np.ndarray
     phase: np.ndarray
@@ -96,12 +106,25 @@ class RunTrace:
     summary: dict
     learner: object | None = None  # populated when run(..., keep_learner=True)
 
+    def __post_init__(self):
+        shapes = {name: np.shape(getattr(self, name)) for name in CSV_HEADER.split(",")}
+        if len(set(shapes.values())) != 1 or len(shapes["t"]) != 1:
+            raise ConfigError(f"trace columns must be 1-D and of one length, got {shapes}")
+
+    def csv_chunks(self):
+        """The CSV text: the header line, then CSV_CHUNK rows at a time."""
+        yield CSV_HEADER + "\n"
+        for lo in range(0, len(self.t), CSV_CHUNK):
+            rows = slice(lo, lo + CSV_CHUNK)
+            # integer columns print as ints, float columns in repr's round-trip form
+            chunk = (_repr_each_value_once(getattr(self, name)[rows]) if name in STEP_COLUMNS
+                     else map(repr, getattr(self, name)[rows].tolist())
+                     for name in CSV_HEADER.split(","))
+            # a list display: join over a bare map over-allocates the rows it lists
+            yield "\n".join([*map(",".join, zip(*chunk))]) + "\n"
+
     def csv_string(self) -> str:
-        # integer columns print as ints, float columns in repr's round-trip form
-        columns = (_repr_each_value_once(getattr(self, name)) if name in STEP_COLUMNS
-                   else map(repr, getattr(self, name).tolist())
-                   for name in CSV_HEADER.split(","))
-        return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+        return "".join(self.csv_chunks())
 
 
 def build_environment(env: EnvironmentConfig) -> tuple[LossTable, DelaySequence]:
@@ -189,6 +212,11 @@ def run(config: RunConfig, table: LossTable | None = None,
     A pre-built (table, delays) pair can be passed in to share one realized
     environment across learners; by default both are generated from the seed.
     Errors inside a round carry a "round t" note (see ``play``).
+
+    Each trace column is built once: ``loss_B`` is summed in place over the
+    loss column of the ``PlayColumns`` that ``play`` returns, which is
+    overwritten, and ``loss_c`` in place over the comparator's per-round
+    losses. The arm column is dropped before the other columns are built.
     """
     if (table is None) != (delays is None):
         raise ConfigError("pass both table and delays, or neither")
@@ -206,9 +234,12 @@ def run(config: RunConfig, table: LossTable | None = None,
     learner = make_learner(config, istar, r0, xc)
     alpha0 = learner.alpha
     cols = play(learner, table, delays)
+    loss_B = np.cumsum(cols.loss, out=cols.loss)
+    arrived = cols.arrived
+    del cols  # and with it the arm column, which the trace does not keep
 
-    loss_B = np.cumsum(cols.loss)
-    loss_c = np.cumsum(table.losses @ xc)
+    loss_c = table.losses @ xc
+    np.cumsum(loss_c, out=loss_c)
     stage, phase, alpha = restart_columns(learner.restarts, alpha0, T)
     summary = {
         "learner": config.learner,
@@ -232,20 +263,26 @@ def run(config: RunConfig, table: LossTable | None = None,
     trace = RunTrace(t=np.arange(1, T + 1, dtype=np.int64),
                      stage=stage, phase=phase, alpha=alpha,
                      loss_B=loss_B, loss_star=star_curve, loss_c=loss_c,
-                     arrived=cols.arrived, summary=summary)
+                     arrived=arrived, summary=summary)
     if keep_learner:
         trace.learner = learner
     return trace
 
 
 def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
-    """Write the trace to <out_base>.csv and its summary to <out_base>.json."""
+    """Write the trace to <out_base>.csv and its summary to <out_base>.json.
+
+    The CSV is written chunk by chunk from ``RunTrace.csv_chunks``, so emit
+    holds CSV_CHUNK rows of text at a time; it reads the trace's columns and
+    writes none of them.
+    """
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     summary = json.dumps(trace.summary, indent=2, sort_keys=True) + "\n"
     written = []
-    for suffix, text in ((".csv", trace.csv_string()), (".json", summary)):
+    for suffix, chunks in ((".csv", trace.csv_chunks()), (".json", [summary])):
         path = out_base.with_name(out_base.name + suffix)  # run.v2 -> run.v2.csv
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
         written.append(path)
     return written

@@ -276,7 +276,9 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     "comparator" (sample from x^c each slot). W is the length-weighted play
     fraction of the biased arm, sum_m L_m N_m / V. The biased arm's losses come
     from `rng`, which moves past exactly trials x slots uniforms; the
-    comparator's uniforms come from a stream spawned from it, `rng.spawn(1)[0]`.
+    comparator's uniforms come from a stream spawned from it, `rng.spawn(1)[0]`,
+    under every policy, so each leaves `rng` alike; a generator that cannot
+    spawn raises PreconditionError.
     """
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
@@ -288,7 +290,11 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     n_slots = len(eps)
     rows = max(1, PROBE_CHUNK // n_slots)
 
-    u_rng = rng.spawn(1)[0]
+    try:
+        u_rng = rng.spawn(1)[0]
+    except TypeError:  # numpy's message names the SeedSequence, not the probe's need
+        raise PreconditionError("the safety-gap probe needs a generator that can spawn, "
+                                "such as np.random.default_rng(seed)") from None
     regret, W = np.empty(trials), np.empty(trials)
     for lo in range(0, trials, rows):
         c = slice(lo, min(lo + rows, trials))

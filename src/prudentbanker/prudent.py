@@ -81,6 +81,9 @@ def gap_statistic(g: np.ndarray, xc: np.ndarray) -> float:
 
 def build_comparator(arms: int, delta: float, anchor: int) -> np.ndarray:
     """Full-support comparator: 1-(A-1)delta on the anchor arm, delta elsewhere."""
+    check_integer("arms", arms)
+    if arms < 1:
+        raise ConfigError("arms must be at least 1")
     if not (0.0 < delta <= 1.0 / arms):
         raise ConfigError("delta must lie in (0, 1/arms]")
     check_integer("anchor", anchor)

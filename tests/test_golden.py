@@ -85,7 +85,10 @@ def environment(env: EnvironmentConfig):
 
 @contextmanager
 def captured_play():
-    """Collect the PlayColumns of every game `run` plays meanwhile."""
+    """Collect the PlayColumns of every game `run` plays meanwhile.
+
+    `run` overwrites their loss column with loss_B; only `.arm` is read here.
+    """
     played, real_play = [], harness.play
 
     def play(*args):

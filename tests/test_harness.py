@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,79 @@ def test_csv_string_matches_formatting_every_entry(data):
                      alpha=floats(), loss_B=floats(), loss_star=floats(),
                      loss_c=floats(), arrived=ints(), summary={})
     assert trace.csv_string() == csv_string_each_entry(trace)
+
+
+def stepped_trace(T: int, C: int) -> RunTrace:
+    """A T-row trace whose stage steps and whose alpha turns from -0.0 to 0.0
+    between rows C and C + 1."""
+    t = np.arange(1, T + 1, dtype=np.int64)
+    loss = np.cumsum(0.1 * (t % 7))
+    return RunTrace(t=t, stage=1 + (t > C), phase=t // 2 + 1,
+                    alpha=np.where(t <= C, -0.0, 0.0), loss_B=loss, loss_star=loss / 3,
+                    loss_c=np.sqrt(t), arrived=t % 3, summary={})
+
+
+@pytest.mark.parametrize("C", [3, harness.CSV_CHUNK])
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["0", "1", "C-1", "C", "C+1", "2C+1"])
+def test_csv_chunks_join_to_the_csv_of_every_entry(monkeypatch, tmp_path, C, chunks, extra):
+    T = chunks * C + extra
+    monkeypatch.setattr(harness, "CSV_CHUNK", C)
+    trace = stepped_trace(T, C)
+    want = csv_string_each_entry(trace)
+    assert len(list(trace.csv_chunks())) == 1 + -(-T // C)  # the header, then the rows
+    assert trace.csv_string() == want
+    csv_path, _ = emit(trace, tmp_path / "run")
+    assert csv_path.read_text() == want
+
+
+@pytest.mark.parametrize("columns", [
+    {"t": np.arange(1, 4), "alpha": np.zeros(2), "loss_B": np.zeros(2),
+     "loss_star": np.zeros(2), "loss_c": np.zeros(2)},
+    {"arrived": np.zeros(4, dtype=np.int64)},
+    {"loss_c": np.zeros((3, 1))},
+    {name: np.zeros((3, 2)) for name in CSV_HEADER.split(",")},
+    {name: np.float64(0.0) for name in CSV_HEADER.split(",")}],
+    ids=["floats-shorter-than-t", "one-column-longer", "one-column-2d", "all-2d",
+         "all-scalar"])
+def test_run_trace_rejects_columns_of_other_shapes(columns):
+    full = {name: np.zeros(3) for name in CSV_HEADER.split(",")}
+    with pytest.raises(ConfigError, match="1-D and of one length"):
+        RunTrace(**{**full, **columns}, summary={})
+
+
+def desk_comparator_run(T: int) -> tuple:
+    env = EnvironmentConfig(horizon=T, delay_model="geometric")
+    return (RunConfig(env=env, learner="play-comparator"), *build_environment(env))
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that call() allocates and holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_holds_each_trace_column_once():
+    # the trace keeps eight T-entry columns; building loss_B over play's loss
+    # column and dropping the arm column keeps the peak there, not at ten
+    T = 20000
+    args = desk_comparator_run(T)
+    assert traced_peak(lambda: run(*args)) <= 8.5 * T * 8
+
+
+def test_emit_holds_a_chunk_of_text_not_the_csv(tmp_path):
+    # the CSV of a T=20000 desk run is 1.3 MiB of text and its list of rows
+    # several times that; one chunk of rows costs the same whatever T is
+    peaks = []
+    for T in (20000, 40000):
+        trace = run(*desk_comparator_run(T))
+        peaks.append(traced_peak(lambda: emit(trace, tmp_path / f"run{T}")))
+    assert max(peaks) < 2 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 def test_csv_round_trip_exact(tmp_path):

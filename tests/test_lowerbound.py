@@ -408,6 +408,16 @@ def test_probe_runs_on_every_bit_generator(monkeypatch, bit_generator, chunk):
         assert rng.random() == fresh.random(), policy
 
 
+@pytest.mark.parametrize("policy", ["arm1", "arm2", "comparator"])
+def test_probe_needs_a_generator_that_can_spawn(policy):
+    # every policy spawns the comparator's stream, so each leaves the caller's
+    # generator alike; one over a RandomState's bit generator has no SeedSequence
+    rng = np.random.Generator(np.random.RandomState(0)._bit_generator)
+    inst = lb.HardInstancePair((2, 3), 0.25, arms=2)
+    with pytest.raises(PreconditionError, match="needs a generator that can spawn"):
+        lb.safety_gap_probe(inst, policy, 10, rng)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: lb.greedy_buckets(DelaySequence(delays=np.array([], dtype=np.int64))),
      "empty delay sequence"),

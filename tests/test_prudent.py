@@ -99,12 +99,14 @@ def test_build_comparator():
     (lambda: build_comparator(4, 0.25, 4), "anchor arm out of range"),
     (lambda: build_comparator(4, 0.25, -1), "anchor arm out of range"),
     (lambda: build_comparator(4, 0.1, 1.5), "anchor must be an integer"),
+    (lambda: build_comparator(2.5, 0.1, 0), "arms must be an integer"),
+    (lambda: build_comparator(0, 0.1, 0), "arms must be at least 1"),
     (lambda: next_delay_estimate(0), "trigger must be >= 1"),
     (lambda: PrudentBanker(ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), 100),
                            np.array([0.5, 0.5]), RngSampler(stream(0, "act"))),
      "comparator dimension mismatch")],
-    ids=["anchor-past-the-arms", "anchor-negative", "anchor-not-an-integer", "trigger-zero",
-         "comparator-shape"])
+    ids=["anchor-past-the-arms", "anchor-negative", "anchor-not-an-integer",
+         "arms-not-an-integer", "arms-zero", "trigger-zero", "comparator-shape"])
 def test_prudent_rejects_bad_input(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
