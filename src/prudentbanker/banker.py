@@ -183,7 +183,6 @@ class BankerOMD:
             if rec.v > 0.0:
                 heapq.heappush(self._credit_heap, u)
                 break  # b is exhausted
-        b = max(b, 0.0)
         residual = abs(math.fsum(a for _, a in allocation) + b - sigma)
         self.max_conservation_residual = max(self.max_conservation_residual, residual)
         return allocation, b

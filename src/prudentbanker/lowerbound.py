@@ -20,7 +20,7 @@ from .harness import PlayColumns, play
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import DelaySequence, LossTable
 from .prudent import PrudentBanker, ThresholdFunctions, build_comparator
-from .rng import RngSampler, check_integer, stream
+from .rng import RngSampler, check_count, check_integer, stream
 
 #: index of the biased ("special") arm in hard instances
 SPECIAL_ARM = 1
@@ -98,8 +98,8 @@ def corollary_delays(q: int, N: int) -> DelaySequence:
     Its total delay is N q^2 + q (q + 1) / 2 and all greedy buckets have
     length q.
     """
-    if q < 1 or N < 1:
-        raise PreconditionError("need q >= 1 and N >= 1")
+    check_count("q", q, 1)
+    check_count("N", N, 1)
     T = (N + 1) * q
     t = np.arange(1, T + 1)
     return DelaySequence(delays=np.minimum(q, T + 1 - t).astype(np.int64))
@@ -125,14 +125,12 @@ class HardInstancePair:
 
     def __post_init__(self):
         for L in self.lengths:
-            check_integer("block length", L)
+            check_count("block length", L, 1)
         lengths = tuple(int(L) for L in self.lengths)
-        if not lengths or any(L < 1 for L in lengths):
-            raise PreconditionError("block lengths must be positive")
+        if not lengths:
+            raise PreconditionError("need at least one block length")
         delta, arms, L1 = self.delta, self.arms, lengths[0]
-        check_integer("arms", arms)
-        if arms < 2:
-            raise PreconditionError("need at least 2 arms")
+        check_count("arms", arms, 2)
         V = sum(L * L for L in lengths)
         if not delta >= L1 / (64.0 * V):  # NaN fails too
             raise PreconditionError(
@@ -218,6 +216,7 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
     counts as buckets too); as the buckets tile the horizon, its revealed
     losses sum, in bucket order, left to right over all rounds.
     """
+    check_integer("j", j)
     decomp = greedy_buckets(delays)
     if not (1 <= j <= decomp.count):
         raise PreconditionError("suffix start bucket out of range")
@@ -280,6 +279,7 @@ def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
     under every policy, so each leaves `rng` alike; a generator that cannot
     spawn raises PreconditionError.
     """
+    check_integer("trials", trials)
     if trials < 2:
         raise PreconditionError("trials must be at least 2 (one has no standard error)")
     if policy not in ("arm1", "arm2", "comparator"):

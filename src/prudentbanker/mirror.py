@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .rng import check_integer
+from .rng import check_count
 
 NEG_ENTROPY = "negative-entropy"
 TSALLIS_HALF = "tsallis-half"
@@ -59,9 +59,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in REGULARIZERS:
             raise ConfigError(f"unknown regularizer kind {self.kind!r}")
-        check_integer("arms", self.arms)
-        if self.arms < 1:
-            raise ConfigError("arms must be positive")
+        check_count("arms", self.arms, 1)
         if not (0.0 < self.delta <= 1.0 / self.arms):
             raise ConfigError("delta must lie in (0, 1/arms]")
 

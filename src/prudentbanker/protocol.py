@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .rng import check_integer, check_seed
+from .rng import check_count, check_seed
 
 DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
 # table entries scanned, or redrawn, at a time when rejecting out-of-range losses
@@ -111,12 +111,8 @@ class EnvironmentConfig:
 
     def __post_init__(self):
         for name in ("horizon", "arms", "blocks"):
-            check_integer(name, getattr(self, name))
-        if self.horizon < 1:
-            raise ConfigError("horizon must be positive")
-        if self.arms < 1:
-            raise ConfigError("arms must be positive")
-        if self.blocks < 1 or self.blocks > self.horizon:
+            check_count(name, getattr(self, name), 1)
+        if self.blocks > self.horizon:
             raise ConfigError("need 1 <= blocks <= horizon")
         if self.delay_model not in DELAY_MODELS:
             raise ConfigError(f"unknown delay model {self.delay_model!r}")

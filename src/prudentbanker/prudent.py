@@ -22,7 +22,7 @@ from .banker import BankerOMD
 from .errors import ConfigError
 from .mirror import Regularizer
 from .protocol import FeedbackEvent
-from .rng import check_integer
+from .rng import check_count, check_integer
 
 
 def _check_delay(D: int | float) -> None:
@@ -46,9 +46,7 @@ class ThresholdFunctions:
     def __post_init__(self):
         if not (0.0 < self.scale < math.inf):  # NaN fails too
             raise ConfigError("threshold_scale must be positive and finite")
-        check_integer("horizon", self.horizon)
-        if self.horizon < 1:
-            raise ConfigError("horizon must be positive")
+        check_count("horizon", self.horizon, 1)
 
     def rhat(self, D: int | float) -> float:
         """R-hat(D) = sqrt(C1 C2) * (3 sqrt(T) + 7 sqrt(2 D ln(D+1)))."""
@@ -81,9 +79,7 @@ def gap_statistic(g: np.ndarray, xc: np.ndarray) -> float:
 
 def build_comparator(arms: int, delta: float, anchor: int) -> np.ndarray:
     """Full-support comparator: 1-(A-1)delta on the anchor arm, delta elsewhere."""
-    check_integer("arms", arms)
-    if arms < 1:
-        raise ConfigError("arms must be at least 1")
+    check_count("arms", arms, 1)
     if not (0.0 < delta <= 1.0 / arms):
         raise ConfigError("delta must lie in (0, 1/arms]")
     check_integer("anchor", anchor)

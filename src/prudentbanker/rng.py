@@ -22,11 +22,16 @@ def check_integer(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_count(name: str, value, least: int) -> None:
+    """The count rule: raise ConfigError naming `name` unless `value` is an integer >= `least`."""
+    check_integer(name, value)
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+
+
 def check_seed(seed) -> None:
     """The seed rule: a nonnegative integer (numpy integers pass)."""
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    check_count("seed", seed, 0)
 
 
 def stream(seed: int, name: str) -> np.random.Generator:

@@ -333,6 +333,7 @@ def test_borrow_characterization(monkeypatch):
 
     def checked_allocate(self, t, sigma):
         allocation, b = allocate(self, t, sigma)
+        assert b >= 0.0  # no clamp: the drain never takes more than b
         if b > 0.0:
             borrows.append(b)
             missing_sigma = math.fsum(self.records[u].sigma for u in self.missing)

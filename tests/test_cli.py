@@ -291,7 +291,7 @@ def test_sweep_checks_every_seed_before_writing(configs, tmp_path, capsys):
     assert cli.main(["sweep", "--seeds", "0,-1", "--learners", "play-comparator",
                      "--delay-models", "none", "--horizon", "50", "--blocks", "5",
                      "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
     assert configs == [] and not out.exists()
 
 

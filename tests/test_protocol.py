@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prudentbanker import lowerbound as lb
 from prudentbanker import protocol
 from prudentbanker.errors import ConfigError, ProtocolError
+from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
                                     generate_block_losses, sample_delays)
+from prudentbanker.prudent import ThresholdFunctions, build_comparator
 from prudentbanker.rng import DRAW_BLOCK, RngSampler, sample_arm, stream
 
 from reference import block_index, outstanding_counters, sample_arm_stored_guard
@@ -156,8 +159,8 @@ def stepped_queue():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: EnvironmentConfig(horizon=0), ConfigError, "horizon must be positive"),
-    (lambda: EnvironmentConfig(arms=0), ConfigError, "arms must be positive"),
+    (lambda: EnvironmentConfig(horizon=0), ConfigError, "horizon must be at least 1, got 0"),
+    (lambda: EnvironmentConfig(arms=0), ConfigError, "arms must be at least 1, got 0"),
     (lambda: stepped_queue().enqueue(FeedbackEvent(1, 0, 0.5, 1)), ProtocolError,
      "event for round 1 arrives at already-queried round 1")],
     ids=["horizon-zero", "arms-zero", "enqueue-for-a-stepped-round"])
@@ -371,7 +374,7 @@ def test_sampler_draws_equal_one_uniform_per_call():
 
 
 def test_stream_rejects_a_negative_seed():
-    with pytest.raises(ConfigError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
         stream(-1, "delays")
 
 
@@ -381,6 +384,37 @@ def test_stream_needs_an_integer_seed(seed):
     with pytest.raises(ConfigError, match="seed must be an integer"):
         stream(seed, "delays")
     assert stream(np.int64(2), "delays").random() == stream(2, "delays").random()
+
+
+@pytest.mark.parametrize("name, call, least", [
+    ("horizon", lambda n: EnvironmentConfig(horizon=n, blocks=1), 1),
+    ("arms", lambda n: EnvironmentConfig(arms=n), 1),
+    ("blocks", lambda n: EnvironmentConfig(blocks=n), 1),
+    ("arms", lambda n: Regularizer(NEG_ENTROPY, n, 0.1), 1),
+    ("horizon", lambda n: ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), n), 1),
+    ("arms", lambda n: build_comparator(n, 0.1, 0), 1),
+    ("seed", lambda n: stream(n, "delays"), 0),
+    ("block length", lambda n: lb.HardInstancePair((n, 2), 0.25), 1),
+    ("arms", lambda n: lb.HardInstancePair((2, 2), 0.25, n), 2),
+    ("q", lambda n: lb.corollary_delays(n, 2), 1),
+    ("N", lambda n: lb.corollary_delays(2, n), 1),
+    ("trials", lambda n: lb.safety_gap_probe(lb.HardInstancePair((2, 2), 0.25), "arm1", n,
+                                              np.random.default_rng(0)), None),
+    ("j", lambda n: lb.batched_simulate(lb.HardInstancePair((2,), 0.25),
+                                        lb.corollary_delays(2, 2), 0, j=n), None)],
+    ids=["env-horizon", "env-arms", "env-blocks", "regularizer-arms", "thresholds-horizon",
+         "comparator-arms", "seed", "hard-block-length", "hard-arms", "corollary-q",
+         "corollary-N", "probe-trials", "batched-j"])
+def test_every_count_is_an_integer_of_at_least_its_bound(name, call, least):
+    # 2.5 would otherwise be truncated or build another construction, and "3"
+    # fail with a bare TypeError; a count with a lower bound names it and the value
+    for bad in (2.5, "3"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            call(bad)
+    call(np.int64(3))
+    if least is not None:
+        with pytest.raises(ConfigError, match=f"{name} must be at least {least}, got {least - 1}$"):
+            call(least - 1)
 
 
 def test_outstanding_counters_examples():
