@@ -5,6 +5,9 @@ rounds once its own feedback has arrived. A round's prediction is a dual-space
 convex combination of the post-update points z_u of the donors it drained,
 topped up by a "borrow" b_t from the uniform base point when arrived credits
 run short.
+`Kahan` is the package's one compensated-sum helper. The ledger's only
+run-lifetime diagnostics, the conservation residual and the minimum credit,
+are read by `verify` and the benchmark.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ def step_size(reg: Regularizer, t: int, phase_start: int, d_t: int, DD_t: int) -
     """
     if t < phase_start:
         raise ProtocolError("t must be >= phase_start")
-    c1, c2 = reg.constants()
+    c1, c2 = reg.constants
     tt = t - phase_start + 1
     denom = 1.0 / math.sqrt(tt)
     if d_t > 0 and DD_t > 0:

@@ -7,6 +7,9 @@ All learners expose the same interface as PrudentBanker:
 Internally the confidence/budget formulas use the 0-indexed round count
 (t0 = t - 1), matching the convention "(t+1) plays so far including the
 current one".
+
+Both safe baselines and `RunConfig` call `check_alpha_safe`, the one statement
+of the alpha_safe rule.
 """
 from __future__ import annotations
 

@@ -3,6 +3,10 @@
 All learners in a comparison consume the same realized loss table and delay
 sequence; per-learner action noise comes from independently named streams of
 the master seed, so swapping learners never perturbs the environment.
+`play` is the only round loop: every simulation, the batched reduction
+included, runs through it. After the game `run` reads the learner's `alpha`,
+`restarts` and `delay_estimate` directly. `RunConfig` builds the one
+`Regularizer` and the one `ThresholdFunctions` of a run.
 """
 from __future__ import annotations
 

@@ -6,6 +6,8 @@ before the bucket ends; a delayed game on such a sequence can therefore be
 simulated exactly inside a batched game. The batched hard instances make one
 designated arm Bernoulli with a per-block bias while all other arms are
 deterministic 1/2.
+`bucket_inequalities` is the one check of the bucket facts: the `lowerbound`
+report and the tests share it.
 """
 from __future__ import annotations
 

@@ -63,12 +63,9 @@ class Regularizer:
         if not (0.0 < self.delta <= 1.0 / self.arms):
             raise ConfigError("delta must lie in (0, 1/arms]")
 
+    @cached_property
     def constants(self) -> tuple[float, float]:
         """Regularity constants (C1, C2): diameter bound and stability scale."""
-        return self._constants
-
-    @cached_property
-    def _constants(self) -> tuple[float, float]:
         # cached_property writes the instance __dict__, past the frozen __setattr__
         if self.kind == NEG_ENTROPY:
             return float(np.log(self.arms)), 1.0 / self.delta

@@ -3,6 +3,8 @@
 Loss tables are generated obliviously (before any learner acts) and never
 mutated. Feedback for the action of round t becomes visible at the end of
 round t + d_t and is first usable for the decision at round t + d_t + 1.
+The three delayed models share one activation draw, so one seed delays the
+same rounds under each.
 """
 from __future__ import annotations
 

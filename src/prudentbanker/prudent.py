@@ -10,10 +10,15 @@ Three control layers sit on top of the base learner:
   statistic certifies that the safe comparator x^c is suboptimal;
 * the safe mixture itself, which keeps every played probability at least
   (1 - alpha) * delta and thereby bounds importance weights.
+
+One rule, `_enter`, sets D-hat, alpha and B(D-hat) for every phase, the first
+included. The restart log is the only stage count, and `PrudentBanker` takes
+its regularizer from the `ThresholdFunctions` it is given.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +59,7 @@ class ThresholdFunctions:
         term = 0.0
         if D > 0:
             term = 7.0 * math.sqrt(2.0 * D * math.log(D + 1.0))
-        c1, c2 = self.reg.constants()
+        c1, c2 = self.reg.constants
         return self.scale * math.sqrt(c1 * c2) * (3.0 * math.sqrt(self.horizon) + term)
 
     def xi(self, D: int | float) -> float:
@@ -92,9 +97,8 @@ def build_comparator(arms: int, delta: float, anchor: int) -> np.ndarray:
 
 def next_delay_estimate(trigger: int) -> int:
     """Doubling rule 2^ceil(log2(trigger)) computed exactly in integers."""
-    if trigger < 1:
-        raise ConfigError("trigger must be >= 1")
-    return 1 << (trigger - 1).bit_length()
+    check_count("trigger", trigger, 1)
+    return 1 << (operator.index(trigger) - 1).bit_length()
 
 
 @dataclass

@@ -3,6 +3,10 @@
 One master seed is split into independent named streams (losses, delays,
 one action stream per learner) so that different learners can be compared
 on byte-identical environments.
+
+`check_count` is the one count rule: every size, seed and lower-bound count in
+the package calls it. `check_integer` alone guards the integers with a range of
+their own (an anchor, the probe's trials, `batched_simulate`'s j).
 """
 from __future__ import annotations
 

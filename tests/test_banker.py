@@ -36,7 +36,7 @@ def plant_arrived(bomd, u, credit, z=None):
 # -- step size --------------------------------------------------------------
 
 def test_step_size_no_delay():
-    c1, c2 = ENT.constants()
+    c1, c2 = ENT.constants
     root = math.sqrt(c2 / c1)
     assert step_size(ENT, 1, 1, 0, 0) == pytest.approx(root)
     for t in (2, 5, 17):
@@ -46,7 +46,7 @@ def test_step_size_no_delay():
 
 
 def test_step_size_with_outstanding_feedback():
-    c1, c2 = ENT.constants()
+    c1, c2 = ENT.constants
     expected = math.sqrt(c2 / c1) / (0.5 + 2.0 * math.sqrt(math.log(4.0) / 3.0))
     assert step_size(ENT, 4, 1, 2, 3) == pytest.approx(expected)
 
@@ -352,7 +352,7 @@ def test_stability_expectation_bound():
     rng = np.random.default_rng(7)
     for kind in (NEG_ENTROPY, TSALLIS_HALF):
         reg = Regularizer(kind, 5, 0.05)
-        _, c2 = reg.constants()
+        _, c2 = reg.constants
         for _ in range(25):
             # played points keep every coordinate >= delta/2 (safe mixture regime)
             raw = rng.dirichlet(np.ones(5))
@@ -372,7 +372,7 @@ def test_stationary_two_arm_regret_sanity():
     table = LossTable(losses)
     no_delay = DelaySequence(delays=np.zeros(T, dtype=np.int64))
     regret = float(np.sum(play(learner, table, no_delay).loss)) - 0.3 * T
-    c1, c2 = reg.constants()
+    c1, c2 = reg.constants
     assert regret <= (c1 + 2 * c2) * math.sqrt(T)
     assert regret >= 0.0
 

@@ -126,6 +126,8 @@ def test_hard_instance_preconditions():
         lb.HardInstancePair((2, 2, 2), 1.0 / (64.0 * 12.0), arms=2)
     with pytest.raises(PreconditionError):
         lb.HardInstancePair((2, 2, 2), 0.6, arms=2)  # delta > 1/A
+    with pytest.raises(PreconditionError, match="need at least one block length"):
+        lb.HardInstancePair((), 0.25)
 
 
 @st.composite

@@ -29,15 +29,15 @@ def random_interior(rng, arms, floor=1e-6):
 
 def test_constants():
     ent, tsa = regs(arms=4, delta=0.1)
-    assert ent.constants() == pytest.approx((np.log(4), 10.0))
-    assert tsa.constants() == pytest.approx((2.0 * (2.0 - 1.0), 20.0))
+    assert ent.constants == pytest.approx((np.log(4), 10.0))
+    assert tsa.constants == pytest.approx((2.0 * (2.0 - 1.0), 20.0))
 
 
 def test_constants_are_python_floats_computed_once():
     for reg in regs(arms=4, delta=0.1):
-        c = reg.constants()
+        c = reg.constants
         assert all(type(v) is float for v in c)
-        assert reg.constants() is c
+        assert reg.constants is c
 
 
 def test_invalid_regularizer_config():
@@ -354,6 +354,12 @@ def test_tsallis_model_starts_at_the_clamped_newton_step_left_of_its_root(case):
         root = two_pole_model_root_by_bisection(lam, f, s3)
         if root is not None:
             assert lo <= start <= max(lo, root * (1.0 + 1e-14))
+
+
+def test_two_pole_root_is_nan_where_the_model_is_below_one_at_the_start():
+    # both rests are positive, so there is a model, but it reads 0.9 at the
+    # start, which lies right of its root: the caller takes the clamped step
+    assert math.isnan(mirror._two_pole_root(2.0, 0.9, 0.5, 2.0))
 
 
 def test_tsallis_solves_of_a_short_desk_game_take_about_two_evaluations(monkeypatch):

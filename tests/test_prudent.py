@@ -28,7 +28,7 @@ def make_learner(arms=4, delta=0.1, horizon=100, seed=0, scale=1.0):
 # -- threshold functions ----------------------------------------------------
 
 def test_thresholds_read_their_constants_from_the_regularizer():
-    assert LARGE_TF.reg.constants() == (math.log(100), 1000.0)
+    assert LARGE_TF.reg.constants == (math.log(100), 1000.0)
     assert [f.name for f in dataclasses.fields(ThresholdFunctions)] == ["reg", "horizon", "scale"]
 
 
@@ -101,7 +101,7 @@ def test_build_comparator():
     (lambda: build_comparator(4, 0.1, 1.5), "anchor must be an integer"),
     (lambda: build_comparator(2.5, 0.1, 0), "arms must be an integer"),
     (lambda: build_comparator(0, 0.1, 0), "arms must be at least 1"),
-    (lambda: next_delay_estimate(0), "trigger must be >= 1"),
+    (lambda: next_delay_estimate(0), "trigger must be at least 1, got 0"),
     (lambda: PrudentBanker(ThresholdFunctions(Regularizer(NEG_ENTROPY, 3, 0.1), 100),
                            np.array([0.5, 0.5]), RngSampler(stream(0, "act"))),
      "comparator dimension mismatch")],
