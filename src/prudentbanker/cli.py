@@ -94,10 +94,19 @@ def _cells(args):
     return cell
 
 
+def _make_out_dir(path: Path) -> None:
+    """Create the --out directory before anything runs, so a bad --out exits 2 at once."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create directory {str(path)!r}: {exc.strerror}") from None
+
+
 def cmd_run(args) -> int:
     if Path(args.out).name in ("", ".."):  # "", ".", "/" or "out/.." name no file
         raise ConfigError(f"--out {args.out!r} names no file")
     config = _cells(args)(args.learner, args.delay_model, args.seed)
+    _make_out_dir(Path(args.out).parent)
     trace = run(config)
     paths = emit(trace, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -122,6 +131,7 @@ def cmd_sweep(args) -> int:
     grid = [[cell(learner, delay_model, seed) for learner in learners]
             for delay_model, seed in itertools.product(delay_models, seeds)]
     out_dir = Path(args.out)
+    _make_out_dir(out_dir)
     summaries = []
     for configs in grid:
         table, delays = build_environment(configs[0].env)
@@ -148,7 +158,7 @@ def cmd_lowerbound(args) -> int:
     rng = stream(args.seed, "lowerbound-probe")
     probes = [(policy, lb.safety_gap_probe(instance, policy, args.trials, rng))
               for policy in ("arm1", "arm2", "comparator")]
-    sim = lb.batched_simulate(instance, delays, args.seed)
+    _, regret = lb.batched_simulate(instance, delays, args.seed)  # a guard violation raises
 
     print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
     print(f"bucket boundaries: {decomp.boundaries}")
@@ -167,9 +177,8 @@ def cmd_lowerbound(args) -> int:
               f"{'pass' if res.ok else 'FAIL'}")
         all_ok = all_ok and res.ok
 
-    print(f"delayed-vs-batched identity: {'pass' if sim.identical else 'FAIL'} "
-          f"(regret {sim.regret_native:+.4f} vs {sim.regret_batched:+.4f})")
-    return 0 if all_ok and sim.identical else 1
+    print(f"delayed-vs-batched identity: pass (regret {regret:+.4f})")
+    return 0 if all_ok else 1
 
 
 def cmd_verify(args) -> int:

@@ -3,7 +3,9 @@
 A delay sequence (positive, non-increasing, admissible) partitions the horizon
 into greedy buckets such that no feedback generated inside a bucket arrives
 before the bucket ends; a delayed game on such a sequence can therefore be
-simulated exactly inside a batched game. The batched hard instances make one
+simulated exactly inside a batched game. `batched_simulate` plays that game
+once, through a `BatchedView` whose guard raises on any feedback due before
+its bucket has ended. The batched hard instances make one
 designated arm Bernoulli with a per-block bias while all other arms are
 deterministic 1/2.
 `bucket_inequalities` is the one check of the bucket facts: the `lowerbound`
@@ -168,21 +170,6 @@ class HardInstancePair:
 # delayed -> batched simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimulationResult:
-    native: PlayColumns
-    batched: PlayColumns
-    regret_native: float
-    regret_batched: float
-
-    @property
-    def identical(self) -> bool:
-        """The pathwise identity: same arms, regrets and per-round pseudo-losses."""
-        return (np.array_equal(self.native.arm, self.batched.arm)
-                and self.regret_native == self.regret_batched
-                and np.array_equal(self.native.loss, self.batched.loss))
-
-
 class BatchedView:
     """A learner that sees round u's feedback only once u's bucket has ended.
 
@@ -207,16 +194,16 @@ class BatchedView:
 
 
 def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: int,
-                     j: int = 1) -> SimulationResult:
-    """Play Prudent-Banker on E+ natively and as a `BatchedView`, both through `play`.
+                     j: int = 1) -> tuple[PlayColumns, float]:
+    """Play Prudent-Banker on E+ once, as a `BatchedView`, through `play`.
 
     The instance's blocks are buckets j, j + 1, ... of `delays`; the rounds
     before bucket j lose 0 on every arm. E+ is drawn from the seed's
-    "lowerbound-losses" stream, and each run's learner gets a fresh sampler on
-    its "lowerbound-tape" stream, so both draw the same uniforms. The batched
-    run learns a bucket's losses only when the bucket ends (the zero prefix
-    counts as buckets too); as the buckets tile the horizon, its revealed
-    losses sum, in bucket order, left to right over all rounds.
+    "lowerbound-losses" stream and the learner samples from its
+    "lowerbound-tape" stream. The view learns a bucket's losses only when the
+    bucket ends (the zero prefix counts as buckets too), and raises
+    `ProtocolError` otherwise. Returns the played columns and the regret
+    against the comparator, the played arms' losses summed left to right.
     """
     check_integer("j", j)
     decomp = greedy_buckets(delays)
@@ -231,18 +218,12 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
     T = table.horizon
     tf = ThresholdFunctions(Regularizer(NEG_ENTROPY, instance.arms, instance.delta), T)
     xc = instance.comparator
-
-    def learner():
-        return PrudentBanker(tf, xc, RngSampler(stream(seed, "lowerbound-tape")))
-
-    native = play(learner(), table, delays)
-    batched = play(BatchedView(learner(), decomp), table, delays)
+    learner = PrudentBanker(tf, xc, RngSampler(stream(seed, "lowerbound-tape")))
+    cols = play(BatchedView(learner, decomp), table, delays)
     loss_comp = float(np.sum(table.losses @ xc))
-
-    def regret(arms):  # the played arms' losses summed left to right, not by np.sum
-        return float(np.add.accumulate(table.losses[np.arange(T), arms])[-1]) - loss_comp
-
-    return SimulationResult(native, batched, regret(native.arm), regret(batched.arm))
+    # the played arms' losses summed left to right, not by np.sum
+    regret = float(np.add.accumulate(table.losses[np.arange(T), cols.arm])[-1]) - loss_comp
+    return cols, regret
 
 
 # ---------------------------------------------------------------------------

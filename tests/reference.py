@@ -12,12 +12,14 @@ import numpy as np
 
 from prudentbanker import lowerbound
 from prudentbanker.errors import ConfigError, DomainError, NumericalError
-from prudentbanker.harness import CSV_HEADER
+from prudentbanker.harness import CSV_HEADER, PlayColumns, play
 from prudentbanker.lowerbound import (SPECIAL_ARM, BucketDecomposition, HardInstancePair,
                                       ProbeResult)
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, Regularizer, _two_pole_root,
                                   grad_psi, grad_psi_star_with_dual)
-from prudentbanker.protocol import DelaySequence
+from prudentbanker.protocol import DelaySequence, LossTable
+from prudentbanker.prudent import PrudentBanker, ThresholdFunctions
+from prudentbanker.rng import RngSampler, stream
 
 
 def block_index(t: int, horizon: int, blocks: int) -> int:
@@ -158,6 +160,28 @@ def block_losses_by_block(instance: HardInstancePair, sign: int,
         block[:, SPECIAL_ARM] = (u < 0.5 + sign * e).astype(float)
         out.append(block)
     return out
+
+
+def native_play(instance: HardInstancePair, delays: DelaySequence, seed: int,
+                j: int = 1) -> tuple[PlayColumns, float]:
+    """`lowerbound.batched_simulate`'s game played natively, without its `BatchedView`.
+
+    The same E+ table with its zero prefix, and the same Prudent-Banker on the
+    same "lowerbound-tape" stream; the regret adds the played arms' losses one
+    round at a time. The delayed-to-batched identity says both plays agree
+    exactly: arms, per-round pseudo-losses and regret.
+    """
+    blocks = instance.block_losses(+1, stream(seed, "lowerbound-losses"))
+    start = lowerbound.greedy_buckets(delays).boundaries[j - 1]
+    table = LossTable(np.vstack([np.zeros((start - 1, instance.arms)), blocks]))
+    reg = Regularizer(NEG_ENTROPY, instance.arms, instance.delta)
+    learner = PrudentBanker(ThresholdFunctions(reg, table.horizon), instance.comparator,
+                            RngSampler(stream(seed, "lowerbound-tape")))
+    cols = play(learner, table, delays)
+    played = 0.0
+    for row, arm in zip(table.losses, cols.arm.tolist()):
+        played += float(row[arm])
+    return cols, played - float(np.sum(table.losses @ instance.comparator))
 
 
 def safety_gap_probe_two_pass(instance: HardInstancePair, policy: str, trials: int,

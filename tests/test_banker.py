@@ -419,3 +419,48 @@ def test_ledger_holds_the_phase_loss_sums():
     check_sums()
     assert seen["resets"] >= 2 and seen["dropped"] >= 1
     assert np.any(base.g.total != 0.0)
+
+
+# -- the credit schedule depends on the delays alone -------------------------
+
+def recorded_credit_schedule(learner, table, delays):
+    """Play `learner` and record (t, sigma_t, allocation, b_t) at each of its drains."""
+    base, schedule = learner.base, []
+    allocate = base._allocate
+
+    def recording_allocate(t, sigma):
+        allocation, b = allocate(t, sigma)
+        schedule.append((t, sigma, allocation, b))
+        return allocation, b
+
+    base._allocate = recording_allocate
+    play(learner, table, delays)
+    return schedule
+
+
+@pytest.mark.parametrize("learner", ["banker-omd", "prudent-banker"])
+@settings(max_examples=100, deadline=None)
+@given(delayed_games())
+def test_credit_schedule_depends_on_the_delays_alone(learner, case):
+    # sigma_t reads t, the phase start and the outstanding counts, and the drain
+    # reads sigma_t and the credits; no loss or played point enters either.
+    # Prudent-Banker at the analysis threshold scale makes no soft restart on
+    # these short games, so its phases start at its hard restarts, which the
+    # delays alone decide
+    kind, arms, delays, seed = case
+    delays = DelaySequence(delays=np.array(delays, dtype=np.int64))
+    reg = Regularizer(kind, arms, 1.0 / (2 * arms))
+    schedules, learners = [], []
+    for losses_seed in ([seed, 0], [seed, 1]):  # two independent loss tables
+        if learner == "banker-omd":
+            played = BankerOMDLearner(reg, RngSampler(stream(seed, "act")))
+        else:
+            played = PrudentBanker(ThresholdFunctions(reg, len(delays), 1.0),
+                                   build_comparator(arms, reg.delta, 0),
+                                   RngSampler(stream(seed, "act")))
+        table = LossTable(np.random.default_rng(losses_seed).random((len(delays), arms)))
+        schedules.append(recorded_credit_schedule(played, table, delays))
+        learners.append(played)
+    assert schedules[0] == schedules[1]
+    if learner == "prudent-banker":
+        assert not any(r.kind == "soft" for played in learners for r in played.restarts)

@@ -240,6 +240,25 @@ def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     assert configs == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "afile/run"],
+    ["sweep", "--out", "afile", "--seeds", "0", "--learners", "play-comparator",
+     "--delay-models", "none"]],
+    ids=["run", "sweep"])
+def test_out_under_a_regular_file_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys,
+                                                               argv):
+    def failing_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run", failing_run)
+    (tmp_path / "afile").write_text("")
+    assert cli.main([*argv, "--horizon", "50", "--blocks", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --out: cannot create directory 'afile'")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"],
                                   ["--seed", "-1"], ["--trials", "1"], ["--delta", "nan"]],
                          ids=["q", "delta", "trials", "seed", "one-trial", "delta-nan"])

@@ -13,7 +13,7 @@ from prudentbanker.protocol import DelaySequence
 from prudentbanker.rng import stream
 
 from reference import (block_losses_by_block, bucket_inequalities_by_definition,
-                       safety_gap_probe_two_pass)
+                       native_play, safety_gap_probe_two_pass)
 
 
 def random_admissible(rng, T):
@@ -234,10 +234,20 @@ def test_hard_instance_mean_bias():
 
 # -- delayed-to-batched simulation -----------------------------------------
 
+def assert_identity(inst, delays, seed, j=1):
+    """The batched play equals the native one: arms, pseudo-losses and regret."""
+    cols, regret = lb.batched_simulate(inst, delays, seed, j=j)
+    native, native_regret = native_play(inst, delays, seed, j=j)
+    np.testing.assert_array_equal(cols.arm, native.arm)
+    # on two arms <p_t, l_t> pins p_t wherever the arms' losses differ
+    np.testing.assert_array_equal(cols.loss, native.loss)
+    assert regret == native_regret
+
+
 def simulate_once(seed, j=1):
     delays = lb.corollary_delays(2, 2)
     inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths[j - 1:], 0.25, arms=2)
-    return lb.batched_simulate(inst, delays, seed, j=j)
+    assert_identity(inst, delays, seed, j=j)
 
 
 @pytest.fixture
@@ -250,20 +260,7 @@ def no_learner(monkeypatch):
 
 def test_pathwise_identity_small():
     for seed in range(20):
-        sim = simulate_once(seed)
-        np.testing.assert_array_equal(sim.native.arm, sim.batched.arm)
-        assert sim.regret_native == sim.regret_batched
-        # on two arms <p_t, l_t> pins p_t wherever the arms' losses differ
-        np.testing.assert_array_equal(sim.native.loss, sim.batched.loss)
-        assert sim.identical
-
-
-def test_identity_sees_the_played_distributions():
-    sim = simulate_once(0)
-    late = sim.batched.loss.copy()
-    late[-1] += 1e-12  # same arms and regrets, another played distribution
-    batched = dataclasses.replace(sim.batched, loss=late)
-    assert not dataclasses.replace(sim, batched=batched).identical
+        simulate_once(seed)
 
 
 def test_wrapper_plays_the_native_distributions(monkeypatch):
@@ -279,8 +276,9 @@ def test_wrapper_plays_the_native_distributions(monkeypatch):
 
     monkeypatch.setattr(lb.PrudentBanker, "act", recording_act)
     lb.batched_simulate(inst, delays, 0)
-    native, wrapped = played.values()
-    np.testing.assert_array_equal(native, wrapped)
+    native_play(inst, delays, 0)
+    wrapped, native = played.values()
+    np.testing.assert_array_equal(wrapped, native)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -328,13 +326,12 @@ def admissible_delays(draw):
 def test_identity_on_uneven_buckets(delays, seed):
     # unlike corollary_delays, these buckets may differ in length
     inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
-    assert lb.batched_simulate(inst, delays, seed).identical
+    assert_identity(inst, delays, seed)
 
 
 def test_prefix_rounds_are_free():
     # with a zero prefix (j=2), prefix rounds contribute no regret
-    sim = simulate_once(0, j=2)
-    assert sim.identical
+    simulate_once(0, j=2)
 
 
 # -- safety-gap probe -------------------------------------------------------
