@@ -5,7 +5,9 @@ sequence; per-learner action noise comes from independently named streams of
 the master seed, so swapping learners never perturbs the environment.
 `play` is the only round loop: every simulation, the batched reduction
 included, runs through it. After the game `run` reads the learner's `alpha`,
-`restarts` and `delay_estimate` directly. `RunConfig` builds the one
+`restarts` and `delay_estimate` directly. A `RunTrace` keeps the four columns
+the game produced and the restart log; the CSV's round, stage, phase and
+alpha columns are rebuilt from the log. `RunConfig` builds the one
 `Regularizer` and the one `ThresholdFunctions` of a run.
 """
 from __future__ import annotations
@@ -21,13 +23,16 @@ from .errors import ConfigError
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses, sample_delays)
-from .prudent import PrudentBanker, ThresholdFunctions, build_comparator, restart_columns
+from .prudent import (PrudentBanker, RestartRecord, ThresholdFunctions, build_comparator,
+                      restart_columns)
 from .rng import RngSampler, check_seed, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
             "play-comparator", "play-fixed-arm")
 
 CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
+#: CSV columns a RunTrace stores; the others are rebuilt from its restart log
+DATA_COLUMNS = ("loss_B", "loss_star", "loss_c", "arrived")
 #: CSV columns that change only at a restart or an arrival, so hold few values
 STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
 #: rows of the CSV formatted at a time, so that emit never holds the whole text
@@ -91,38 +96,61 @@ def _repr_each_value_once(col: np.ndarray):
 
 @dataclass
 class RunTrace:
-    """The per-round columns of one run, one CSV column each, and its summary.
+    """One run: the four columns its game produced, its restart log and its summary.
 
-    The trace owns its eight columns: `run` builds each once and hands it
-    over, and nothing writes them after; `csv_chunks`, `csv_string` and
-    `emit` only read them. They must be 1-D and of one length, checked when
-    built.
+    `loss_B`, `loss_star`, `loss_c` and `arrived` hold entry t - 1 for round
+    t; they must be 1-D and of one length, checked when built. `run` builds
+    each once and hands it over, and nothing writes them after. The CSV's
+    other columns are not stored: `t` is 1..T, and `stage`, `phase` and
+    `alpha` change only at a restart, so `restart_columns` rebuilds them from
+    `restarts` and `alpha0`, the alpha before the game. `csv_chunks`,
+    `csv_string` and `emit` only read the trace, and rebuild those columns a
+    chunk of rows at a time.
     """
 
-    t: np.ndarray
-    stage: np.ndarray
-    phase: np.ndarray
-    alpha: np.ndarray
     loss_B: np.ndarray
     loss_star: np.ndarray
     loss_c: np.ndarray
     arrived: np.ndarray
+    restarts: list[RestartRecord]
+    alpha0: float
     summary: dict
     learner: object | None = None  # populated when run(..., keep_learner=True)
 
     def __post_init__(self):
-        shapes = {name: np.shape(getattr(self, name)) for name in CSV_HEADER.split(",")}
-        if len(set(shapes.values())) != 1 or len(shapes["t"]) != 1:
+        shapes = {name: np.shape(getattr(self, name)) for name in DATA_COLUMNS}
+        if len(set(shapes.values())) != 1 or len(shapes["arrived"]) != 1:
             raise ConfigError(f"trace columns must be 1-D and of one length, got {shapes}")
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(1, len(self.arrived) + 1, dtype=np.int64)
+
+    @property
+    def stage(self) -> np.ndarray:
+        return restart_columns(self.restarts, self.alpha0, len(self.arrived))[0]
+
+    @property
+    def phase(self) -> np.ndarray:
+        return restart_columns(self.restarts, self.alpha0, len(self.arrived))[1]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return restart_columns(self.restarts, self.alpha0, len(self.arrived))[2]
 
     def csv_chunks(self):
         """The CSV text: the header line, then CSV_CHUNK rows at a time."""
         yield CSV_HEADER + "\n"
-        for lo in range(0, len(self.t), CSV_CHUNK):
-            rows = slice(lo, lo + CSV_CHUNK)
+        T = len(self.arrived)
+        for lo in range(0, T, CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, T)
+            stage, phase, alpha = restart_columns(self.restarts, self.alpha0, hi, lo)
+            cols = {"t": np.arange(lo + 1, hi + 1, dtype=np.int64), "stage": stage,
+                    "phase": phase, "alpha": alpha,
+                    **{name: getattr(self, name)[lo:hi] for name in DATA_COLUMNS}}
             # integer columns print as ints, float columns in repr's round-trip form
-            chunk = (_repr_each_value_once(getattr(self, name)[rows]) if name in STEP_COLUMNS
-                     else map(repr, getattr(self, name)[rows].tolist())
+            chunk = (_repr_each_value_once(cols[name]) if name in STEP_COLUMNS
+                     else map(repr, cols[name].tolist())
                      for name in CSV_HEADER.split(","))
             # a list display: join over a bare map over-allocates the rows it lists
             yield "\n".join([*map(",".join, zip(*chunk))]) + "\n"
@@ -217,10 +245,13 @@ def run(config: RunConfig, table: LossTable | None = None,
     environment across learners; by default both are generated from the seed.
     Errors inside a round carry a "round t" note (see ``play``).
 
-    Each trace column is built once: ``loss_B`` is summed in place over the
-    loss column of the ``PlayColumns`` that ``play`` returns, which is
-    overwritten, and ``loss_c`` in place over the comparator's per-round
-    losses. The arm column is dropped before the other columns are built.
+    Each of the trace's four columns is built once: ``loss_B`` is summed in
+    place over the loss column of the ``PlayColumns`` that ``play`` returns,
+    which is overwritten, and ``loss_c`` in place over the comparator's
+    per-round losses. The arm column is dropped before ``loss_c`` is built.
+    The trace keeps the learner's restart log in place of per-round stage,
+    phase and alpha columns; the summary's ``stages`` and ``final_alpha`` are
+    those of round T, rebuilt from the log.
     """
     if (table is None) != (delays is None):
         raise ConfigError("pass both table and delays, or neither")
@@ -244,7 +275,9 @@ def run(config: RunConfig, table: LossTable | None = None,
 
     loss_c = table.losses @ xc
     np.cumsum(loss_c, out=loss_c)
-    stage, phase, alpha = restart_columns(learner.restarts, alpha0, T)
+    restarts = list(learner.restarts)
+    # round T's row: a soft restart logged at round T shows in no row
+    [stages], _, [final_alpha] = restart_columns(restarts, alpha0, T, T - 1)
     summary = {
         "learner": config.learner,
         "seed": int(config.seed),
@@ -256,18 +289,16 @@ def run(config: RunConfig, table: LossTable | None = None,
         "r0": r0,
         "r0_source": "oracle (hindsight best arm)",
         "comparator_anchor_source": "oracle (hindsight best arm)",
-        "stages": int(stage[-1]),
-        "phases": len(learner.restarts) + 1,
-        "final_alpha": float(alpha[-1]),
+        "stages": int(stages),
+        "phases": len(restarts) + 1,
+        "final_alpha": float(final_alpha),
         "final_delay_estimate": int(learner.delay_estimate),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
-    trace = RunTrace(t=np.arange(1, T + 1, dtype=np.int64),
-                     stage=stage, phase=phase, alpha=alpha,
-                     loss_B=loss_B, loss_star=star_curve, loss_c=loss_c,
-                     arrived=arrived, summary=summary)
+    trace = RunTrace(loss_B=loss_B, loss_star=star_curve, loss_c=loss_c, arrived=arrived,
+                     restarts=restarts, alpha0=alpha0, summary=summary)
     if keep_learner:
         trace.learner = learner
     return trace
@@ -277,8 +308,8 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
     """Write the trace to <out_base>.csv and its summary to <out_base>.json.
 
     The CSV is written chunk by chunk from ``RunTrace.csv_chunks``, so emit
-    holds CSV_CHUNK rows of text at a time; it reads the trace's columns and
-    writes none of them.
+    holds CSV_CHUNK rows of text, and the restart columns of those rows, at
+    a time; it reads the trace and writes none of it.
     """
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)

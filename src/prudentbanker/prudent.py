@@ -112,27 +112,30 @@ class RestartRecord:
     new_alpha: float
 
 
-def restart_columns(restarts: list[RestartRecord], alpha0: float,
-                    horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-round stage, phase and alpha of a game, rebuilt from its restart log.
+def restart_columns(restarts: list[RestartRecord], alpha0: float, stop: int,
+                    start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage, phase and alpha of rounds start + 1..stop, rebuilt from a restart log.
 
-    Entry t - 1 is the state that round t plays under. A hard restart happens
-    in act(t), so it shows from round t; a soft restart happens in
+    Entry t - 1 - start is the state that round t plays under. A hard restart
+    happens in act(t), so it shows from round t; a soft restart happens in
     receive(t), so it shows from round t + 1. alpha0 is the alpha before the
     game; a learner without restarts plays stage 1, phase 1 throughout.
     """
-    stage, phase = np.ones(horizon, dtype=np.int64), np.ones(horizon, dtype=np.int64)
-    alpha = np.full(horizon, alpha0)
+    rows = stop - start
+    stage, phase = np.ones(rows, dtype=np.int64), np.ones(rows, dtype=np.int64)
+    alpha = np.full(rows, alpha0)
     n_stage = 1
     for r in restarts:
         if r.kind == "hard":
             n_stage += 1
-            start = r.round - 1
+            first = r.round - 1
         else:
-            start = r.round
-        stage[start:] = n_stage
-        phase[start:] = r.new_phase
-        alpha[start:] = r.new_alpha
+            first = r.round
+        # a restart before the range sets all of it, one after it none
+        first = max(first - start, 0)
+        stage[first:] = n_stage
+        phase[first:] = r.new_phase
+        alpha[first:] = r.new_alpha
     return stage, phase, alpha
 
 

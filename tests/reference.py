@@ -127,6 +127,73 @@ def csv_string_each_entry(trace) -> str:
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
+def credit_schedule(delays: DelaySequence,
+                    phase_starts: list[int]) -> list[tuple[int, float, list, float]]:
+    """Banker-OMD's credit ledger, drain by drain, from the delays and phase starts alone.
+
+    Written from the `banker` docstring. A phase runs from its start to the
+    round before the next start, or to T. Every round t of a phase starting
+    at s is granted a credit sigma_t, which it can donate to later rounds of
+    the phase once its feedback has arrived, at the end of round t + d_t.
+    Round t drains the arrived credits in increasing round order until they
+    cover sigma_t, a donor's credit being spent once drained whole, and
+    borrows the rest, b_t. sigma_t is `step_size`'s in units of sqrt(C2/C1):
+    1 / (1/sqrt(t - s + 1) + d_t sqrt(ln(DD_t + 1) / DD_t)), where d_t counts
+    the rounds of the phase whose feedback is missing at the start of round t
+    and DD_t is the sum of d_s..d_t; the second term is 0 when d_t is.
+
+    Returns (t, sigma_t, allocation, b_t) for every round of every phase, with
+    allocation the (donor round, amount) pairs in drain order. Every sum of
+    credits is a math.fsum of the amounts taken so far.
+    """
+    d = [int(x) for x in delays.delays]
+    T = len(d)
+    schedule = []
+    for s, end in zip(phase_starts, [*phase_starts[1:], T + 1]):
+        sigma, taken, spent = {}, {}, set()  # credits, amounts given, rounds drained whole
+        DD = 0
+        for t in range(s, min(end, T + 1)):
+            d_t = sum(u + d[u - 1] >= t for u in range(s, t))
+            DD += d_t
+            denom = 1.0 / math.sqrt(t - s + 1)
+            if d_t > 0:
+                denom += d_t * math.sqrt(math.log(DD + 1.0) / DD)
+            sigma[t], taken[t] = 1.0 / denom, []
+            allocation, b = [], sigma[t]
+            for u in range(s, t):
+                if b <= 0.0:
+                    break
+                if u + d[u - 1] >= t or u in spent:  # feedback missing, or credit spent
+                    continue
+                left = math.fsum([sigma[u], *(-a for a in taken[u])])
+                amount = min(left, b)
+                taken[u].append(amount)
+                allocation.append((u, amount))
+                if amount < left:
+                    b = 0.0
+                else:
+                    spent.add(u)
+                    b = math.fsum([sigma[t], *(-a for _, a in allocation)])
+            schedule.append((t, sigma[t], allocation, b))
+    return schedule
+
+
+def restart_state(restarts, alpha0: float, t: int) -> tuple[int, int, float]:
+    """The (stage, phase, alpha) that round t plays under, read off a restart log.
+
+    The log is in the order the restarts were made. A hard restart logged at
+    round r is made in act(r), so round r plays under it; a soft restart is
+    made in receive(r), so round r + 1 does. Before any restart a game plays
+    stage 1, phase 1 and alpha0.
+    """
+    stage, phase, alpha = 1, 1, alpha0
+    for r in restarts:
+        if r.round + (r.kind == "soft") <= t:
+            stage += r.kind == "hard"
+            phase, alpha = r.new_phase, r.new_alpha
+    return stage, phase, alpha
+
+
 def bucket_inequalities_by_definition(decomp: BucketDecomposition,
                                       delays: DelaySequence) -> tuple[bool, bool, bool]:
     """The three bucket facts, each delay sum taken round by round over its buckets."""

@@ -53,8 +53,8 @@ def desk_runs():
         cfg_g = desk_config("geometric", seed)
         table, delays = build_environment(cfg_g.env)
         out[seed] = {
-            "nodelay": run(desk_config("none", seed), keep_learner=True),
-            "geometric": run(cfg_g, table, delays, keep_learner=True),
+            "nodelay": run(desk_config("none", seed)),
+            "geometric": run(cfg_g, table, delays),
             "exp3ix": run(desk_config("geometric", seed, learner="safe-exp3ix"),
                           table, delays),
             "delays": delays,
@@ -95,7 +95,7 @@ def test_criterion_3_delay_estimate_doubling(desk_runs):
     ok = True
     for seed in SEEDS:
         trace = desk_runs[seed]["geometric"]
-        hard = [r for r in trace.learner.restarts if r.kind == "hard"]
+        hard = [r for r in trace.restarts if r.kind == "hard"]
         ok = ok and bool(hard)
         for r in hard:
             ok = ok and r.new_estimate < 2 * r.trigger
@@ -218,20 +218,22 @@ def test_criterion_11_desk_scale_structure(desk_runs):
     for seed in SEEDS:
         nd = desk_runs[seed]["nodelay"]
         ok = ok and nd.summary["stages"] == 1
-        ok = ok and bool(np.all(np.diff(nd.alpha) >= 0))
-        first_one = int(np.argmax(nd.alpha == 1.0))
-        ok = ok and nd.alpha[first_one] == 1.0
-        ok = ok and bool(np.all(nd.alpha[first_one:] == 1.0))
+        alpha = nd.alpha  # rebuilt from the restart log when read
+        ok = ok and bool(np.all(np.diff(alpha) >= 0))
+        first_one = int(np.argmax(alpha == 1.0))
+        ok = ok and alpha[first_one] == 1.0
+        ok = ok and bool(np.all(alpha[first_one:] == 1.0))
 
         geo = desk_runs[seed]["geometric"]
-        hard = [r for r in geo.learner.restarts if r.kind == "hard"]
+        hard = [r for r in geo.restarts if r.kind == "hard"]
         ok = ok and bool(hard)
         boundaries = np.flatnonzero(np.diff(geo.stage)) + 1
         ok = ok and len(boundaries) == len(hard)
+        alpha = geo.alpha
         for i in boundaries:
             # aggression resets when a new stage begins
-            ok = ok and geo.alpha[i] <= geo.alpha[i - 1]
-            ok = ok and geo.alpha[i] < 1.0
+            ok = ok and alpha[i] <= alpha[i - 1]
+            ok = ok and alpha[i] < 1.0
 
         # comparator pseudo-regret against the uncalibrated restart threshold
         reg = Regularizer(NEG_ENTROPY, DESK_A, DESK_DELTA)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from prudentbanker.banker import BankerOMD, Kahan, RoundRecord, step_size
 from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ConfigError, DomainError, ProtocolError
-from prudentbanker.harness import play
+from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
+                                   make_learner, play)
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
@@ -18,7 +19,7 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
 from prudentbanker.prudent import PrudentBanker, ThresholdFunctions, build_comparator
 from prudentbanker.rng import RngSampler, stream
 
-from reference import expected_mirror_step_divergence
+from reference import credit_schedule, expected_mirror_step_divergence
 
 ENT = Regularizer(NEG_ENTROPY, 4, 0.1)
 
@@ -464,3 +465,59 @@ def test_credit_schedule_depends_on_the_delays_alone(learner, case):
     assert schedules[0] == schedules[1]
     if learner == "prudent-banker":
         assert not any(r.kind == "soft" for played in learners for r in played.restarts)
+
+
+def assert_matches_credit_schedule(recorded, reg, delays, restarts):
+    """The recorded drains against reference.credit_schedule on the same phases.
+
+    A phase starts the round after each restart. A hard restart at round r is
+    made in act(r), before round r drains, so the oracle's drain at r is left
+    out; the ledger's own sums are sequential, so floats agree within 1e-9.
+    """
+    c1, c2 = reg.constants
+    unit = math.sqrt(c2 / c1)  # the oracle's sigma is in units of sqrt(C2/C1)
+    hard = {r.round for r in restarts if r.kind == "hard"}
+    oracle = [drain for drain in credit_schedule(delays, [1, *(r.round + 1 for r in restarts)])
+              if drain[0] not in hard]
+    assert [t for t, *_ in recorded] == [t for t, *_ in oracle]
+    for (t, sigma, allocation, b), (_, want_sigma, want_allocation, want_b) in zip(recorded,
+                                                                                   oracle):
+        assert [u for u, _ in allocation] == [u for u, _ in want_allocation], t
+        pairs = [(sigma, want_sigma), (b, want_b),
+                 *((a, want) for (_, a), (_, want) in zip(allocation, want_allocation))]
+        for got, want in pairs:
+            assert math.isclose(got / unit, want, rel_tol=1e-9, abs_tol=1e-12), (t, got, want)
+
+
+@pytest.mark.parametrize("learner", ["banker-omd", "prudent-banker"])
+@settings(max_examples=100, deadline=None)
+@given(delayed_games())
+def test_credit_schedule_matches_the_reference(learner, case):
+    # Prudent-Banker at threshold scale 0.001 makes soft restarts in some of
+    # these games, and hard ones in most
+    kind, arms, delays, seed = case
+    delays = DelaySequence(delays=np.array(delays, dtype=np.int64))
+    reg = Regularizer(kind, arms, 1.0 / (2 * arms))
+    if learner == "banker-omd":
+        played = BankerOMDLearner(reg, RngSampler(stream(seed, "act")))
+    else:
+        played = PrudentBanker(ThresholdFunctions(reg, len(delays), 0.001),
+                               build_comparator(arms, reg.delta, 0),
+                               RngSampler(stream(seed, "act")))
+    table = LossTable(np.random.default_rng(seed).random((len(delays), arms)))
+    recorded = recorded_credit_schedule(played, table, delays)
+    assert_matches_credit_schedule(recorded, reg, delays, played.restarts)
+
+
+@pytest.mark.parametrize("delay_model, kinds", [("none", {"soft"}), ("geometric", {"hard"})])
+def test_desk_credit_schedule_matches_the_reference(delay_model, kinds):
+    # two of the golden runs: soft restarts without delay, hard ones under delay
+    config = RunConfig(env=EnvironmentConfig(horizon=500, blocks=5, delay_model=delay_model),
+                       threshold_scale=0.02)
+    table, delays = build_environment(config.env)
+    istar, _ = best_fixed_arm(table)
+    learner = make_learner(config, istar, 0.5,
+                           build_comparator(config.env.arms, config.delta, istar))
+    recorded = recorded_credit_schedule(learner, table, delays)
+    assert {r.kind for r in learner.restarts} == kinds
+    assert_matches_credit_schedule(recorded, config.reg, delays, learner.restarts)

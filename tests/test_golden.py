@@ -116,14 +116,14 @@ def emitted_digests(trace) -> dict[str, str]:
 def record(config: RunConfig) -> dict:
     """The stored form of one run: digests, restart log, checkpoints, summary."""
     with captured_play() as played:
-        trace = run(config, *environment(config.env), keep_learner=True)
+        trace = run(config, *environment(config.env))
     T = config.env.horizon
     checkpoints = [T * k // 10 - 1 for k in range(1, 11)]  # rounds T/10, ..., T
     return {
         "int_sha256": {"arm": sha256(played[0].arm),
                        **{name: sha256(getattr(trace, name)) for name in INT_COLUMNS}},
         "restarts": [[getattr(r, name) for name in RESTART_FIELDS]
-                     for r in trace.learner.restarts],
+                     for r in trace.restarts],
         "checkpoints": {name: getattr(trace, name)[checkpoints].tolist()
                         for name in FLOAT_COLUMNS},
         "summary": trace.summary,

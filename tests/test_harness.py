@@ -1,24 +1,26 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prudentbanker import harness
 from prudentbanker.baselines import BankerOMDLearner, OneStage
 from prudentbanker.errors import ConfigError, NumericalError
-from prudentbanker.harness import (CSV_HEADER, RunConfig, RunTrace,
+from prudentbanker.harness import (CSV_HEADER, DATA_COLUMNS, RunConfig, RunTrace,
                                    best_fixed_arm, build_environment, emit,
                                    play, pseudo_loss, run)
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig, LossTable
-from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions, build_comparator,
-                                   restart_columns)
+from prudentbanker.prudent import (PrudentBanker, RestartRecord, ThresholdFunctions,
+                                   build_comparator, restart_columns)
 from prudentbanker.rng import RngSampler, stream
 
-from reference import csv_string_each_entry, outstanding_counters, parse_csv, stage_schedule
+from reference import (csv_string_each_entry, outstanding_counters, parse_csv, restart_state,
+                       stage_schedule)
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):
@@ -87,13 +89,14 @@ def test_trace_columns_consistent():
 
 def test_alpha_nondecreasing_within_stage():
     trace = run(small_cfg(horizon=2000, threshold_scale=0.02))
-    for i in range(1, len(trace.t)):
-        if trace.stage[i] == trace.stage[i - 1]:
-            assert trace.alpha[i] >= trace.alpha[i - 1]
+    stage, alpha = trace.stage, trace.alpha  # each rebuilt from the log when read
+    for i in range(1, len(stage)):
+        if stage[i] == stage[i - 1]:
+            assert alpha[i] >= alpha[i - 1]
     # once alpha reaches 1 it holds until the next hard restart
-    at_one = trace.alpha == 1.0
-    for i in range(1, len(trace.t)):
-        if at_one[i - 1] and trace.stage[i] == trace.stage[i - 1]:
+    at_one = alpha == 1.0
+    for i in range(1, len(stage)):
+        if at_one[i - 1] and stage[i] == stage[i - 1]:
             assert at_one[i]
 
 
@@ -145,8 +148,8 @@ def test_play_columns_build_the_trace(monkeypatch):
         return learner
 
     monkeypatch.setattr(harness, "make_learner", make_learner)
-    trace = run(cfg, keep_learner=True)
-    assert {r.kind for r in trace.learner.restarts} == {"hard", "soft"}
+    trace = run(cfg)
+    assert {r.kind for r in trace.restarts} == {"hard", "soft"}
     [readings] = watched
     assert_columns_match(readings, trace.stage, trace.phase, trace.alpha)
 
@@ -253,45 +256,56 @@ def test_hard_restarts_depend_only_on_the_delays(delays, seeds):
 # -- serialization ----------------------------------------------------------
 
 def test_empty_trace_csv_is_header_only():
-    trace = RunTrace(t=np.array([], dtype=np.int64),
-                     stage=np.array([], dtype=np.int64),
-                     phase=np.array([], dtype=np.int64), alpha=np.array([]),
-                     loss_B=np.array([]), loss_star=np.array([]),
-                     loss_c=np.array([]), arrived=np.array([], dtype=np.int64),
+    trace = RunTrace(loss_B=np.array([]), loss_star=np.array([]), loss_c=np.array([]),
+                     arrived=np.array([], dtype=np.int64), restarts=[], alpha0=1.0,
                      summary={})
     assert trace.csv_string() == CSV_HEADER + "\n"
+    assert [len(getattr(trace, name)) for name in CSV_HEADER.split(",")] == [0] * 8
+
+
+def soft_restart(round, new_phase, new_alpha) -> RestartRecord:
+    return RestartRecord(round, "soft", 0.0, 1, 1, new_phase, new_alpha)
+
+
+def hard_restart(round, new_phase, new_alpha) -> RestartRecord:
+    return RestartRecord(round, "hard", 2.0, 1, 2, new_phase, new_alpha)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_csv_string_matches_formatting_every_entry(data):
     n = data.draw(st.integers(0, 40))
+    # -0.0 between two 0.0: formatting must key values by their bits
+    floats = st.sampled_from([0.0, -0.0, 0.1, 1.0]) | st.floats()
 
-    def ints():
-        values = st.sampled_from([0, 1, 2, 7]) | st.integers(-2**63, 2**63 - 1)
-        return np.array([0, 0, 1] + data.draw(st.lists(values, min_size=n, max_size=n)),
-                        dtype=np.int64)
+    def column(values, head):
+        return np.array(head + data.draw(st.lists(values, min_size=n, max_size=n)))
 
-    def floats():
-        # -0.0 between two 0.0: formatting must key values by their bits
-        values = st.sampled_from([0.0, -0.0, 0.1, 1.0]) | st.floats()
-        return np.array([0.0, -0.0, 0.0] + data.draw(st.lists(values, min_size=n,
-                                                             max_size=n)))
-
-    trace = RunTrace(t=np.arange(1, n + 4, dtype=np.int64), stage=ints(), phase=ints(),
-                     alpha=floats(), loss_B=floats(), loss_star=floats(),
-                     loss_c=floats(), arrived=ints(), summary={})
+    ints = st.sampled_from([0, 1, 2, 7]) | st.integers(-2**63, 2**63 - 1)
+    # soft restarts in rounds 1..n + 2 set the phase and alpha of rows 2..n + 3
+    restarts = [soft_restart(r, phase, alpha) for r, (phase, alpha) in enumerate(
+        zip(column(ints, [0, 1]).tolist(), column(floats, [-0.0, 0.0]).tolist()), start=1)]
+    trace = RunTrace(loss_B=column(floats, [0.0, -0.0, 0.0]),
+                     loss_star=column(floats, [0.0, -0.0, 0.0]),
+                     loss_c=column(floats, [0.0, -0.0, 0.0]),
+                     arrived=column(ints, [0, 0, 1]).astype(np.int64), restarts=restarts,
+                     alpha0=0.0, summary={})
     assert trace.csv_string() == csv_string_each_entry(trace)
 
 
 def stepped_trace(T: int, C: int) -> RunTrace:
     """A T-row trace whose stage steps and whose alpha turns from -0.0 to 0.0
-    between rows C and C + 1."""
+    between rows C and C + 1, and whose phase steps every other row."""
     t = np.arange(1, T + 1, dtype=np.int64)
     loss = np.cumsum(0.1 * (t % 7))
-    return RunTrace(t=t, stage=1 + (t > C), phase=t // 2 + 1,
-                    alpha=np.where(t <= C, -0.0, 0.0), loss_B=loss, loss_star=loss / 3,
-                    loss_c=np.sqrt(t), arrived=t % 3, summary={})
+    restarts = []
+    for r in range(1, T + 1):
+        if r == C + 1:
+            restarts.append(hard_restart(r, r // 2 + 1, 0.0))  # shows from round r
+        if r % 2:
+            restarts.append(soft_restart(r, r // 2 + 2, -0.0 if r < C else 0.0))  # from r + 1
+    return RunTrace(loss_B=loss, loss_star=loss / 3, loss_c=np.sqrt(t), arrived=t % 3,
+                    restarts=restarts, alpha0=-0.0, summary={})
 
 
 @pytest.mark.parametrize("C", [3, harness.CSV_CHUNK])
@@ -308,19 +322,84 @@ def test_csv_chunks_join_to_the_csv_of_every_entry(monkeypatch, tmp_path, C, chu
     assert csv_path.read_text() == want
 
 
+class LoggedRestarts(OneStage):
+    """Plays arm 0 and reports a given restart log; alpha is the alpha before the game."""
+
+    def __init__(self, alpha0, restarts):
+        self.alpha, self.restarts = alpha0, restarts
+
+    def act(self, t):
+        return np.array([1.0, 0.0, 0.0, 0.0]), 0
+
+    def receive(self, events, t):
+        pass
+
+
+@st.composite
+def restart_logs(draw):
+    """(C, T, alpha0, log): a restart log of a T-round game, CSV chunks of C rows.
+
+    Restart rounds are drawn near the chunk edges C - 1, C and C + 1 (and
+    those of later chunks) and at T as often as anywhere. A round holds a
+    hard restart (made in act), a soft one (made in receive) or both, hard
+    first, so a soft restart at round t and a hard one at t + 1 both show
+    first in round t + 1, and a soft restart at round T shows in no round.
+    """
+    C = draw(st.integers(1, 5))
+    T = draw(st.integers(1, 4 * C + 2))
+    edges = [r for k in range(1, T // C + 2) for r in (k * C - 1, k * C, k * C + 1)]
+    near = st.sampled_from([r for r in edges if 1 <= r <= T] + [T])
+    rounds = sorted(set(draw(st.lists(near | st.integers(1, T), max_size=8))))
+    alphas = st.sampled_from([0.125, 0.25, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+    log, phase = [], 1
+    for r in rounds:
+        for kind in draw(st.sampled_from([("hard",), ("soft",), ("hard", "soft")])):
+            phase = 1 if kind == "hard" else phase + 1
+            make = hard_restart if kind == "hard" else soft_restart
+            log.append(make(r, phase, draw(alphas)))
+    return C, T, draw(alphas), log
+
+
+@example((3, 7, 0.25, [soft_restart(2, 2, 0.5), hard_restart(3, 1, 0.125),
+                       soft_restart(7, 2, 0.25)]))
+@example((3, 7, 0.25, [hard_restart(3, 1, 0.5), soft_restart(3, 2, 1.0),
+                       hard_restart(4, 1, 0.125), soft_restart(6, 2, 0.25)]))
+@settings(max_examples=300, deadline=None)
+@given(restart_logs())
+def test_run_rebuilds_the_restart_columns_from_the_log(case):
+    C, T, alpha0, log = case
+    config = RunConfig(env=EnvironmentConfig(horizon=T, arms=4, blocks=1,
+                                             delay_model="none"), learner="play-fixed-arm")
+    with (mock.patch.object(harness, "make_learner",
+                            lambda *a: LoggedRestarts(alpha0, list(log))),
+          mock.patch.object(harness, "CSV_CHUNK", C)):
+        trace = run(config)
+        text = trace.csv_string()
+    want = [restart_state(log, alpha0, t) for t in range(1, T + 1)]
+    for name, column in zip(("stage", "phase", "alpha"), zip(*want)):
+        np.testing.assert_array_equal(getattr(trace, name), column)
+    assert trace.restarts == log and trace.alpha0 == alpha0
+    assert text == csv_string_each_entry(trace)
+    stage, _, alpha = want[-1]
+    # phases counts a soft restart logged at round T, which final_alpha, the
+    # alpha of round T, does not show
+    assert (trace.summary["stages"], trace.summary["phases"],
+            trace.summary["final_alpha"]) == (stage, len(log) + 1, alpha)
+
+
 @pytest.mark.parametrize("columns", [
-    {"t": np.arange(1, 4), "alpha": np.zeros(2), "loss_B": np.zeros(2),
-     "loss_star": np.zeros(2), "loss_c": np.zeros(2)},
+    {"loss_B": np.zeros(2), "loss_star": np.zeros(2), "loss_c": np.zeros(2)},
     {"arrived": np.zeros(4, dtype=np.int64)},
     {"loss_c": np.zeros((3, 1))},
-    {name: np.zeros((3, 2)) for name in CSV_HEADER.split(",")},
-    {name: np.float64(0.0) for name in CSV_HEADER.split(",")}],
+    {name: np.zeros((3, 2)) for name in DATA_COLUMNS},
+    {name: np.float64(0.0) for name in DATA_COLUMNS}],
     ids=["floats-shorter-than-t", "one-column-longer", "one-column-2d", "all-2d",
          "all-scalar"])
 def test_run_trace_rejects_columns_of_other_shapes(columns):
-    full = {name: np.zeros(3) for name in CSV_HEADER.split(",")}
+    # t, 1..T, takes its length from arrived
+    full = {name: np.zeros(3) for name in DATA_COLUMNS}
     with pytest.raises(ConfigError, match="1-D and of one length"):
-        RunTrace(**{**full, **columns}, summary={})
+        RunTrace(**{**full, **columns}, restarts=[], alpha0=1.0, summary={})
 
 
 def desk_comparator_run(T: int) -> tuple:
@@ -339,11 +418,13 @@ def traced_peak(call) -> int:
 
 
 def test_run_holds_each_trace_column_once():
-    # the trace keeps eight T-entry columns; building loss_B over play's loss
-    # column and dropping the arm column keeps the peak there, not at ten
+    # the trace keeps four T-entry columns and rebuilds t, stage, phase and
+    # alpha from the restart log; building loss_B over play's loss column and
+    # dropping the arm column before loss_c is built keeps the peak near four,
+    # not at six
     T = 20000
     args = desk_comparator_run(T)
-    assert traced_peak(lambda: run(*args)) <= 8.5 * T * 8
+    assert traced_peak(lambda: run(*args)) <= 5 * T * 8
 
 
 def test_emit_holds_a_chunk_of_text_not_the_csv(tmp_path):

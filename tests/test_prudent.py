@@ -331,10 +331,10 @@ def test_no_delay_run_single_stage():
     cfg = RunConfig(env=EnvironmentConfig(horizon=1000, arms=4, blocks=10,
                                           delay_model="none", seed=0),
                     delta=0.1, seed=0)
-    trace = run(cfg, keep_learner=True)
+    trace = run(cfg)
     assert trace.summary["stages"] == 1
     assert np.all(trace.stage == 1)
-    assert not [r for r in trace.learner.restarts if r.kind == "hard"]
+    assert not [r for r in trace.restarts if r.kind == "hard"]
 
 
 def test_hard_restart_bounds_on_delayed_runs():
@@ -343,8 +343,8 @@ def test_hard_restart_bounds_on_delayed_runs():
                                               delay_model="geometric", seed=seed),
                         delta=0.1, seed=seed)
         _, delays = build_environment(cfg.env)
-        trace = run(cfg, keep_learner=True)
-        hard = [r for r in trace.learner.restarts if r.kind == "hard"]
+        trace = run(cfg)
+        hard = [r for r in trace.restarts if r.kind == "hard"]
         assert hard, "geometric delays should trigger hard restarts"
         for r in hard:
             assert r.new_estimate >= r.old_estimate
