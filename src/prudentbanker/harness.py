@@ -251,7 +251,8 @@ def run(config: RunConfig, table: LossTable | None = None,
     per-round losses. The arm column is dropped before ``loss_c`` is built.
     The trace keeps the learner's restart log in place of per-round stage,
     phase and alpha columns; the summary's ``stages`` and ``final_alpha`` are
-    those of round T, rebuilt from the log.
+    those of round T, rebuilt from the log, and its ``phases`` counts the
+    phases the rows play: one, plus every restart that shows by round T.
     """
     if (table is None) != (delays is None):
         raise ConfigError("pass both table and delays, or neither")
@@ -276,7 +277,8 @@ def run(config: RunConfig, table: LossTable | None = None,
     loss_c = table.losses @ xc
     np.cumsum(loss_c, out=loss_c)
     restarts = list(learner.restarts)
-    # round T's row: a soft restart logged at round T shows in no row
+    # round T's row: a soft restart logged at round T shows in no row, so it
+    # counts neither in final_alpha nor in phases
     [stages], _, [final_alpha] = restart_columns(restarts, alpha0, T, T - 1)
     summary = {
         "learner": config.learner,
@@ -290,7 +292,7 @@ def run(config: RunConfig, table: LossTable | None = None,
         "r0_source": "oracle (hindsight best arm)",
         "comparator_anchor_source": "oracle (hindsight best arm)",
         "stages": int(stages),
-        "phases": len(restarts) + 1,
+        "phases": 1 + sum(r.kind == "hard" or r.round < T for r in restarts),
         "final_alpha": float(final_alpha),
         "final_delay_estimate": int(learner.delay_estimate),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),

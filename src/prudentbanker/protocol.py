@@ -127,11 +127,17 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     Each arm/block pair gets a mean ~ Unif(0,1) and a stddev ~ Unif(0.1,0.2);
     per-round losses are normal draws truncated to [0, 1] (rejection sampling
     with at most 100 attempts, then clamping the whole table if any entry is
-    still out of range). Each draw is a standard normal z, scaled and shifted
-    in place as z * sd + mean: the same stream, one z per entry in C order,
-    and the same bits as ``rng.normal(mean, sd)``, which computes
-    mean + sd * z. Block b holds rows [b w, (b + 1) w) with
+    still out of range). Block b holds rows [b w, (b + 1) w) with
     w = floor(T/B) + 1; B w > T, so the last blocks may be short or empty.
+
+    The whole table is drawn by one standard-normal call in C order, then
+    scaled and shifted in place as z * sd + mean: the full = floor(T/w)
+    complete blocks at once, by broadcasting each block's sd and mean over a
+    (full, w, A) view, and the partial block full (full < B; it may have no
+    rows) on its own. Generator draws concatenate, so this consumes the
+    stream exactly as one draw per block would, one z per entry in C order,
+    and every entry gets the same bits as ``rng.normal(mean, sd)``, which
+    computes mean + sd * z.
 
     Redraws go pass by pass, each pass in row-major order over the entries
     still out of range. Every pass works through REDRAW_CHUNK entries at a
@@ -143,11 +149,14 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     width = T // B + 1
 
     losses = np.empty((T, A))
-    for b, start in enumerate(range(0, T, width)):
-        rows = losses[start:start + width]
-        rng.standard_normal(out=rows)
-        rows *= sds[:, b]
-        rows += means[:, b]
+    rng.standard_normal(out=losses)
+    full = T // width
+    blocks = losses[:full * width].reshape(full, width, A)  # a view
+    blocks *= sds[:, :full].T[:, None]
+    blocks += means[:, :full].T[:, None]
+    rest = losses[full * width:]
+    rest *= sds[:, full]
+    rest += means[:, full]
 
     flat = losses.reshape(-1)  # a view
 

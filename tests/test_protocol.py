@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prudentbanker import lowerbound as lb
@@ -120,6 +121,63 @@ def test_block_losses_clamp_matches_reference(T, A, B, chunk, monkeypatch):
     assert table.losses.tobytes() == expected.tobytes()
     assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
     assert np.isin(table.losses, [0.0, 1.0]).any()
+
+
+@st.composite
+def table_shapes(draw):
+    """(T, A, B) with 1 <= B <= T.
+
+    Half the draws take T = k w and B blocks of width w = floor(T/B) + 1, so
+    the k complete blocks fill the table and the partial block k is empty;
+    the other half draw B = 1 (every row in the partial block), B = T,
+    B > T/2 (width 2, so up to T/2 empty trailing blocks) as often as any B.
+    """
+    A = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        w = draw(st.integers(2, 12))
+        k = draw(st.integers(w - 1, 40))
+        # floor(k w / B) = w - 1 for k < B <= k w / (w - 1)
+        return k * w, A, draw(st.integers(k + 1, k * w // (w - 1)))
+    T = draw(st.integers(1, 300))
+    return T, A, draw(st.sampled_from([1, T]) | st.integers(T // 2 + 1, T) | st.integers(1, T))
+
+
+@pytest.mark.parametrize("chunk", [7, protocol.REDRAW_CHUNK])
+@example(shape=(1, 1, 1), seed=0)
+@example(shape=(12, 2, 5), seed=0)  # width 3, four complete blocks, one empty
+@example(shape=(300, 3, 300), seed=0)
+@settings(max_examples=150, deadline=None)
+@given(shape=table_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_block_losses_match_reference_at_random_shapes(chunk, shape, seed):
+    T, A, B = shape
+    assert 1 <= B <= T
+    ref_rng, rng = stream(seed, "losses"), stream(seed, "losses")
+    expected = reference_block_losses(T, A, B, ref_rng)
+    with mock.patch.object(protocol, "REDRAW_CHUNK", chunk):
+        table = generate_block_losses(EnvironmentConfig(horizon=T, arms=A, blocks=B), rng)
+    assert table.losses.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class CountedFills:
+    """A generator that counts the standard-normal calls that fill an out= array."""
+
+    def __init__(self, rng):
+        self.rng, self.fills = rng, 0
+
+    def uniform(self, low, high, size=None):
+        return self.rng.uniform(low, high, size)
+
+    def standard_normal(self, size=None, out=None):
+        self.fills += out is not None
+        return self.rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("T,A,B", [(2000, 10, 100), (1000, 10, 1000), PAPER_SHAPE])
+def test_block_losses_draw_the_table_in_one_call(T, A, B):
+    rng = CountedFills(stream(0, "losses"))
+    generate_block_losses(EnvironmentConfig(horizon=T, arms=A, blocks=B), rng)
+    assert rng.fills == 1
 
 
 def test_block_losses_build_no_table_sized_temporary():
