@@ -9,7 +9,8 @@ its bucket has ended. The batched hard instances make one
 designated arm Bernoulli with a per-block bias while all other arms are
 deterministic 1/2.
 `bucket_inequalities` is the one check of the bucket facts: the `lowerbound`
-report and the tests share it.
+report and the tests share it. `safety_gap_identity` checks the hard
+instance's constants against the safety-gap identity in closed form.
 """
 from __future__ import annotations
 
@@ -227,74 +228,40 @@ def batched_simulate(instance: HardInstancePair, delays: DelaySequence, seed: in
 
 
 # ---------------------------------------------------------------------------
-# safety-gap identity probe
+# safety-gap identity
 # ---------------------------------------------------------------------------
-
-#: table entries per chunk of rows in the safety-gap probe: its trials x slots
-#: tables are drawn and reduced a chunk of rows at a time, and none is kept whole
-PROBE_CHUNK = 1 << 18
-
 
 @dataclass(frozen=True)
 class ProbeResult:
     mean_regret: float
     mean_W: float
     predicted_regret: float  # gamma sqrt(V) (mean_W - delta)
-    residual_mean: float     # per-trial mean of R - gamma sqrt(V) (W - delta)
-    residual_se: float
+    scale: float             # gamma sqrt(V), the unit of the tolerance
 
     @property
     def ok(self) -> bool:
-        if self.residual_se == 0.0:
-            return abs(self.residual_mean) <= 1e-9
-        return abs(self.residual_mean) <= 3.0 * self.residual_se
+        return abs(self.mean_regret - self.predicted_regret) <= 1e-12 * self.scale
 
 
-def safety_gap_probe(instance: HardInstancePair, policy: str, trials: int,
-                     rng: np.random.Generator) -> ProbeResult:
-    """Monte-Carlo check of the identity R+(x^c) = gamma sqrt(V) (E[W] - delta).
+def safety_gap_identity(instance: HardInstancePair, policy: str) -> ProbeResult:
+    """Both sides of the identity E[R+(x^c)] = gamma sqrt(V) (E[W] - delta), in closed form.
 
-    Policies: "arm1" (always the anchor arm), "arm2" (always the biased arm),
-    "comparator" (sample from x^c each slot). W is the length-weighted play
-    fraction of the biased arm, sum_m L_m N_m / V. The biased arm's losses come
-    from `rng`, which moves past exactly trials x slots uniforms; the
-    comparator's uniforms come from a stream spawned from it, `rng.spawn(1)[0]`,
-    under every policy, so each leaves `rng` alike; a generator that cannot
-    spawn raises PreconditionError.
+    A fixed policy plays the biased arm at slot s with probability p_s: 0 for
+    "arm1", 1 for "arm2" and delta for "comparator". On E+ its expected loss
+    there exceeds x^c's by eps_s (p_s - delta), so E[R] = sum_s eps_s (p_s - delta).
+    W is the length-weighted play fraction of the biased arm, so
+    E[W] = sum_s p_s L_{m(s)} / V. The two sides agree term by term when
+    eps_m = gamma L_m / sqrt(V) and V = sum L_m^2; an instance that breaks
+    either fails for some policy.
     """
-    check_integer("trials", trials)
-    if trials < 2:
-        raise PreconditionError("trials must be at least 2 (one has no standard error)")
-    if policy not in ("arm1", "arm2", "comparator"):
-        raise PreconditionError(f"unknown policy {policy!r}")
+    delta = instance.delta
+    try:
+        p = {"arm1": 0.0, "arm2": 1.0, "comparator": delta}[policy]
+    except KeyError:
+        raise PreconditionError(f"unknown policy {policy!r}") from None
     eps = np.repeat(instance.eps, instance.lengths)
     weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
-    delta = instance.delta
-    n_slots = len(eps)
-    rows = max(1, PROBE_CHUNK // n_slots)
-
-    try:
-        u_rng = rng.spawn(1)[0]
-    except TypeError:  # numpy's message names the SeedSequence, not the probe's need
-        raise PreconditionError("the safety-gap probe needs a generator that can spawn, "
-                                "such as np.random.default_rng(seed)") from None
-    regret, W = np.empty(trials), np.empty(trials)
-    for lo in range(0, trials, rows):
-        c = slice(lo, min(lo + rows, trials))
-        z = rng.random((c.stop - lo, n_slots)) < 0.5 + eps  # arm-2 losses under E+
-        comp_loss = np.sum(0.5 * (1.0 - delta) + delta * z, axis=1)
-        if policy == "comparator":
-            # with probability delta the comparator puts us on the biased arm
-            play2 = u_rng.random(z.shape) < delta
-        else:
-            play2 = np.full(z.shape, policy == "arm2")
-        regret[c] = np.sum(np.where(play2, z, 0.5), axis=1) - comp_loss
-        W[c] = play2 @ weights
+    mean_W = float(np.sum(p * weights))
     scale = instance.gamma * math.sqrt(instance.V)
-    residual = regret - scale * (W - delta)
-    se = float(residual.std(ddof=1) / math.sqrt(trials))
-    return ProbeResult(
-        mean_regret=float(regret.mean()), mean_W=float(W.mean()),
-        predicted_regret=scale * (float(W.mean()) - delta),
-        residual_mean=float(residual.mean()), residual_se=se,
-    )
+    return ProbeResult(mean_regret=float(np.sum(eps * (p - delta))), mean_W=mean_W,
+                       predicted_regret=scale * (mean_W - delta), scale=scale)

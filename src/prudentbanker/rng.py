@@ -6,7 +6,7 @@ on byte-identical environments.
 
 `check_count` is the one count rule: every size, seed and lower-bound count in
 the package calls it. `check_integer` alone guards the integers with a range of
-their own (an anchor, the probe's trials, `batched_simulate`'s j).
+their own (an anchor, `batched_simulate`'s j).
 """
 from __future__ import annotations
 

@@ -13,8 +13,7 @@ import numpy as np
 from prudentbanker import lowerbound
 from prudentbanker.errors import ConfigError, DomainError, NumericalError
 from prudentbanker.harness import CSV_HEADER, PlayColumns, play
-from prudentbanker.lowerbound import (SPECIAL_ARM, BucketDecomposition, HardInstancePair,
-                                      ProbeResult)
+from prudentbanker.lowerbound import SPECIAL_ARM, BucketDecomposition, HardInstancePair
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, Regularizer, _two_pole_root,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence, LossTable
@@ -249,50 +248,6 @@ def native_play(instance: HardInstancePair, delays: DelaySequence, seed: int,
     for row, arm in zip(table.losses, cols.arm.tolist()):
         played += float(row[arm])
     return cols, played - float(np.sum(table.losses @ instance.comparator))
-
-
-def safety_gap_probe_two_pass(instance: HardInstancePair, policy: str, trials: int,
-                              rng: np.random.Generator) -> ProbeResult:
-    """The safety-gap probe in two passes over the trials, with all of Z kept whole.
-
-    The first pass draws every Z (the arm-2 losses under E+) from `rng`, the
-    second the comparator's U from ``rng.spawn(1)[0]``, the streams
-    ``lowerbound.safety_gap_probe`` reads side by side in one pass. Both take
-    their chunk of rows from ``lowerbound.PROBE_CHUNK``.
-    """
-    eps = np.repeat(instance.eps, instance.lengths)
-    weights = np.repeat([L / instance.V for L in instance.lengths], instance.lengths)
-    delta = instance.delta
-    n_slots = len(eps)
-    rows = max(1, lowerbound.PROBE_CHUNK // n_slots)
-    chunks = [slice(lo, lo + rows) for lo in range(0, trials, rows)]
-
-    Z = np.empty((trials, n_slots), dtype=bool)
-    comp_loss = np.empty(trials)
-    for c in chunks:
-        z = Z[c]
-        np.less(rng.random(z.shape), 0.5 + eps, out=z)
-        comp_loss[c] = np.sum(0.5 * (1.0 - delta) + delta * z, axis=1)
-
-    u_rng = rng.spawn(1)[0]
-    learner_loss, W = np.empty(trials), np.empty(trials)
-    for c in chunks:
-        z = Z[c]
-        if policy == "comparator":
-            play2 = u_rng.random(z.shape) < delta
-        else:
-            play2 = np.full(z.shape, policy == "arm2")
-        learner_loss[c] = np.sum(np.where(play2, z, 0.5), axis=1)
-        W[c] = play2 @ weights
-    regret = learner_loss - comp_loss
-    scale = instance.gamma * math.sqrt(instance.V)
-    residual = regret - scale * (W - delta)
-    se = float(residual.std(ddof=1) / math.sqrt(trials))
-    return ProbeResult(
-        mean_regret=float(regret.mean()), mean_W=float(W.mean()),
-        predicted_regret=scale * (float(W.mean()) - delta),
-        residual_mean=float(residual.mean()), residual_se=se,
-    )
 
 
 def stage_schedule(delays: DelaySequence) -> list[tuple[int, int, int]]:

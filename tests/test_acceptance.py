@@ -14,12 +14,11 @@ from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
                                    emit, make_learner, play, run)
 from prudentbanker.lowerbound import (HardInstancePair, bucket_inequalities,
                                       corollary_delays, greedy_buckets,
-                                      batched_simulate, safety_gap_probe)
+                                      batched_simulate, safety_gap_identity)
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig
 from prudentbanker.prudent import ThresholdFunctions, build_comparator, gap_statistic
-from prudentbanker.rng import stream
 
 from reference import bregman, native_play, outstanding_counters
 
@@ -206,10 +205,8 @@ def test_criterion_9_batched_reduction_identity():
 
 def test_criterion_10_hard_instance_probe():
     inst = HardInstancePair((2, 2, 2), 0.25, arms=2)
-    rng = stream(10, "probe")
-    ok = all(safety_gap_probe(inst, policy, 100000, rng).ok
-             for policy in ("arm1", "arm2", "comparator"))
-    report(10, "hard-instance safety-gap identity at 1e5 trials", ok)
+    ok = all(safety_gap_identity(inst, policy).ok for policy in ("arm1", "arm2", "comparator"))
+    report(10, "hard-instance safety-gap identity, exact", ok)
 
 
 def test_criterion_11_desk_scale_structure(desk_runs):

@@ -190,8 +190,32 @@ def test_verify_fails_a_miscounting_ledger(monkeypatch, capsys):
 
 
 def test_lowerbound_identity_passes(capsys):
-    assert cli.main(["lowerbound", "--trials", "2000"]) == 0
+    assert cli.main(["lowerbound"]) == 0
     assert "delayed-vs-batched identity: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["verify", "--seed", "33"], ["verify", "--seed", "255"],
+                                  ["lowerbound", "--seed", "50"],
+                                  ["lowerbound", "--seed", "258"]],
+                         ids=["verify-33", "verify-255", "lowerbound-50", "lowerbound-258"])
+def test_the_exit_status_does_not_depend_on_the_seed(capsys, argv):
+    # seeds at which a 3-standard-error Monte-Carlo check of the identity failed
+    assert cli.main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_lowerbound_fails_an_inconsistent_instance(monkeypatch, capsys):
+    real = cli.lb.HardInstancePair
+
+    def tampered(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        object.__setattr__(inst, "V", sum(inst.lengths))  # sum of L_m, not of L_m^2
+        return inst
+
+    monkeypatch.setattr(cli.lb, "HardInstancePair", tampered)
+    assert cli.main(["lowerbound"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^probe +arm1: .* FAIL$", out, re.MULTILINE)
 
 
 def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
@@ -202,14 +226,14 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
         return real(instance, delays, seed, *args)
 
     monkeypatch.setattr(cli.lb, "batched_simulate", spy)
-    assert cli.main(["lowerbound", "--delta", "0.1", "--trials", "2000", "--seed", "4"]) == 0
+    assert cli.main(["lowerbound", "--delta", "0.1", "--seed", "4"]) == 0
     (instance, seed), = calls
     assert (instance.arms, instance.delta, seed) == (2, 0.1, 4)
     np.testing.assert_array_equal(instance.comparator, build_comparator(2, 0.1, 0))
 
 
 @pytest.mark.parametrize("argv", [["lowerbound", "--q", "0"],
-                                  ["lowerbound", "--delta", "0.9", "--trials", "10"],
+                                  ["lowerbound", "--delta", "0.9"],
                                   ["sweep", "--seeds", "x"],
                                   ["run", "--learner", "safe-exp3ix", "--alpha-safe", "5"],
                                   ["run", "--learner", "safe-exp3ix", "--alpha-safe", "-1"],
@@ -259,9 +283,9 @@ def test_out_under_a_regular_file_exits_2_before_anything_runs(tmp_path, monkeyp
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--q", "0"], ["--delta", "0.9"], ["--trials", "0"],
-                                  ["--seed", "-1"], ["--trials", "1"], ["--delta", "nan"]],
-                         ids=["q", "delta", "trials", "seed", "one-trial", "delta-nan"])
+@pytest.mark.parametrize("argv", [["--q", "0"], ["--n", "0"], ["--delta", "0.9"],
+                                  ["--seed", "-1"], ["--delta", "nan"]],
+                         ids=["q", "n-zero", "delta", "seed", "delta-nan"])
 def test_lowerbound_bad_flag_prints_no_report(capsys, argv):
     assert cli.main(["lowerbound", *argv]) == 2
     out, err = capsys.readouterr()

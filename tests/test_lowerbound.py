@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +11,7 @@ from prudentbanker.errors import ConfigError, PreconditionError, ProtocolError
 from prudentbanker.protocol import DelaySequence
 from prudentbanker.rng import stream
 
-from reference import (block_losses_by_block, bucket_inequalities_by_definition,
-                       native_play, safety_gap_probe_two_pass)
+from reference import block_losses_by_block, bucket_inequalities_by_definition, native_play
 
 
 def random_admissible(rng, T):
@@ -334,87 +332,80 @@ def test_prefix_rounds_are_free():
     simulate_once(0, j=2)
 
 
-# -- safety-gap probe -------------------------------------------------------
+# -- safety-gap identity ----------------------------------------------------
+
+POLICIES = ("arm1", "arm2", "comparator")
+
 
 def test_probe_three_policies():
     inst = lb.HardInstancePair((2, 2, 2), 0.25, arms=2)
-    rng = stream(0, "probe")
     scale = inst.gamma * math.sqrt(inst.V)
-    r1 = lb.safety_gap_probe(inst, "arm1", 20000, rng)
-    assert r1.mean_W == 0.0
-    assert r1.predicted_regret == pytest.approx(-scale * 0.25)
-    assert r1.ok
-    r2 = lb.safety_gap_probe(inst, "arm2", 20000, rng)
-    assert r2.mean_W == 1.0
-    assert r2.predicted_regret == pytest.approx(scale * 0.75)
-    assert r2.ok
-    rc = lb.safety_gap_probe(inst, "comparator", 20000, rng)
-    assert rc.mean_W == pytest.approx(0.25, abs=0.02)
-    assert rc.ok
+    r1, r2, rc = (lb.safety_gap_identity(inst, policy) for policy in POLICIES)
+    assert [r.mean_W for r in (r1, r2, rc)] == pytest.approx([0.0, 1.0, 0.25], abs=1e-15)
+    assert r1.predicted_regret == pytest.approx(-scale * 0.25, rel=1e-15)
+    assert r2.predicted_regret == pytest.approx(scale * 0.75, rel=1e-15)
+    assert rc.predicted_regret == pytest.approx(0.0, abs=1e-15 * scale)
+    assert rc.mean_regret == 0.0  # x^c against itself
+    assert r1.ok and r2.ok and rc.ok
 
 
-@pytest.mark.parametrize("n, trials, chunk", [
-    (3000, 1500, lb.PROBE_CHUNK),  # 87 rows a chunk: the last chunk is short
-    (3, 10001, 64),  # 8 rows a chunk, 10,001 trials
-    (30, 50, 16)],  # 31 slots > 16: one row a chunk
-    ids=["many-slots", "short-last-chunk", "row-per-chunk"])
-def test_probe_draws_as_the_two_pass_probe(monkeypatch, n, trials, chunk):
-    monkeypatch.setattr(lb, "PROBE_CHUNK", chunk)
-    delays = lb.corollary_delays(1, n)
+@pytest.mark.parametrize("q, n, delta", [(1, 3000, 0.25), (50, 60, 0.25), (10, 30, 0.1),
+                                         (2, 3, 0.5)])
+def test_identity_holds_on_the_structured_instances(q, n, delta):
+    inst = lb.HardInstancePair(lb.greedy_buckets(lb.corollary_delays(q, n)).lengths, delta)
+    assert all(lb.safety_gap_identity(inst, policy).ok for policy in POLICIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_args())
+def test_identity_holds_on_every_valid_instance(args):
+    lengths, arms, delta, _ = args
+    inst = outcome(lb.HardInstancePair, lengths, delta, arms)
+    if isinstance(inst, lb.HardInstancePair):
+        assert all(lb.safety_gap_identity(inst, policy).ok for policy in POLICIES)
+
+
+@pytest.mark.parametrize("name, tampered", [
+    ("V", lambda inst: sum(inst.lengths)),  # sum of L_m, not of L_m^2
+    ("eps", lambda inst: tuple(inst.gamma * L for L in inst.lengths))],  # no 1/sqrt(V)
+    ids=["V-without-squares", "eps-without-sqrt-V"])
+def test_an_inconsistent_instance_fails_the_identity(name, tampered):
+    inst = lb.HardInstancePair((2, 2, 2), 0.25)
+    object.__setattr__(inst, name, tampered(inst))  # past the frozen __setattr__
+    assert not lb.safety_gap_identity(inst, "arm1").ok
+    assert not lb.safety_gap_identity(inst, "arm2").ok
+
+
+def test_probe_result_ok_allows_rounding_alone():
+    close = lb.ProbeResult(1.0, 0.5, predicted_regret=1.0 + 1e-13, scale=1.0)
+    assert close.ok
+    assert not dataclasses.replace(close, predicted_regret=1.0 + 1e-11).ok
+    assert not dataclasses.replace(close, mean_regret=math.nan).ok
+
+
+def test_probe_rejects_bad_input():
+    inst = lb.HardInstancePair((2,), 0.25, arms=2)
+    with pytest.raises(PreconditionError, match="unknown policy 'nope'"):
+        lb.safety_gap_identity(inst, "nope")
+
+
+@pytest.mark.parametrize("q, n", [(1, 300), (10, 30)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_learner_meets_the_identity_pathwise(q, n, seed):
+    # with b_s = 1 where the biased arm is played, the regret against x^c on E+ is
+    # sum_s (b_s - delta)(z_s - 1/2), and gamma sqrt(V) (W - delta) is its mean
+    # given the arms, sum_s eps_s (b_s - delta)
+    delays = lb.corollary_delays(q, n)
     inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
-    for policy in ("arm1", "arm2", "comparator"):
-        rng, ref_rng = stream(0, "probe"), stream(0, "probe")
-        result = lb.safety_gap_probe(inst, policy, trials, rng)
-        assert result == safety_gap_probe_two_pass(inst, policy, trials, ref_rng), policy
-        assert rng.random() == ref_rng.random(), policy  # the caller's stream moved on alike
-
-
-@pytest.mark.parametrize("n", [300, 3000])
-def test_probe_memory_grows_by_32_bytes_per_trial(n):
-    # every trials x slots table is drawn and reduced a fixed chunk of rows at
-    # a time; per trial, the probe keeps the regret and W, and the residual and
-    # its spread briefly take two float64s more
-    delays = lb.corollary_delays(1, n)
-    inst = lb.HardInstancePair(lb.greedy_buckets(delays).lengths, 0.25, arms=2)
-    for policy in ("arm1", "arm2", "comparator"):
-        peaks = []
-        for trials in (2000, 8000):  # each spans more than one chunk of rows
-            tracemalloc.start()
-            try:
-                lb.safety_gap_probe(inst, policy, trials, stream(0, "probe"))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 32 * (8000 - 2000), policy
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
-                                           np.random.MT19937, np.random.Philox,
-                                           np.random.SFC64])
-@pytest.mark.parametrize("chunk", [16, lb.PROBE_CHUNK])
-def test_probe_runs_on_every_bit_generator(monkeypatch, bit_generator, chunk):
-    # the comparator's uniforms come from a spawned stream, so no generator
-    # needs to skip ahead, and the caller's moves past the losses alone
-    monkeypatch.setattr(lb, "PROBE_CHUNK", chunk)
-    inst = lb.HardInstancePair((2, 3), 0.25, arms=2)
-    trials, n_slots = 101, 5
-    for policy in ("arm1", "arm2", "comparator"):
-        rng, ref_rng = (np.random.Generator(bit_generator(7)) for _ in range(2))
-        result = lb.safety_gap_probe(inst, policy, trials, rng)
-        assert result == safety_gap_probe_two_pass(inst, policy, trials, ref_rng), policy
-        fresh = np.random.Generator(bit_generator(7))
-        fresh.random(trials * n_slots)
-        assert rng.random() == fresh.random(), policy
-
-
-@pytest.mark.parametrize("policy", ["arm1", "arm2", "comparator"])
-def test_probe_needs_a_generator_that_can_spawn(policy):
-    # every policy spawns the comparator's stream, so each leaves the caller's
-    # generator alike; one over a RandomState's bit generator has no SeedSequence
-    rng = np.random.Generator(np.random.RandomState(0)._bit_generator)
-    inst = lb.HardInstancePair((2, 3), 0.25, arms=2)
-    with pytest.raises(PreconditionError, match="needs a generator that can spawn"):
-        lb.safety_gap_probe(inst, policy, 10, rng)
+    cols, regret = lb.batched_simulate(inst, delays, seed)
+    z = inst.block_losses(+1, stream(seed, "lowerbound-losses"))[:, lb.SPECIAL_ARM]
+    biased = cols.arm == lb.SPECIAL_ARM
+    delta = inst.delta
+    assert regret == pytest.approx(math.fsum((biased - delta) * (z - 0.5)), abs=1e-12)
+    W = math.fsum(biased * np.repeat(inst.lengths, inst.lengths) / inst.V)
+    eps = np.repeat(inst.eps, inst.lengths)
+    assert inst.gamma * math.sqrt(inst.V) * (W - delta) == pytest.approx(
+        math.fsum(eps * (biased - delta)), abs=1e-12)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -432,19 +423,3 @@ def test_probe_needs_a_generator_that_can_spawn(policy):
 def test_lowerbound_rejects_bad_input(no_learner, call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
-
-
-def test_probe_result_without_spread_needs_a_zero_residual():
-    exact = lb.ProbeResult(0.0, 0.0, 0.0, residual_mean=1e-10, residual_se=0.0)
-    assert exact.ok
-    assert not dataclasses.replace(exact, residual_mean=1e-8).ok
-
-
-def test_probe_rejects_bad_input():
-    inst = lb.HardInstancePair((2,), 0.25, arms=2)
-    with pytest.raises(PreconditionError):
-        lb.safety_gap_probe(inst, "nope", 100, stream(0, "p"))
-    with pytest.raises(PreconditionError):
-        lb.safety_gap_probe(inst, "arm1", 0, stream(0, "p"))
-    with pytest.raises(PreconditionError):
-        lb.safety_gap_probe(inst, "arm1", 1, stream(0, "p"))

@@ -456,14 +456,12 @@ def test_stream_needs_an_integer_seed(seed):
     ("arms", lambda n: lb.HardInstancePair((2, 2), 0.25, n), 2),
     ("q", lambda n: lb.corollary_delays(n, 2), 1),
     ("N", lambda n: lb.corollary_delays(2, n), 1),
-    ("trials", lambda n: lb.safety_gap_probe(lb.HardInstancePair((2, 2), 0.25), "arm1", n,
-                                              np.random.default_rng(0)), None),
     ("j", lambda n: lb.batched_simulate(lb.HardInstancePair((2,), 0.25),
                                         lb.corollary_delays(2, 2), 0, j=n), None),
     ("trigger", next_delay_estimate, 1)],
     ids=["env-horizon", "env-arms", "env-blocks", "regularizer-arms", "thresholds-horizon",
          "comparator-arms", "seed", "hard-block-length", "hard-arms", "corollary-q",
-         "corollary-N", "probe-trials", "batched-j", "trigger"])
+         "corollary-N", "batched-j", "trigger"])
 def test_every_count_is_an_integer_of_at_least_its_bound(name, call, least):
     # 2.5 would otherwise be truncated or build another construction, and "3"
     # fail with a bare TypeError; a count with a lower bound names it and the value
