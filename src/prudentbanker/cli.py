@@ -27,6 +27,9 @@ CONFIG_KEYS = {"horizon": int, "arms": int, "blocks": int, "delta": float,
 SCALES = {"desk": EnvironmentConfig(),
           "paper": EnvironmentConfig(horizon=50000, arms=100, blocks=500)}
 
+#: lowerbound prints a tuple with at most this many entries whole
+SHOWN_WHOLE = 12
+
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """The flags `run` and `sweep` share; `sweep` takes its grid instead of
@@ -147,6 +150,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _tuple_report(values: tuple) -> str:
+    """The tuple itself if it is short, else its count, min, max and number of distinct values."""
+    if len(values) <= SHOWN_WHOLE:
+        return str(values)
+    return (f"{len(values)} values, min {min(values)}, max {max(values)}, "
+            f"{len(set(values))} distinct")
+
+
 def cmd_lowerbound(args) -> int:
     q, N = args.q, args.n
     # the report is computed in full before it prints: a bad flag or seed prints nothing
@@ -160,14 +171,14 @@ def cmd_lowerbound(args) -> int:
     _, regret = lb.batched_simulate(instance, delays, args.seed)  # a guard violation raises
 
     print(f"structured delays: q={q}, N={N}, T={T}, D={delays.total}")
-    print(f"bucket boundaries: {decomp.boundaries}")
-    print(f"bucket lengths:    {decomp.lengths}")
+    print(f"bucket boundaries: {_tuple_report(decomp.boundaries)}")
+    print(f"bucket lengths:    {_tuple_report(decomp.lengths)}")
     print(f"length monotonicity: {'pass' if mono else 'FAIL'}")
     print(f"quadratic dominance: {'pass' if dom else 'FAIL'}")
     print(f"suffix dominance:    {'pass' if suffix else 'FAIL'}")
 
     print(f"hard instance: gamma={instance.gamma:.5f}, V={instance.V}, "
-          f"eps={tuple(round(e, 5) for e in instance.eps)}")
+          f"eps={_tuple_report(tuple(round(e, 5) for e in instance.eps))}")
     all_ok = mono and dom and suffix
     for policy, res in probes:
         print(f"probe {policy:>10}: E[regret]={res.mean_regret:+.5f} "

@@ -17,7 +17,8 @@ from .errors import ConfigError, ProtocolError
 from .rng import check_count, check_seed
 
 DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
-# table entries scanned, or redrawn, at a time when rejecting out-of-range losses
+# table entries scanned at a time when rejecting out-of-range losses; later
+# passes redraw their survivors a quarter of that at a time
 REDRAW_CHUNK = 1 << 14
 
 
@@ -140,8 +141,14 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     computes mean + sd * z.
 
     Redraws go pass by pass, each pass in row-major order over the entries
-    still out of range. Every pass works through REDRAW_CHUNK entries at a
-    time, so no mask or index array the size of the table is ever built.
+    still out of range, so no mask or index array the size of the table is
+    ever built. Attempt 1 scans the table REDRAW_CHUNK entries at a time.
+    Each redraw keeps its survivors as one piece, an index array of the
+    smallest unsigned type that holds flat.size; a whole pass is never joined
+    into one array. A later pass joins the previous pass's pieces, in order,
+    into batches of at most REDRAW_CHUNK // 4 entries, each widened to intp
+    only for its own index arithmetic. How the draws are grouped into calls
+    does not change the bits.
     """
     T, A, B = config.horizon, config.arms, config.blocks
     means = rng.uniform(0.0, 1.0, size=(A, B))
@@ -159,28 +166,44 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     rest += means[:, full]
 
     flat = losses.reshape(-1)  # a view
+    piece_type = np.min_scalar_type(flat.size)
 
     def redraw(i):
-        """Redraw flat entries i; return those still out of range."""
+        """Redraw flat entries i; return those still out of range, as a piece."""
         row = i // A
         k = (i - row * A) * B + row // width  # flat index of (arm, block) in means
         x = rng.standard_normal(len(i))
         x *= sds.take(k)
         x += means.take(k)
         flat[i] = x
-        return i[_outside(x)]
+        return i[_outside(x)].astype(piece_type)
 
     # attempt 1 scans the table itself, one chunk at a time
     todo = (np.flatnonzero(_outside(flat[k:k + REDRAW_CHUNK])) + k
             for k in range(0, flat.size, REDRAW_CHUNK))
     for _ in range(100):
-        left = np.concatenate([np.empty(0, np.intp), *(redraw(i) for i in todo if len(i))])
-        if not len(left):
+        pieces = [p for p in (redraw(i) for i in todo if len(i)) if len(p)]
+        if not pieces:
             break
-        todo = (left[k:k + REDRAW_CHUNK] for k in range(0, len(left), REDRAW_CHUNK))
+        todo = _batches(pieces, REDRAW_CHUNK // 4)
     else:
         np.clip(losses, 0.0, 1.0, out=losses)
     return LossTable(losses)
+
+
+def _batches(pieces, size):
+    """Join consecutive index pieces, in order, into intp batches of at most size entries."""
+    group, n = [], 0
+    for piece in pieces:
+        for k in range(0, len(piece), size):
+            part = piece[k:k + size]
+            if n + len(part) > size:
+                yield np.concatenate(group, dtype=np.intp)
+                group, n = [], 0
+            group.append(part)
+            n += len(part)
+    if group:
+        yield np.concatenate(group, dtype=np.intp)
 
 
 def _outside(x: np.ndarray) -> np.ndarray:

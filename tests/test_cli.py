@@ -194,6 +194,26 @@ def test_lowerbound_identity_passes(capsys):
     assert "delayed-vs-batched identity: pass" in capsys.readouterr().out
 
 
+def test_lowerbound_prints_a_short_tuple_whole(capsys):
+    assert cli.main(["lowerbound", "--q", "1", "--n", "11"]) == 0
+    out = capsys.readouterr().out
+    # 12 one-round buckets are shown whole; their 13 boundaries are not
+    assert "bucket lengths:    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)\n" in out
+    assert "bucket boundaries: 13 values, min 1, max 13, 13 distinct\n" in out
+    assert re.search(r"eps=\((0\.\d+), (\1, ){10}\1\)$", out, re.MULTILINE)
+    assert max(map(len, out.splitlines())) <= 200
+
+
+def test_lowerbound_summarizes_a_long_tuple(capsys):
+    # 3,001 one-round buckets: printed whole, the three tuples took 9k-27k characters
+    assert cli.main(["lowerbound", "--q", "1", "--n", "3000"]) == 0
+    out = capsys.readouterr().out
+    assert "bucket boundaries: 3002 values, min 1, max 3002, 3002 distinct\n" in out
+    assert "bucket lengths:    3001 values, min 1, max 1, 1 distinct\n" in out
+    assert re.search(r"eps=3001 values, min (0\.\d+), max \1, 1 distinct$", out, re.MULTILINE)
+    assert max(map(len, out.splitlines())) <= 200
+
+
 @pytest.mark.parametrize("argv", [["verify", "--seed", "33"], ["verify", "--seed", "255"],
                                   ["lowerbound", "--seed", "50"],
                                   ["lowerbound", "--seed", "258"]],

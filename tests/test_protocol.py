@@ -82,8 +82,9 @@ def test_block_losses_match_reference(T, A, B, seed):
 
 
 # at 7 and 64 entries, chunks split rows and blocks and every redraw pass
-# spans several of them
-@pytest.mark.parametrize("chunk", [7, 64])
+# spans several of them; at 256, later passes join several survivor pieces
+# into one batch of 64
+@pytest.mark.parametrize("chunk", [7, 64, 256])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("T,A,B", SHAPES)
 def test_block_losses_match_reference_across_chunks(T, A, B, seed, chunk, monkeypatch):
@@ -160,16 +161,18 @@ def test_block_losses_match_reference_at_random_shapes(chunk, shape, seed):
 
 
 class CountedFills:
-    """A generator that counts the standard-normal calls that fill an out= array."""
+    """A generator that counts its standard-normal calls: those that fill an
+    out= array and those that draw a new one of a given size."""
 
     def __init__(self, rng):
-        self.rng, self.fills = rng, 0
+        self.rng, self.fills, self.draws = rng, 0, 0
 
     def uniform(self, low, high, size=None):
         return self.rng.uniform(low, high, size)
 
     def standard_normal(self, size=None, out=None):
         self.fills += out is not None
+        self.draws += out is None
         return self.rng.standard_normal(size, out=out)
 
 
@@ -180,9 +183,18 @@ def test_block_losses_draw_the_table_in_one_call(T, A, B):
     assert rng.fills == 1
 
 
+def test_block_losses_redraw_in_few_calls():
+    # 123 scan chunks of attempt 1, then batches of REDRAW_CHUNK // 4
+    # survivors: about 160 calls, not one per survivor piece
+    rng = CountedFills(stream(0, "losses"))
+    generate_block_losses(EnvironmentConfig(*PAPER_SHAPE), rng)
+    assert rng.draws <= 200
+
+
 def test_block_losses_build_no_table_sized_temporary():
-    # means, sds and the chunked redraws fit in a quarter of the table; a
-    # table-sized mask plus an np.nonzero index pair take about 65% of it
+    # beyond the table, means and sds, the chunked scan and the batched
+    # redraws of small-integer survivor pieces take about 3.5% of the table;
+    # a table-sized mask plus an np.nonzero index pair take about 65% of it
     cfg = EnvironmentConfig(horizon=20000, arms=100, blocks=500)
     rng = stream(0, "losses")
     tracemalloc.start()
@@ -191,7 +203,8 @@ def test_block_losses_build_no_table_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - table.losses.nbytes <= 0.25 * table.losses.nbytes
+    means_and_sds = 2 * cfg.arms * cfg.blocks * 8
+    assert peak - table.losses.nbytes - means_and_sds <= 0.05 * table.losses.nbytes
 
 
 def test_environment_config_needs_blocks_from_one_to_horizon():
