@@ -36,7 +36,7 @@ DATA_COLUMNS = ("loss_B", "loss_star", "loss_c", "arrived")
 #: CSV columns that change only at a restart or an arrival, so hold few values
 STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
 #: rows of the CSV formatted at a time, so that emit never holds the whole text
-CSV_CHUNK = 4096
+CSV_CHUNK = 1024
 
 
 def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
@@ -121,22 +121,6 @@ class RunTrace:
         shapes = {name: np.shape(getattr(self, name)) for name in DATA_COLUMNS}
         if len(set(shapes.values())) != 1 or len(shapes["arrived"]) != 1:
             raise ConfigError(f"trace columns must be 1-D and of one length, got {shapes}")
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(1, len(self.arrived) + 1, dtype=np.int64)
-
-    @property
-    def stage(self) -> np.ndarray:
-        return restart_columns(self.restarts, self.alpha0, len(self.arrived))[0]
-
-    @property
-    def phase(self) -> np.ndarray:
-        return restart_columns(self.restarts, self.alpha0, len(self.arrived))[1]
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return restart_columns(self.restarts, self.alpha0, len(self.arrived))[2]
 
     def csv_chunks(self):
         """The CSV text: the header line, then CSV_CHUNK rows at a time."""

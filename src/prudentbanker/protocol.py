@@ -142,13 +142,13 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
 
     Redraws go pass by pass, each pass in row-major order over the entries
     still out of range, so no mask or index array the size of the table is
-    ever built. Attempt 1 scans the table REDRAW_CHUNK entries at a time.
-    Each redraw keeps its survivors as one piece, an index array of the
-    smallest unsigned type that holds flat.size; a whole pass is never joined
-    into one array. A later pass joins the previous pass's pieces, in order,
-    into batches of at most REDRAW_CHUNK // 4 entries, each widened to intp
-    only for its own index arithmetic. How the draws are grouped into calls
-    does not change the bits.
+    ever built. Attempt 1 scans the table REDRAW_CHUNK entries at a time,
+    and its survivors are joined once into one index array of the smallest
+    unsigned type that holds flat.size. Attempts 2 to 100 walk that array
+    REDRAW_CHUNK // 4 entries at a time, each batch widened to intp only for
+    its own index arithmetic, and compact it in place: a batch's survivors
+    are written back to the front of the array, which is then cut to them.
+    How the draws are grouped into calls does not change the bits.
     """
     T, A, B = config.horizon, config.arms, config.blocks
     means = rng.uniform(0.0, 1.0, size=(A, B))
@@ -166,44 +166,34 @@ def generate_block_losses(config: EnvironmentConfig, rng: np.random.Generator) -
     rest += means[:, full]
 
     flat = losses.reshape(-1)  # a view
-    piece_type = np.min_scalar_type(flat.size)
+    index_type = np.min_scalar_type(flat.size)
 
     def redraw(i):
-        """Redraw flat entries i; return those still out of range, as a piece."""
+        """Redraw flat entries i; return those still out of range, as index_type."""
         row = i // A
         k = (i - row * A) * B + row // width  # flat index of (arm, block) in means
         x = rng.standard_normal(len(i))
         x *= sds.take(k)
         x += means.take(k)
         flat[i] = x
-        return i[_outside(x)].astype(piece_type)
+        return i[_outside(x)].astype(index_type)
 
     # attempt 1 scans the table itself, one chunk at a time
-    todo = (np.flatnonzero(_outside(flat[k:k + REDRAW_CHUNK])) + k
+    scan = (np.flatnonzero(_outside(flat[k:k + REDRAW_CHUNK])) + k
             for k in range(0, flat.size, REDRAW_CHUNK))
-    for _ in range(100):
-        pieces = [p for p in (redraw(i) for i in todo if len(i)) if len(p)]
-        if not pieces:
+    todo = np.concatenate([np.empty(0, index_type), *(redraw(i) for i in scan if len(i))])
+    for _ in range(99):  # attempts 2 to 100
+        if not todo.size:
             break
-        todo = _batches(pieces, REDRAW_CHUNK // 4)
-    else:
+        kept = 0
+        for k in range(0, todo.size, REDRAW_CHUNK // 4):
+            left = redraw(todo[k:k + REDRAW_CHUNK // 4].astype(np.intp))
+            todo[kept:kept + len(left)] = left
+            kept += len(left)
+        todo = todo[:kept]
+    if todo.size:
         np.clip(losses, 0.0, 1.0, out=losses)
     return LossTable(losses)
-
-
-def _batches(pieces, size):
-    """Join consecutive index pieces, in order, into intp batches of at most size entries."""
-    group, n = [], 0
-    for piece in pieces:
-        for k in range(0, len(piece), size):
-            part = piece[k:k + size]
-            if n + len(part) > size:
-                yield np.concatenate(group, dtype=np.intp)
-                group, n = [], 0
-            group.append(part)
-            n += len(part)
-    if group:
-        yield np.concatenate(group, dtype=np.intp)
 
 
 def _outside(x: np.ndarray) -> np.ndarray:

@@ -12,12 +12,12 @@ import numpy as np
 
 from prudentbanker import lowerbound
 from prudentbanker.errors import ConfigError, DomainError, NumericalError
-from prudentbanker.harness import CSV_HEADER, PlayColumns, play
+from prudentbanker.harness import CSV_HEADER, DATA_COLUMNS, PlayColumns, play
 from prudentbanker.lowerbound import SPECIAL_ARM, BucketDecomposition, HardInstancePair
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, Regularizer, _two_pole_root,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence, LossTable
-from prudentbanker.prudent import PrudentBanker, ThresholdFunctions
+from prudentbanker.prudent import PrudentBanker, ThresholdFunctions, restart_columns
 from prudentbanker.rng import RngSampler, stream
 
 
@@ -120,9 +120,19 @@ def cucb_bounds_masked(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
     return lcb, ucb
 
 
+def trace_columns(trace) -> dict[str, np.ndarray]:
+    """A trace's eight CSV columns in full: t is 1..T, and stage, phase and
+    alpha are rebuilt from the restart log by ``restart_columns``."""
+    T = len(trace.arrived)
+    stage, phase, alpha = restart_columns(trace.restarts, trace.alpha0, T)
+    return {"t": np.arange(1, T + 1, dtype=np.int64), "stage": stage, "phase": phase,
+            "alpha": alpha, **{name: getattr(trace, name) for name in DATA_COLUMNS}}
+
+
 def csv_string_each_entry(trace) -> str:
     """A trace's CSV, formatting every entry of every column with repr."""
-    columns = (map(repr, getattr(trace, name).tolist()) for name in CSV_HEADER.split(","))
+    cols = trace_columns(trace)
+    columns = (map(repr, cols[name].tolist()) for name in CSV_HEADER.split(","))
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 

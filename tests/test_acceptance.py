@@ -18,7 +18,8 @@ from prudentbanker.lowerbound import (HardInstancePair, bucket_inequalities,
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig
-from prudentbanker.prudent import ThresholdFunctions, build_comparator, gap_statistic
+from prudentbanker.prudent import (ThresholdFunctions, build_comparator, gap_statistic,
+                                   restart_columns)
 
 from reference import bregman, native_play, outstanding_counters
 
@@ -215,7 +216,7 @@ def test_criterion_11_desk_scale_structure(desk_runs):
     for seed in SEEDS:
         nd = desk_runs[seed]["nodelay"]
         ok = ok and nd.summary["stages"] == 1
-        alpha = nd.alpha  # rebuilt from the restart log when read
+        _, _, alpha = restart_columns(nd.restarts, nd.alpha0, len(nd.arrived))
         ok = ok and bool(np.all(np.diff(alpha) >= 0))
         first_one = int(np.argmax(alpha == 1.0))
         ok = ok and alpha[first_one] == 1.0
@@ -224,9 +225,9 @@ def test_criterion_11_desk_scale_structure(desk_runs):
         geo = desk_runs[seed]["geometric"]
         hard = [r for r in geo.restarts if r.kind == "hard"]
         ok = ok and bool(hard)
-        boundaries = np.flatnonzero(np.diff(geo.stage)) + 1
+        stage, _, alpha = restart_columns(geo.restarts, geo.alpha0, len(geo.arrived))
+        boundaries = np.flatnonzero(np.diff(stage)) + 1
         ok = ok and len(boundaries) == len(hard)
-        alpha = geo.alpha
         for i in boundaries:
             # aggression resets when a new stage begins
             ok = ok and alpha[i] <= alpha[i - 1]

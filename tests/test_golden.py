@@ -44,6 +44,8 @@ from prudentbanker.harness import LEARNERS, RunConfig, build_environment, emit, 
 from prudentbanker.mirror import TSALLIS_HALF
 from prudentbanker.protocol import DELAY_MODELS, EnvironmentConfig
 
+from reference import trace_columns
+
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 INT_COLUMNS = ("t", "stage", "phase", "arrived")
 FLOAT_COLUMNS = ("alpha", "loss_B", "loss_star", "loss_c")
@@ -117,14 +119,15 @@ def record(config: RunConfig) -> dict:
     """The stored form of one run: digests, restart log, checkpoints, summary."""
     with captured_play() as played:
         trace = run(config, *environment(config.env))
+    cols = trace_columns(trace)
     T = config.env.horizon
     checkpoints = [T * k // 10 - 1 for k in range(1, 11)]  # rounds T/10, ..., T
     return {
         "int_sha256": {"arm": sha256(played[0].arm),
-                       **{name: sha256(getattr(trace, name)) for name in INT_COLUMNS}},
+                       **{name: sha256(cols[name]) for name in INT_COLUMNS}},
         "restarts": [[getattr(r, name) for name in RESTART_FIELDS]
                      for r in trace.restarts],
-        "checkpoints": {name: getattr(trace, name)[checkpoints].tolist()
+        "checkpoints": {name: cols[name][checkpoints].tolist()
                         for name in FLOAT_COLUMNS},
         "summary": trace.summary,
         BYTES: emitted_digests(trace),

@@ -20,7 +20,7 @@ from prudentbanker.prudent import (PrudentBanker, RestartRecord, ThresholdFuncti
 from prudentbanker.rng import RngSampler, stream
 
 from reference import (csv_string_each_entry, outstanding_counters, parse_csv, restart_state,
-                       stage_schedule)
+                       stage_schedule, trace_columns)
 
 
 def small_cfg(learner="prudent-banker", horizon=300, **kw):
@@ -76,20 +76,21 @@ def test_play_best_fixed_arm_has_zero_regret():
 def test_trace_columns_consistent():
     trace = run(small_cfg(horizon=300))
     T = 300
-    assert len(trace.t) == T and trace.t[0] == 1 and trace.t[-1] == T
+    cols = trace_columns(trace)
+    assert len(cols["t"]) == T and cols["t"][0] == 1 and cols["t"][-1] == T
     # cumulative columns are nondecreasing in a [0,1] loss environment
     for col in (trace.loss_B, trace.loss_star, trace.loss_c):
         assert np.all(np.diff(col) >= -1e-12)
         assert col[-1] <= T
     # every feedback arrives exactly once within the horizon or is discarded
     assert trace.arrived.sum() <= T
-    assert np.all(trace.stage >= 1) and np.all(trace.phase >= 1)
-    assert np.all((trace.alpha > 0) & (trace.alpha <= 1))
+    assert np.all(cols["stage"] >= 1) and np.all(cols["phase"] >= 1)
+    assert np.all((cols["alpha"] > 0) & (cols["alpha"] <= 1))
 
 
 def test_alpha_nondecreasing_within_stage():
     trace = run(small_cfg(horizon=2000, threshold_scale=0.02))
-    stage, alpha = trace.stage, trace.alpha  # each rebuilt from the log when read
+    stage, _, alpha = restart_columns(trace.restarts, trace.alpha0, len(trace.arrived))
     for i in range(1, len(stage)):
         if stage[i] == stage[i - 1]:
             assert alpha[i] >= alpha[i - 1]
@@ -151,7 +152,8 @@ def test_play_columns_build_the_trace(monkeypatch):
     trace = run(cfg)
     assert {r.kind for r in trace.restarts} == {"hard", "soft"}
     [readings] = watched
-    assert_columns_match(readings, trace.stage, trace.phase, trace.alpha)
+    assert_columns_match(readings, *restart_columns(trace.restarts, trace.alpha0,
+                                                    len(trace.arrived)))
 
 
 def test_play_arm_column_is_the_played_arm():
@@ -260,7 +262,8 @@ def test_empty_trace_csv_is_header_only():
                      arrived=np.array([], dtype=np.int64), restarts=[], alpha0=1.0,
                      summary={})
     assert trace.csv_string() == CSV_HEADER + "\n"
-    assert [len(getattr(trace, name)) for name in CSV_HEADER.split(",")] == [0] * 8
+    cols = trace_columns(trace)
+    assert [len(cols[name]) for name in CSV_HEADER.split(",")] == [0] * 8
 
 
 def soft_restart(round, new_phase, new_alpha) -> RestartRecord:
@@ -308,7 +311,8 @@ def stepped_trace(T: int, C: int) -> RunTrace:
                     restarts=restarts, alpha0=-0.0, summary={})
 
 
-@pytest.mark.parametrize("C", [3, harness.CSV_CHUNK])
+# the shipped chunk, a tiny one, and 4096, a chunk larger than the shipped one
+@pytest.mark.parametrize("C", sorted({3, harness.CSV_CHUNK, 4096}))
 @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
                          ids=["0", "1", "C-1", "C", "C+1", "2C+1"])
 def test_csv_chunks_join_to_the_csv_of_every_entry(monkeypatch, tmp_path, C, chunks, extra):
@@ -376,8 +380,8 @@ def test_run_rebuilds_the_restart_columns_from_the_log(case):
         trace = run(config)
         text = trace.csv_string()
     want = [restart_state(log, alpha0, t) for t in range(1, T + 1)]
-    for name, column in zip(("stage", "phase", "alpha"), zip(*want)):
-        np.testing.assert_array_equal(getattr(trace, name), column)
+    for got, column in zip(restart_columns(trace.restarts, trace.alpha0, T), zip(*want)):
+        np.testing.assert_array_equal(got, column)
     assert trace.restarts == log and trace.alpha0 == alpha0
     assert text == csv_string_each_entry(trace)
     stage, _, alpha = want[-1]
@@ -439,17 +443,29 @@ def test_emit_holds_a_chunk_of_text_not_the_csv(tmp_path):
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
+def test_emit_peak_is_a_small_chunk_of_rows(tmp_path):
+    # a 20000-row trace of full-width floats, built without playing a game:
+    # formatting 1024 rows at a time peaks near 0.34 MiB, 4096 near 1.3 MiB
+    T = 20000
+    rng = np.random.default_rng(0)
+    loss = np.cumsum(rng.random(T))
+    restarts = [hard_restart(5000, 1, 0.25), soft_restart(12000, 2, 0.5)]
+    trace = RunTrace(loss_B=loss, loss_star=loss / 3, loss_c=np.sqrt(loss),
+                     arrived=rng.integers(0, 3, T), restarts=restarts, alpha0=0.125,
+                     summary={})
+    assert traced_peak(lambda: emit(trace, tmp_path / "run")) <= 0.5 * 2**20
+
+
 def test_csv_round_trip_exact(tmp_path):
     trace = run(small_cfg(horizon=50))
     path, _ = emit(trace, tmp_path / "out")
-    cols = parse_csv(path)
-    np.testing.assert_array_equal(cols["t"], trace.t)
-    np.testing.assert_array_equal(cols["stage"], trace.stage)
+    cols, want = parse_csv(path), trace_columns(trace)
+    np.testing.assert_array_equal(cols["t"], want["t"])
+    np.testing.assert_array_equal(cols["stage"], want["stage"])
     np.testing.assert_array_equal(cols["arrived"], trace.arrived)
     # float columns survive the text round trip bit-for-bit
-    for name, ref in (("alpha", trace.alpha), ("loss_B", trace.loss_B),
-                      ("loss_star", trace.loss_star), ("loss_c", trace.loss_c)):
-        np.testing.assert_array_equal(cols[name], ref)
+    for name in ("alpha", "loss_B", "loss_star", "loss_c"):
+        np.testing.assert_array_equal(cols[name], want[name])
 
 
 def test_emit_json_summary(tmp_path):

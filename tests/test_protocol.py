@@ -82,8 +82,8 @@ def test_block_losses_match_reference(T, A, B, seed):
 
 
 # at 7 and 64 entries, chunks split rows and blocks and every redraw pass
-# spans several of them; at 256, later passes join several survivor pieces
-# into one batch of 64
+# spans several of them; at 256, one scan chunk holds survivors from several
+# rows, and later passes walk the survivor array in batches of 64
 @pytest.mark.parametrize("chunk", [7, 64, 256])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("T,A,B", SHAPES)
@@ -112,7 +112,9 @@ class WideNormal:
         return loc + scale * self.standard_normal(shape)
 
 
-@pytest.mark.parametrize("chunk", [7, protocol.REDRAW_CHUNK])
+# at 256, every attempt after the first compacts the survivor
+# array over several batches of 64
+@pytest.mark.parametrize("chunk", [7, 256, protocol.REDRAW_CHUNK])
 @pytest.mark.parametrize("T,A,B", [(97, 5, 13), (200, 3, 5)])
 def test_block_losses_clamp_matches_reference(T, A, B, chunk, monkeypatch):
     monkeypatch.setattr(protocol, "REDRAW_CHUNK", chunk)
@@ -184,8 +186,8 @@ def test_block_losses_draw_the_table_in_one_call(T, A, B):
 
 
 def test_block_losses_redraw_in_few_calls():
-    # 123 scan chunks of attempt 1, then batches of REDRAW_CHUNK // 4
-    # survivors: about 160 calls, not one per survivor piece
+    # 123 scan chunks of attempt 1, then the survivors REDRAW_CHUNK // 4 at
+    # a time: about 160 calls, not one per survivor or per scan chunk
     rng = CountedFills(stream(0, "losses"))
     generate_block_losses(EnvironmentConfig(*PAPER_SHAPE), rng)
     assert rng.draws <= 200
@@ -193,7 +195,7 @@ def test_block_losses_redraw_in_few_calls():
 
 def test_block_losses_build_no_table_sized_temporary():
     # beyond the table, means and sds, the chunked scan and the batched
-    # redraws of small-integer survivor pieces take about 3.5% of the table;
+    # redraws of one small-integer survivor array take about 3.6% of the table;
     # a table-sized mask plus an np.nonzero index pair take about 65% of it
     cfg = EnvironmentConfig(horizon=20000, arms=100, blocks=500)
     rng = stream(0, "losses")

@@ -11,7 +11,7 @@ from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import EnvironmentConfig, FeedbackEvent
 from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
                                    build_comparator, gap_statistic,
-                                   next_delay_estimate)
+                                   next_delay_estimate, restart_columns)
 from prudentbanker.rng import RngSampler, stream
 
 # C1 = log 100 and C2 = 1 / 0.001 = 1000 exactly
@@ -319,7 +319,8 @@ def test_played_probabilities_floor_and_weight_cap(monkeypatch):
                                           delay_model="geometric", seed=2),
                     delta=0.05, seed=2)
     trace = run(cfg)
-    assert np.all(trace.alpha <= 0.5)
+    _, _, alpha = restart_columns(trace.restarts, trace.alpha0, len(trace.arrived))
+    assert np.all(alpha <= 0.5)
     # whenever alpha <= 1/2 every importance weight is at most 2/delta
     assert weights
     assert max(weights) <= 2.0 / 0.05 + 1e-9
@@ -333,7 +334,8 @@ def test_no_delay_run_single_stage():
                     delta=0.1, seed=0)
     trace = run(cfg)
     assert trace.summary["stages"] == 1
-    assert np.all(trace.stage == 1)
+    stage, _, _ = restart_columns(trace.restarts, trace.alpha0, len(trace.arrived))
+    assert np.all(stage == 1)
     assert not [r for r in trace.restarts if r.kind == "hard"]
 
 
