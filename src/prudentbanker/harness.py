@@ -24,7 +24,7 @@ from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses, sample_delays)
 from .prudent import (PrudentBanker, RestartRecord, ThresholdFunctions, build_comparator,
-                      restart_columns)
+                      restart_segments)
 from .rng import RngSampler, check_seed, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
@@ -33,8 +33,6 @@ LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
 CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
 #: CSV columns a RunTrace stores; the others are rebuilt from its restart log
 DATA_COLUMNS = ("loss_B", "loss_star", "loss_c", "arrived")
-#: CSV columns that change only at a restart or an arrival, so hold few values
-STEP_COLUMNS = frozenset({"stage", "phase", "alpha", "arrived"})
 #: rows of the CSV formatted at a time, so that emit never holds the whole text
 CSV_CHUNK = 1024
 
@@ -84,16 +82,6 @@ class RunConfig:
         check_seed(self.seed)
 
 
-def _repr_each_value_once(col: np.ndarray):
-    """repr of each entry of a 64-bit column, formatting each distinct value once.
-
-    Values are keyed by their bits, so -0.0 and 0.0 stay apart.
-    """
-    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = [repr(v) for v in keys.view(col.dtype).tolist()]
-    return map(text.__getitem__, inverse.tolist())
-
-
 @dataclass
 class RunTrace:
     """One run: the four columns its game produced, its restart log and its summary.
@@ -102,10 +90,9 @@ class RunTrace:
     t; they must be 1-D and of one length, checked when built. `run` builds
     each once and hands it over, and nothing writes them after. The CSV's
     other columns are not stored: `t` is 1..T, and `stage`, `phase` and
-    `alpha` change only at a restart, so `restart_columns` rebuilds them from
-    `restarts` and `alpha0`, the alpha before the game. `csv_chunks`,
-    `csv_string` and `emit` only read the trace, and rebuild those columns a
-    chunk of rows at a time.
+    `alpha` change only at a restart, so `csv_chunks` formats them once per
+    phase of `restart_segments(restarts, alpha0, T)`, alpha0 being the alpha
+    before the game. `csv_chunks`, `csv_string` and `emit` only read the trace.
     """
 
     loss_B: np.ndarray
@@ -126,16 +113,19 @@ class RunTrace:
         """The CSV text: the header line, then CSV_CHUNK rows at a time."""
         yield CSV_HEADER + "\n"
         T = len(self.arrived)
+        segments = restart_segments(self.restarts, self.alpha0, T)
+        first = [s[0] for s in segments]
+        # as int64 and float64 columns print: repr(np.float64(x)) names its type
+        state = [f"{int(stage)},{int(phase)},{float(alpha)!r}"
+                 for _, stage, phase, alpha in segments]
         for lo in range(0, T, CSV_CHUNK):
             hi = min(lo + CSV_CHUNK, T)
-            stage, phase, alpha = restart_columns(self.restarts, self.alpha0, hi, lo)
-            cols = {"t": np.arange(lo + 1, hi + 1, dtype=np.int64), "stage": stage,
-                    "phase": phase, "alpha": alpha,
-                    **{name: getattr(self, name)[lo:hi] for name in DATA_COLUMNS}}
-            # integer columns print as ints, float columns in repr's round-trip form
-            chunk = (_repr_each_value_once(cols[name]) if name in STEP_COLUMNS
-                     else map(repr, cols[name].tolist())
-                     for name in CSV_HEADER.split(","))
+            which = np.searchsorted(first, np.arange(lo, hi), side="right") - 1
+            # float columns print in repr's round-trip form
+            chunk = (map(str, range(lo + 1, hi + 1)), map(state.__getitem__, which.tolist()),
+                     *(map(repr, getattr(self, name)[lo:hi].tolist())
+                       for name in ("loss_B", "loss_star", "loss_c")),
+                     map(str, self.arrived[lo:hi].tolist()))
             # a list display: join over a bare map over-allocates the rows it lists
             yield "\n".join([*map(",".join, zip(*chunk))]) + "\n"
 
@@ -234,9 +224,11 @@ def run(config: RunConfig, table: LossTable | None = None,
     which is overwritten, and ``loss_c`` in place over the comparator's
     per-round losses. The arm column is dropped before ``loss_c`` is built.
     The trace keeps the learner's restart log in place of per-round stage,
-    phase and alpha columns; the summary's ``stages`` and ``final_alpha`` are
-    those of round T, rebuilt from the log, and its ``phases`` counts the
-    phases the rows play: one, plus every restart that shows by round T.
+    phase and alpha columns. Read through ``restart_segments``, the summary's
+    ``stages`` and ``final_alpha`` are those of round T, and ``phases``
+    counts the phases some round plays: not one a soft restart at round T
+    would start, nor one a hard restart at t + 1 replaces after a soft
+    restart at t.
     """
     if (table is None) != (delays is None):
         raise ConfigError("pass both table and delays, or neither")
@@ -261,9 +253,8 @@ def run(config: RunConfig, table: LossTable | None = None,
     loss_c = table.losses @ xc
     np.cumsum(loss_c, out=loss_c)
     restarts = list(learner.restarts)
-    # round T's row: a soft restart logged at round T shows in no row, so it
-    # counts neither in final_alpha nor in phases
-    [stages], _, [final_alpha] = restart_columns(restarts, alpha0, T, T - 1)
+    segments = restart_segments(restarts, alpha0, T)
+    _, stages, _, final_alpha = segments[-1]  # the phase of round T
     summary = {
         "learner": config.learner,
         "seed": int(config.seed),
@@ -276,7 +267,7 @@ def run(config: RunConfig, table: LossTable | None = None,
         "r0_source": "oracle (hindsight best arm)",
         "comparator_anchor_source": "oracle (hindsight best arm)",
         "stages": int(stages),
-        "phases": 1 + sum(r.kind == "hard" or r.round < T for r in restarts),
+        "phases": len(segments),
         "final_alpha": float(final_alpha),
         "final_delay_estimate": int(learner.delay_estimate),
         "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),
@@ -294,8 +285,8 @@ def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
     """Write the trace to <out_base>.csv and its summary to <out_base>.json.
 
     The CSV is written chunk by chunk from ``RunTrace.csv_chunks``, so emit
-    holds CSV_CHUNK rows of text, and the restart columns of those rows, at
-    a time; it reads the trace and writes none of it.
+    holds CSV_CHUNK rows of text at a time; it reads the trace and writes
+    none of it.
     """
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)

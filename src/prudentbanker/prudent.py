@@ -112,31 +112,34 @@ class RestartRecord:
     new_alpha: float
 
 
-def restart_columns(restarts: list[RestartRecord], alpha0: float, stop: int,
-                    start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage, phase and alpha of rounds start + 1..stop, rebuilt from a restart log.
+def restart_segments(restarts: list[RestartRecord], alpha0: float,
+                     rows: int) -> list[tuple[int, int, int, float]]:
+    """The phases that rows 0..rows - 1 play, in order, as (first row, stage, phase, alpha).
 
-    Entry t - 1 - start is the state that round t plays under. A hard restart
-    happens in act(t), so it shows from round t; a soft restart happens in
-    receive(t), so it shows from round t + 1. alpha0 is the alpha before the
-    game; a learner without restarts plays stage 1, phase 1 throughout.
+    Row t - 1 is round t. A hard restart happens in act(t), so its phase
+    starts at row t - 1; a soft one in receive(t), so at row t. A phase that
+    the next restart replaces before its first row is left out, as is one
+    that would start at row `rows`. alpha0 is the alpha before the game.
     """
-    rows = stop - start
-    stage, phase = np.ones(rows, dtype=np.int64), np.ones(rows, dtype=np.int64)
-    alpha = np.full(rows, alpha0)
-    n_stage = 1
+    segments, stage = [(0, 1, 1, alpha0)], 1
     for r in restarts:
-        if r.kind == "hard":
-            n_stage += 1
-            first = r.round - 1
-        else:
-            first = r.round
-        # a restart before the range sets all of it, one after it none
-        first = max(first - start, 0)
-        stage[first:] = n_stage
-        phase[first:] = r.new_phase
-        alpha[first:] = r.new_alpha
-    return stage, phase, alpha
+        stage += r.kind == "hard"
+        first = r.round - (r.kind == "hard")
+        if segments[-1][0] == first:  # replaced before its first row
+            segments.pop()
+        segments.append((first, stage, r.new_phase, r.new_alpha))
+    return [s for s in segments if s[0] < rows]
+
+
+def restart_columns(restarts: list[RestartRecord], alpha0: float,
+                    rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage, phase and alpha of rounds 1..rows, entry t - 1 for round t,
+    spread over the rows from `restart_segments`."""
+    segments = restart_segments(restarts, alpha0, rows)
+    first, stage, phase, alpha = zip(*segments) if segments else ((),) * 4
+    which = np.searchsorted(first, np.arange(rows), side="right") - 1
+    return (np.array(stage, dtype=np.int64)[which], np.array(phase, dtype=np.int64)[which],
+            np.array(alpha, dtype=float)[which])
 
 
 class PrudentBanker:

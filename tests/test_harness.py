@@ -16,7 +16,7 @@ from prudentbanker.harness import (CSV_HEADER, DATA_COLUMNS, RunConfig, RunTrace
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig, LossTable
 from prudentbanker.prudent import (PrudentBanker, RestartRecord, ThresholdFunctions,
-                                   build_comparator, restart_columns)
+                                   build_comparator, restart_columns, restart_segments)
 from prudentbanker.rng import RngSampler, stream
 
 from reference import (csv_string_each_entry, outstanding_counters, parse_csv, restart_state,
@@ -339,6 +339,15 @@ class LoggedRestarts(OneStage):
         pass
 
 
+def logged_restarts_run(T, alpha0, log) -> RunTrace:
+    """`run` of a T-round game whose learner reports the restart log `log`."""
+    config = RunConfig(env=EnvironmentConfig(horizon=T, arms=4, blocks=1,
+                                             delay_model="none"), learner="play-fixed-arm")
+    with mock.patch.object(harness, "make_learner",
+                           lambda *a: LoggedRestarts(alpha0, list(log))):
+        return run(config)
+
+
 @st.composite
 def restart_logs(draw):
     """(C, T, alpha0, log): a restart log of a T-round game, CSV chunks of C rows.
@@ -346,8 +355,9 @@ def restart_logs(draw):
     Restart rounds are drawn near the chunk edges C - 1, C and C + 1 (and
     those of later chunks) and at T as often as anywhere. A round holds a
     hard restart (made in act), a soft one (made in receive) or both, hard
-    first, so a soft restart at round t and a hard one at t + 1 both show
-    first in round t + 1, and a soft restart at round T shows in no round.
+    first. A soft restart at round t and a hard one at t + 1 both take
+    effect from round t + 1, so the soft one's phase plays no round, and
+    neither does the phase of a soft restart at round T.
     """
     C = draw(st.integers(1, 5))
     T = draw(st.integers(1, 4 * C + 2))
@@ -372,24 +382,53 @@ def restart_logs(draw):
 @given(restart_logs())
 def test_run_rebuilds_the_restart_columns_from_the_log(case):
     C, T, alpha0, log = case
-    config = RunConfig(env=EnvironmentConfig(horizon=T, arms=4, blocks=1,
-                                             delay_model="none"), learner="play-fixed-arm")
-    with (mock.patch.object(harness, "make_learner",
-                            lambda *a: LoggedRestarts(alpha0, list(log))),
-          mock.patch.object(harness, "CSV_CHUNK", C)):
-        trace = run(config)
+    trace = logged_restarts_run(T, alpha0, log)
+    with mock.patch.object(harness, "CSV_CHUNK", C):
         text = trace.csv_string()
     want = [restart_state(log, alpha0, t) for t in range(1, T + 1)]
     for got, column in zip(restart_columns(trace.restarts, trace.alpha0, T), zip(*want)):
         np.testing.assert_array_equal(got, column)
     assert trace.restarts == log and trace.alpha0 == alpha0
     assert text == csv_string_each_entry(trace)
+    first = [s[0] for s in restart_segments(log, alpha0, T)]
+    assert first[0] == 0 and first == sorted(set(first)) and first[-1] < T
     stage, _, alpha = want[-1]
-    # a soft restart logged at round T shows in no row, so neither phases nor
-    # final_alpha, the alpha of round T, counts it
-    played = [r for r in log if r.kind == "hard" or r.round < T]
+    # phases counts the (stage, phase) pairs the rows play: a phase that no
+    # row plays, such as one started by a soft restart at round T, is not one
+    played = {(s, p) for s, p, _ in want}
     assert (trace.summary["stages"], trace.summary["phases"],
-            trace.summary["final_alpha"]) == (stage, len(played) + 1, alpha)
+            trace.summary["final_alpha"]) == (stage, len(played), alpha)
+
+
+def test_numpy_scalars_in_the_restart_log_write_the_same_csv():
+    # under numpy 2, repr(np.float64(0.5)) is 'np.float64(0.5)'
+    def log(i, f):
+        return [soft_restart(2, i(2), f(0.5)), hard_restart(3, i(1), f(0.125)),
+                soft_restart(5, i(2), f(-0.0)), soft_restart(6, i(3), f(1.0))]
+
+    plain = logged_restarts_run(7, 0.25, log(int, float))
+    numpy = logged_restarts_run(7, np.float64(0.25), log(np.int64, np.float64))
+    assert numpy.csv_string() == plain.csv_string() == csv_string_each_entry(plain)
+    assert numpy.summary == plain.summary
+
+
+def test_a_phase_that_no_round_plays_is_not_counted(tmp_path):
+    # Arm 0 loses 1 in every round and arm 1 none. The feedback of rounds 3
+    # and 6 arrives at the end of round 7, where the gap sets off a soft
+    # restart; its total delay of 5 sets off a hard restart in act(8), which
+    # replaces the soft restart's phase before round 8 plays it.
+    env = EnvironmentConfig(horizon=8, arms=2, blocks=1, delay_model="none")
+    trace = run(RunConfig(env=env, delta=0.25, threshold_scale=0.05, seed=0),
+                LossTable(np.tile([1.0, 0.0], (8, 1))),
+                DelaySequence(np.array([0, 0, 4, 0, 0, 1, 2, 0])))
+    assert [(r.round, r.kind) for r in trace.restarts] == [(7, "soft"), (8, "hard")]
+    csv_path, _ = emit(trace, tmp_path / "run")
+    cols = parse_csv(csv_path)
+    played = set(zip(cols["stage"].tolist(), cols["phase"].tolist()))
+    assert played == {(1, 1), (2, 1)}
+    assert trace.summary["phases"] == len(played) == 2
+    assert trace.summary["stages"] == 2
+    assert trace.summary["final_alpha"] == trace.restarts[-1].new_alpha
 
 
 @pytest.mark.parametrize("columns", [
