@@ -41,7 +41,8 @@ class ThresholdFunctions:
 
     C1, C2 and delta come from `reg`. `scale` multiplies both components; 1.0 is
     the analysis value. The theoretical constants are very conservative, so
-    qualitative experiment reproductions run with a smaller calibration (see harness).
+    qualitative experiment reproductions run with a smaller calibration: see
+    "Threshold calibration" in the README and the CLI's --threshold-scale.
     """
 
     reg: Regularizer
@@ -129,17 +130,6 @@ def restart_segments(restarts: list[RestartRecord], alpha0: float,
             segments.pop()
         segments.append((first, stage, r.new_phase, r.new_alpha))
     return [s for s in segments if s[0] < rows]
-
-
-def restart_columns(restarts: list[RestartRecord], alpha0: float,
-                    rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage, phase and alpha of rounds 1..rows, entry t - 1 for round t,
-    spread over the rows from `restart_segments`."""
-    segments = restart_segments(restarts, alpha0, rows)
-    first, stage, phase, alpha = zip(*segments) if segments else ((),) * 4
-    which = np.searchsorted(first, np.arange(rows), side="right") - 1
-    return (np.array(stage, dtype=np.int64)[which], np.array(phase, dtype=np.int64)[which],
-            np.array(alpha, dtype=float)[which])
 
 
 class PrudentBanker:

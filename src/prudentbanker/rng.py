@@ -19,11 +19,18 @@ from .errors import ConfigError, ProtocolError
 
 
 def check_integer(name: str, value) -> None:
-    """Raise ConfigError naming `name` unless `value` is an integer; 2.0 is not, np.int64(2) is."""
+    """Raise ConfigError naming `name` unless `value` is an integer.
+
+    2.0 is not one, nor True; np.int64(2) is.
+    """
     try:
         operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    else:
+        if not isinstance(value, bool):  # operator.index(True) is 1
+            return
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def check_count(name: str, value, least: int) -> None:

@@ -17,7 +17,7 @@ from prudentbanker.lowerbound import SPECIAL_ARM, BucketDecomposition, HardInsta
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, Regularizer, _two_pole_root,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence, LossTable
-from prudentbanker.prudent import PrudentBanker, ThresholdFunctions, restart_columns
+from prudentbanker.prudent import PrudentBanker, ThresholdFunctions
 from prudentbanker.rng import RngSampler, stream
 
 
@@ -122,11 +122,13 @@ def cucb_bounds_masked(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
 
 def trace_columns(trace) -> dict[str, np.ndarray]:
     """A trace's eight CSV columns in full: t is 1..T, and stage, phase and
-    alpha are rebuilt from the restart log by ``restart_columns``."""
+    alpha are read off the restart log round by round by ``restart_state``."""
     T = len(trace.arrived)
-    stage, phase, alpha = restart_columns(trace.restarts, trace.alpha0, T)
-    return {"t": np.arange(1, T + 1, dtype=np.int64), "stage": stage, "phase": phase,
-            "alpha": alpha, **{name: getattr(trace, name) for name in DATA_COLUMNS}}
+    states = [restart_state(trace.restarts, trace.alpha0, t) for t in range(1, T + 1)]
+    stage, phase, alpha = zip(*states) if states else ((),) * 3
+    return {"t": np.arange(1, T + 1, dtype=np.int64), "stage": np.array(stage, dtype=np.int64),
+            "phase": np.array(phase, dtype=np.int64), "alpha": np.array(alpha, dtype=float),
+            **{name: getattr(trace, name) for name in DATA_COLUMNS}}
 
 
 def csv_string_each_entry(trace) -> str:

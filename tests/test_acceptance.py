@@ -18,10 +18,9 @@ from prudentbanker.lowerbound import (HardInstancePair, bucket_inequalities,
 from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import DelaySequence, EnvironmentConfig
-from prudentbanker.prudent import (ThresholdFunctions, build_comparator, gap_statistic,
-                                   restart_columns)
+from prudentbanker.prudent import ThresholdFunctions, build_comparator, gap_statistic
 
-from reference import bregman, native_play, outstanding_counters
+from reference import bregman, native_play, outstanding_counters, trace_columns
 
 SEEDS = (0, 1, 2, 3, 4)
 DESK_T, DESK_A, DESK_B = 20000, 10, 100
@@ -216,7 +215,7 @@ def test_criterion_11_desk_scale_structure(desk_runs):
     for seed in SEEDS:
         nd = desk_runs[seed]["nodelay"]
         ok = ok and nd.summary["stages"] == 1
-        _, _, alpha = restart_columns(nd.restarts, nd.alpha0, len(nd.arrived))
+        alpha = trace_columns(nd)["alpha"]
         ok = ok and bool(np.all(np.diff(alpha) >= 0))
         first_one = int(np.argmax(alpha == 1.0))
         ok = ok and alpha[first_one] == 1.0
@@ -225,7 +224,8 @@ def test_criterion_11_desk_scale_structure(desk_runs):
         geo = desk_runs[seed]["geometric"]
         hard = [r for r in geo.restarts if r.kind == "hard"]
         ok = ok and bool(hard)
-        stage, _, alpha = restart_columns(geo.restarts, geo.alpha0, len(geo.arrived))
+        cols = trace_columns(geo)
+        stage, alpha = cols["stage"], cols["alpha"]
         boundaries = np.flatnonzero(np.diff(stage)) + 1
         ok = ok and len(boundaries) == len(hard)
         for i in boundaries:

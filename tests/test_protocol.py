@@ -478,9 +478,10 @@ def test_stream_needs_an_integer_seed(seed):
          "comparator-arms", "seed", "hard-block-length", "hard-arms", "corollary-q",
          "corollary-N", "batched-j", "trigger"])
 def test_every_count_is_an_integer_of_at_least_its_bound(name, call, least):
-    # 2.5 would otherwise be truncated or build another construction, and "3"
-    # fail with a bare TypeError; a count with a lower bound names it and the value
-    for bad in (2.5, "3"):
+    # 2.5 would otherwise be truncated or build another construction, "3"
+    # fail with a bare TypeError, and True pass as 1; a count with a lower
+    # bound names it and the value
+    for bad in (2.5, "3", True):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             call(bad)
     call(np.int64(3))

@@ -11,8 +11,10 @@ from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import EnvironmentConfig, FeedbackEvent
 from prudentbanker.prudent import (PrudentBanker, ThresholdFunctions,
                                    build_comparator, gap_statistic,
-                                   next_delay_estimate, restart_columns)
+                                   next_delay_estimate)
 from prudentbanker.rng import RngSampler, stream
+
+from reference import trace_columns
 
 # C1 = log 100 and C2 = 1 / 0.001 = 1000 exactly
 LARGE_TF = ThresholdFunctions(Regularizer(NEG_ENTROPY, 100, 0.001), horizon=50000)
@@ -319,8 +321,7 @@ def test_played_probabilities_floor_and_weight_cap(monkeypatch):
                                           delay_model="geometric", seed=2),
                     delta=0.05, seed=2)
     trace = run(cfg)
-    _, _, alpha = restart_columns(trace.restarts, trace.alpha0, len(trace.arrived))
-    assert np.all(alpha <= 0.5)
+    assert np.all(trace_columns(trace)["alpha"] <= 0.5)
     # whenever alpha <= 1/2 every importance weight is at most 2/delta
     assert weights
     assert max(weights) <= 2.0 / 0.05 + 1e-9
@@ -334,8 +335,7 @@ def test_no_delay_run_single_stage():
                     delta=0.1, seed=0)
     trace = run(cfg)
     assert trace.summary["stages"] == 1
-    stage, _, _ = restart_columns(trace.restarts, trace.alpha0, len(trace.arrived))
-    assert np.all(stage == 1)
+    assert np.all(trace_columns(trace)["stage"] == 1)
     assert not [r for r in trace.restarts if r.kind == "hard"]
 
 
