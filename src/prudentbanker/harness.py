@@ -46,13 +46,6 @@ def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
     return float(p.dot(loss_row))
 
 
-def best_fixed_arm(table: LossTable) -> tuple[int, np.ndarray]:
-    """Hindsight-optimal arm (ties to lowest index) and its cumulative loss curve."""
-    sums = table.losses.sum(axis=0)
-    istar = int(np.argmin(sums))
-    return istar, np.cumsum(table.losses[:, istar])
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """The settings of one run, checked when built and immutable."""
@@ -87,12 +80,14 @@ class RunTrace:
     """One run: the four columns its game produced, its restart log and its summary.
 
     `loss_B`, `loss_star`, `loss_c` and `arrived` hold entry t - 1 for round
-    t; they must be 1-D and of one length, checked when built. `run` builds
-    each once and hands it over, and nothing writes them after. The CSV's
-    other columns are not stored: `t` is 1..T, and `stage`, `phase` and
-    `alpha` change only at a restart, so `csv_chunks` formats them once per
-    phase of `restart_segments(restarts, alpha0, T)`, alpha0 being the alpha
-    before the game. `csv_chunks`, `csv_string` and `emit` only read the trace.
+    t; they must be 1-D and of one length, checked when built. `loss_star`
+    is the table's read-only `hindsight` curve, one array for every trace of
+    the table; `run` builds the other three once and hands them over, and
+    nothing writes them after. The CSV's other columns are not stored: `t`
+    is 1..T, and `stage`, `phase` and `alpha` change only at a restart, so
+    `csv_chunks` formats them once per phase of `restart_segments(restarts,
+    alpha0, T)`, alpha0 being the alpha before the game. `csv_chunks`,
+    `csv_string` and `emit` only read the trace.
     """
 
     loss_B: np.ndarray
@@ -162,7 +157,9 @@ def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
 
 @dataclass
 class PlayColumns:
-    """Per-round columns of one played game; entry t - 1 belongs to round t."""
+    """Per-round columns of one played game; entry t - 1 belongs to round t.
+
+    `arrived` and `arm` take the smallest unsigned dtypes that hold T and A - 1."""
 
     loss: np.ndarray  # pseudo-loss <p_t, l_t> of the played distribution
     arrived: np.ndarray  # feedback events delivered at the end of the round
@@ -190,7 +187,8 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     losses, d = table.losses, delays.delays
     # numpy columns, not lists: a list of T floats would add to a run's peak memory
     loss = np.zeros(T)
-    arrived, arms = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
+    arrived = np.zeros(T, dtype=np.min_scalar_type(T))
+    arms = np.zeros(T, dtype=np.min_scalar_type(losses.shape[1] - 1))
     # FeedbackEvent and pseudo_loss are read from this module in each round:
     # bench/spans.py replaces them here
     for t in range(1, T + 1):
@@ -223,6 +221,7 @@ def run(config: RunConfig, table: LossTable | None = None,
     place over the loss column of the ``PlayColumns`` that ``play`` returns,
     which is overwritten, and ``loss_c`` in place over the comparator's
     per-round losses. The arm column is dropped before ``loss_c`` is built.
+    ``loss_star`` is the table's ``hindsight`` curve, shared by its runs.
     The trace keeps the learner's restart log in place of per-round stage,
     phase and alpha columns. Read through ``restart_segments``, the summary's
     ``stages`` and ``final_alpha`` are those of round T, and ``phases``
@@ -239,9 +238,8 @@ def run(config: RunConfig, table: LossTable | None = None,
         raise ConfigError(f"loss table of shape {table.losses.shape} for a horizon of "
                           f"{T} rounds and {A} arms")
 
-    istar, star_curve = best_fixed_arm(table)
-    # oracle-derived default reward: mean reward of the hindsight-best arm
-    r0 = float(np.mean(1.0 - table.losses[:, istar]))
+    # r0, the oracle-derived default reward, is the hindsight-best arm's mean reward
+    istar, loss_star, r0 = table.hindsight
     xc = build_comparator(A, config.delta, istar)
     learner = make_learner(config, istar, r0, xc)
     alpha0 = learner.alpha
@@ -270,11 +268,11 @@ def run(config: RunConfig, table: LossTable | None = None,
         "phases": len(segments),
         "final_alpha": float(final_alpha),
         "final_delay_estimate": int(learner.delay_estimate),
-        "regret_vs_best_fixed_arm": float(loss_B[-1] - star_curve[-1]),
+        "regret_vs_best_fixed_arm": float(loss_B[-1] - loss_star[-1]),
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
-    trace = RunTrace(loss_B=loss_B, loss_star=star_curve, loss_c=loss_c, arrived=arrived,
+    trace = RunTrace(loss_B=loss_B, loss_star=loss_star, loss_c=loss_c, arrived=arrived,
                      restarts=restarts, alpha0=alpha0, summary=summary)
     if keep_learner:
         trace.learner = learner

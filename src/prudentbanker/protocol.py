@@ -9,6 +9,7 @@ same rounds under each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,10 @@ REDRAW_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class LossTable:
-    """Full horizon-by-arms loss matrix with entries in [0, 1]."""
+    """Full horizon-by-arms loss matrix with entries in [0, 1].
+
+    It marks its float array read-only, as `hindsight` caches what it reads
+    there; a view of that array taken before stays writable."""
 
     losses: np.ndarray
 
@@ -34,11 +38,22 @@ class LossTable:
             raise ConfigError(f"loss matrix must be 2-D, got shape {losses.shape}")
         if losses.size and not (0.0 <= losses.min() and losses.max() <= 1.0):  # NaN fails too
             raise ConfigError("loss entries must lie in [0, 1]")
+        losses.flags.writeable = False
         object.__setattr__(self, "losses", losses)
 
     @property
     def horizon(self) -> int:
         return len(self.losses)
+
+    @cached_property
+    def hindsight(self) -> tuple[int, np.ndarray, float]:
+        """(istar, loss_star, r0), computed on first read: the hindsight-best
+        arm (lowest index on ties), its read-only cumulative loss curve and its
+        mean reward."""
+        istar = int(np.argmin(self.losses.sum(axis=0)))
+        loss_star = np.cumsum(self.losses[:, istar])
+        loss_star.flags.writeable = False
+        return istar, loss_star, float(np.mean(1.0 - self.losses[:, istar]))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
-                                   emit, make_learner, play, run)
+from prudentbanker.harness import (RunConfig, build_environment, emit, make_learner,
+                                   play, run)
 from prudentbanker.lowerbound import (HardInstancePair, bucket_inequalities,
                                       corollary_delays, greedy_buckets,
                                       batched_simulate, safety_gap_identity)
@@ -111,7 +111,7 @@ def test_criterion_4_missing_count_bound():
                                 delay_model="geometric", seed=seed)
         cfg = RunConfig(env=env, delta=0.1, threshold_scale=DESK_SCALE, seed=seed)
         table, delays = build_environment(env)
-        istar, _ = best_fixed_arm(table)
+        istar = table.hindsight[0]
         learner = make_learner(cfg, istar, 0.5, build_comparator(4, cfg.delta, istar))
         receive, held = learner.receive, []
 

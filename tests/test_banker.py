@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from prudentbanker.banker import BankerOMD, Kahan, RoundRecord, step_size
 from prudentbanker.baselines import BankerOMDLearner
 from prudentbanker.errors import ConfigError, DomainError, ProtocolError
-from prudentbanker.harness import (RunConfig, best_fixed_arm, build_environment,
-                                   make_learner, play)
+from prudentbanker.harness import RunConfig, build_environment, make_learner, play
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
@@ -515,7 +514,7 @@ def test_desk_credit_schedule_matches_the_reference(delay_model, kinds):
     config = RunConfig(env=EnvironmentConfig(horizon=500, blocks=5, delay_model=delay_model),
                        threshold_scale=0.02)
     table, delays = build_environment(config.env)
-    istar, _ = best_fixed_arm(table)
+    istar = table.hindsight[0]
     learner = make_learner(config, istar, 0.5,
                            build_comparator(config.env.arms, config.delta, istar))
     recorded = recorded_credit_schedule(learner, table, delays)

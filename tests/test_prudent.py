@@ -360,9 +360,9 @@ def test_missing_count_bound_during_run():
     cfg = RunConfig(env=EnvironmentConfig(horizon=600, arms=4, blocks=6,
                                           delay_model="geometric", seed=1),
                     delta=0.1, seed=1)
-    from prudentbanker.harness import best_fixed_arm, make_learner as build
+    from prudentbanker.harness import make_learner as build
     table, delays = build_environment(cfg.env)
-    istar, _ = best_fixed_arm(table)
+    istar = table.hindsight[0]
     learner = build(cfg, istar, 0.5, build_comparator(4, cfg.delta, istar))
     receive = learner.receive
 
@@ -380,9 +380,9 @@ def test_gap_stays_below_threshold_inside_phases():
     cfg = RunConfig(env=EnvironmentConfig(horizon=1500, arms=4, blocks=10,
                                           delay_model="geometric", seed=4),
                     delta=0.1, threshold_scale=0.02, seed=4)
-    from prudentbanker.harness import best_fixed_arm, make_learner as build
+    from prudentbanker.harness import make_learner as build
     table, delays = build_environment(cfg.env)
-    istar, _ = best_fixed_arm(table)
+    istar = table.hindsight[0]
     learner = build(cfg, istar, 0.5, build_comparator(4, cfg.delta, istar))
     receive = learner.receive
 
