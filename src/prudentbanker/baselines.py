@@ -4,9 +4,9 @@ All learners expose the same interface as PrudentBanker:
   act(t) -> (distribution, arm)        with t 1-indexed,
   receive(events, t)                   called at the end of round t.
 
-Internally the confidence/budget formulas use the 0-indexed round count
-(t0 = t - 1), matching the convention "(t+1) plays so far including the
-current one".
+Each safe baseline decides inside `act`: Conservative-UCB passes the
+0-indexed round t - 1 to `cucb_bounds` and budgets on the t plays so far,
+the current one included.
 
 Both safe baselines and `RunConfig` call `check_alpha_safe`, the one statement
 of the alpha_safe rule.
@@ -65,9 +65,11 @@ def cucb_bounds(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
 class ConservativeUCB(OneStage):
     """Conservative-UCB with delayed observations.
 
-    Plays the UCB-optimistic candidate only if a pessimistic budget check
-    certifies the safety constraint; otherwise falls back to the default arm
-    whose mean reward r0 is known.
+    At round t, `act` takes the candidate of highest UCB from `cucb_bounds`
+    at t - 1 (ties to the lowest index) and plays it only if the pessimistic
+    budget, the LCBs of the past plays and of the candidate, reaches
+    (1 - alpha_safe) t r0; otherwise it falls back to the default arm, whose
+    mean reward r0 is known.
     """
 
     def __init__(self, arms: int, default_arm: int, r0: float, horizon: int,
@@ -83,21 +85,13 @@ class ConservativeUCB(OneStage):
         self.sums = np.zeros(arms)
         self.n_play = np.zeros(arms)
 
-    def bounds(self, t0: int) -> tuple[np.ndarray, np.ndarray]:
-        return cucb_bounds(self.n_obs, self.sums, t0, self.arms,
-                           self.delta_ucb, self.default_arm, self.r0)
-
-    def choose(self, t0: int) -> int:
-        lcb, ucb = self.bounds(t0)
-        candidate = int(ucb.argmax())  # ties to lowest index
-        budget = float(self.n_play.dot(lcb)) + lcb.item(candidate)
-        required = (1.0 - self.alpha_safe) * (t0 + 1) * self.r0
-        if budget >= required:
-            return candidate
-        return self.default_arm
-
     def act(self, t: int) -> tuple[np.ndarray, int]:
-        arm = self.choose(t - 1)
+        lcb, ucb = cucb_bounds(self.n_obs, self.sums, t - 1, self.arms,
+                               self.delta_ucb, self.default_arm, self.r0)
+        arm = int(ucb.argmax())  # ties to lowest index
+        budget = float(self.n_play.dot(lcb)) + lcb.item(arm)
+        if not budget >= (1.0 - self.alpha_safe) * t * self.r0:  # NaN falls back too
+            arm = self.default_arm
         self.n_play[arm] += 1
         dist = np.zeros(self.arms)
         dist[arm] = 1.0
@@ -119,9 +113,10 @@ class SafeExp3IX(OneStage):
 
     Default-arm plays are credited at the known mean r0 immediately;
     non-default rewards are credited only when their delayed feedback
-    arrives (pessimistic credit of 0 while in flight). When the credited
-    budget falls short of (1 - alpha_safe) r0 (t+1), the default arm is
-    played instead of the base learner.
+    arrives (pessimistic credit of 0 while in flight). At round t, `act`
+    plays the default arm when the credited budget falls short of
+    (1 - alpha_safe) r0 t, and otherwise the EXP3-IX distribution: the
+    exponentials of the log-weights shifted by their max, over their sum.
     """
 
     def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
@@ -138,15 +133,12 @@ class SafeExp3IX(OneStage):
         self.budget = 0.0
         self._q_played: dict[int, float] = {}
 
-    def distribution(self) -> np.ndarray:
-        shifted = self.log_w - self.log_w.item(self.log_w.argmax())
-        w = np.exp(shifted)
-        return w / np.add.reduce(w)
-
     def act(self, t: int) -> tuple[np.ndarray, int]:
         required = (1.0 - self.alpha_safe) * self.r0 * t
         if self.budget >= required:
-            q = self.distribution()
+            log_w = self.log_w
+            q = np.exp(log_w - log_w.item(log_w.argmax()))
+            q /= np.add.reduce(q)
             arm = self.sampler.draw(q)
             self._q_played[t] = q.item(arm)
             return q, arm

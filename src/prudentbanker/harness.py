@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .mirror import NEG_ENTROPY, Regularizer
 from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses, sample_delays)
@@ -175,8 +175,9 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     """Play the delayed game; round t's feedback arrives at the end of t + d_t.
 
     The learner is driven only through ``act(t)`` and ``receive(events, t)``.
-    An exception raised inside round t propagates as the same object, with
-    "round t" appended to its ``__notes__``.
+    An arm outside 0..A-1 is a ``ProtocolError``. An exception raised inside
+    round t propagates as the same object, with "round t" appended to its
+    ``__notes__``.
     """
     T = table.horizon
     if len(delays) != T:
@@ -188,12 +189,15 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     # numpy columns, not lists: a list of T floats would add to a run's peak memory
     loss = np.zeros(T)
     arrived = np.zeros(T, dtype=np.min_scalar_type(T))
-    arms = np.zeros(T, dtype=np.min_scalar_type(losses.shape[1] - 1))
+    A = losses.shape[1]
+    arms = np.zeros(T, dtype=np.min_scalar_type(A - 1))
     # FeedbackEvent and pseudo_loss are read from this module in each round:
     # bench/spans.py replaces them here
     for t in range(1, T + 1):
         try:
             dist, arm = act(t)
+            if not 0 <= arm < A:  # else a narrow arm column would wrap it
+                raise ProtocolError(f"arm {arm} outside 0..{A - 1}")
             arms[t - 1] = arm
             row = losses[t - 1]
             loss[t - 1] = pseudo_loss(dist, row)

@@ -349,6 +349,6 @@ def gap_statistic_by_reduction(g: np.ndarray, xc: np.ndarray) -> float:
 
 
 def exp3ix_distribution_by_reduction(log_w: np.ndarray) -> np.ndarray:
-    """SafeExp3IX.distribution for the weights log_w."""
+    """The EXP3-IX distribution that SafeExp3IX.act plays for the weights log_w."""
     w = np.exp(log_w - np.maximum.reduce(log_w))
     return w / np.add.reduce(w)

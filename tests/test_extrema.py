@@ -15,6 +15,7 @@ from prudentbanker.baselines import SafeExp3IX
 from prudentbanker.errors import DomainError, NumericalError
 from prudentbanker.mirror import REGULARIZERS, Regularizer, grad_psi, grad_psi_star_with_dual
 from prudentbanker.prudent import build_comparator, gap_statistic
+from prudentbanker.rng import RngSampler, stream
 
 from reference import (exp3ix_distribution_by_reduction, gap_statistic_by_reduction,
                        grad_psi_by_reduction, grad_psi_star_with_dual_by_reduction)
@@ -81,9 +82,12 @@ def test_gap_statistic_matches_reduction_form(g, delta_share, data):
 @settings(max_examples=200, deadline=None)
 @given(vectors())
 def test_exp3ix_distribution_matches_reduction_form(log_w):
-    learner = SafeExp3IX(log_w.size, 100, default_arm=0, r0=0.5, sampler=None)
+    # r0 = 0 opens the budget gate, so act plays the EXP3-IX distribution
+    learner = SafeExp3IX(log_w.size, 100, default_arm=0, r0=0.0,
+                         sampler=RngSampler(stream(0, "a")))
     learner.log_w = log_w
-    assert outcome(learner.distribution) == outcome(exp3ix_distribution_by_reduction, log_w)
+    q, _ = learner.act(1)
+    assert q.tobytes() == exp3ix_distribution_by_reduction(log_w).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from prudentbanker import harness
 from prudentbanker.baselines import BankerOMDLearner, OneStage, PlayDistribution
-from prudentbanker.errors import ConfigError, NumericalError
+from prudentbanker.errors import ConfigError, NumericalError, ProtocolError
 from prudentbanker.harness import (CSV_HEADER, DATA_COLUMNS, RunConfig, RunTrace,
                                    build_environment, emit, play, pseudo_loss, run)
 from prudentbanker.mirror import NEG_ENTROPY, TSALLIS_HALF, Regularizer
@@ -257,8 +257,8 @@ CALLS_PER_GAME = {
     ("prudent-banker", TSALLIS_HALF): (59770, 183884),
     ("banker-omd", NEG_ENTROPY): (50056, 127712),
     ("banker-omd", TSALLIS_HALF): (56678, 190949),
-    ("conservative-ucb", NEG_ENTROPY): (18290, 34237),
-    ("safe-exp3ix", NEG_ENTROPY): (18264, 48234),
+    ("conservative-ucb", NEG_ENTROPY): (14290, 34237),
+    ("safe-exp3ix", NEG_ENTROPY): (16273, 48234),
     ("play-comparator", NEG_ENTROPY): (16289, 38330),
     ("play-fixed-arm", NEG_ENTROPY): (16290, 38333)}
 
@@ -293,6 +293,10 @@ def test_calls_per_round_stay_below_the_measured_plus_one(learner, regularizer):
     for event, count, measured in zip(("call", "c_call"), counts,
                                       CALLS_PER_GAME[learner, regularizer]):
         assert count < measured + T, (event, count / T, measured / T)
+        # a change that removes a call every round stores the new count, or a
+        # call added back later would pass; the table was measured on 3.11
+        if sys.version_info[:2] == (3, 11):
+            assert count > measured - T, (event, count / T, measured / T)
 
 
 # -- properties through play on hand-built delay sequences ------------------
@@ -843,6 +847,42 @@ def test_round_error_keeps_object_and_type(monkeypatch, where, make_exc):
     assert info.value is exc
     assert info.value.args == args
     assert info.value.__notes__ == ["round 5"]
+
+
+class FixedArmLearner(OneStage):
+    """Returns `arm` from act every round, whatever the table's arms."""
+
+    def __init__(self, arm, arms):
+        self.arm, self.dist = arm, np.full(arms, 1.0 / arms)
+
+    def act(self, t):
+        return self.dist, self.arm
+
+    def receive(self, events, t):
+        pass
+
+
+def flat_game(arms, T=3):
+    return LossTable(np.full((T, arms), 0.5)), DelaySequence(np.zeros(T, dtype=np.int64))
+
+
+@pytest.mark.parametrize("arm", [-1, np.int64(-1), 4, np.int64(4)],
+                         ids=["-1", "int64(-1)", "A", "int64(A)"])
+def test_play_rejects_an_arm_outside_the_table(arm):
+    table, delays = flat_game(4)
+    with pytest.raises(ProtocolError, match="outside 0..3") as info:
+        play(FixedArmLearner(arm, 4), table, delays)
+    assert info.value.__notes__ == ["round 1"]
+
+
+def test_play_rejects_a_negative_arm_its_uint8_column_would_store():
+    table, delays = flat_game(256)
+    with pytest.raises(ProtocolError) as info:
+        play(FixedArmLearner(np.int64(-1), 256), table, delays)  # stored, it reads 255
+    assert info.value.__notes__ == ["round 1"]
+    cols = play(FixedArmLearner(255, 256), table, delays)
+    assert cols.arm.dtype == np.uint8
+    assert cols.arm.tolist() == [255, 255, 255]
 
 
 def test_round_note_appends_to_existing_notes(monkeypatch):
