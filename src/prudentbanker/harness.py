@@ -4,7 +4,9 @@ All learners in a comparison consume the same realized loss table and delay
 sequence; per-learner action noise comes from independently named streams of
 the master seed, so swapping learners never perturbs the environment.
 `play` is the only round loop: every simulation, the batched reduction
-included, runs through it. After the game `run` reads the learner's `alpha`,
+included, runs through it, except the game of a `PlayDistribution`, whose
+distribution never changes: `play` builds its columns in whole-array calls,
+with the loop's bytes. After the game `run` reads the learner's `alpha`,
 `restarts` and `delay_estimate` directly. A `RunTrace` keeps the four columns
 the game produced and the restart log; the CSV's round, stage, phase and
 alpha columns are rebuilt from the log. `RunConfig` builds the one
@@ -25,7 +27,7 @@ from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses, sample_delays)
 from .prudent import (PrudentBanker, RestartRecord, ThresholdFunctions, build_comparator,
                       restart_segments)
-from .rng import RngSampler, check_seed, stream
+from .rng import DRAW_CHUNK, RngSampler, check_seed, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
             "play-comparator", "play-fixed-arm")
@@ -178,19 +180,31 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     An arm outside 0..A-1 is a ``ProtocolError``. An exception raised inside
     round t propagates as the same object, with "round t" appended to its
     ``__notes__``.
+
+    A ``PlayDistribution`` over the table's A arms learns nothing, so its
+    game is not played round by round: ``_play_fixed`` builds the same
+    columns, byte for byte, and calls neither ``act`` nor ``receive``.
     """
     T = table.horizon
     if len(delays) != T:
         raise ConfigError(f"{len(delays)} delays for a horizon of {T} rounds")
-    queue = FeedbackQueue(T)
-    enqueue, step = queue.enqueue, queue.step
-    act, receive = learner.act, learner.receive
     losses, d = table.losses, delays.delays
     # numpy columns, not lists: a list of T floats would add to a run's peak memory
     loss = np.zeros(T)
     arrived = np.zeros(T, dtype=np.min_scalar_type(T))
     A = losses.shape[1]
     arms = np.zeros(T, dtype=np.min_scalar_type(A - 1))
+    cols = PlayColumns(loss, arrived, arms)
+    if isinstance(learner, baselines.PlayDistribution) and learner.dist.shape == (A,):
+        try:
+            _play_fixed(learner.dist, learner.sampler, losses, d, cols)
+        except Exception as exc:
+            _add_note(exc, "round 1")  # the round the loop would raise it in
+            raise
+        return cols
+    queue = FeedbackQueue(T)
+    enqueue, step = queue.enqueue, queue.step
+    act, receive = learner.act, learner.receive
     # FeedbackEvent and pseudo_loss are read from this module in each round:
     # bench/spans.py replaces them here
     for t in range(1, T + 1):
@@ -210,7 +224,28 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
         except Exception as exc:
             _add_note(exc, f"round {t}")  # keeps the object and its type
             raise
-    return PlayColumns(loss, arrived, arms)
+    return cols
+
+
+def _play_fixed(dist: np.ndarray, sampler: RngSampler, losses: np.ndarray,
+                d: np.ndarray, cols: PlayColumns) -> None:
+    """Fill `cols` with the loop's columns for a learner that plays `dist` every round.
+
+    ``np.vecdot`` takes each row's dot with `dist` in the kernel that
+    ``pseudo_loss``'s ``dot`` uses, so with the same bits; a matrix product
+    or ``einsum`` sums in another order. The arms take the uniforms that T
+    ``draw(dist)`` calls would. Round t's feedback counts in row t + d_t - 1
+    when t + d_t <= T, as the queue delivers it. The rounds go DRAW_CHUNK at
+    a time, so no horizon-sized temporary is built.
+    """
+    sampler.draw_fixed(dist, cols.arm)  # checks dist first, as round 1 of the loop does
+    T = len(d)
+    for lo in range(0, T, DRAW_CHUNK):
+        hi = min(lo + DRAW_CHUNK, T)
+        np.vecdot(losses[lo:hi], dist, out=cols.loss[lo:hi])
+        row, wait = np.arange(lo, hi), d[lo:hi]  # round t is row t - 1
+        due = wait < T - row  # t + d_t <= T, without a sum that a huge delay would wrap
+        np.add.at(cols.arrived, row[due] + wait[due], 1)
 
 
 def run(config: RunConfig, table: LossTable | None = None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import zlib
+from itertools import islice
 
 import numpy as np
 
@@ -74,13 +75,17 @@ def sample_arm(dist: np.ndarray, u: float) -> int:
 #: calls. A larger block saves little more time and costs peak memory: at 256
 #: the list adds 2% to a short desk run's peak, at 64 under 1%.
 DRAW_BLOCK = 64
+#: draws `draw_fixed` maps at a time, few enough that a game's bulk draw
+#: builds no horizon-sized array
+DRAW_CHUNK = 4096
 
 
 class RngSampler:
     """Draws arms by consuming a generator sequentially.
 
     Uniforms are drawn DRAW_BLOCK at a time, so the generator runs ahead of
-    the draws by up to one block; the k-th draw still uses the k-th uniform.
+    the draws by up to one block; the k-th draw still uses the k-th uniform,
+    whether it is taken by `draw` or by `draw_fixed`.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -93,3 +98,25 @@ class RngSampler:
             self._uniforms = iter(self._rng.random(DRAW_BLOCK).tolist())
             u = next(self._uniforms)
         return sample_arm(dist, u)
+
+    def draw_fixed(self, dist: np.ndarray, out: np.ndarray) -> None:
+        """Write len(out) draws from the one distribution `dist` into `out`.
+
+        They take the uniforms, in order, that len(out) ``draw(dist)`` calls
+        would take, and a later `draw` takes the uniform that would follow
+        them: Generator.random(n) gives the values of n consecutive random()
+        calls, however they are split into calls. `dist` passes sample_arm's
+        check once, and each uniform goes through its inverse CDF and clamp,
+        DRAW_CHUNK at a time. `out` is an integer array that holds len(dist) - 1.
+        """
+        n = len(out)
+        if not n:
+            return
+        sample_arm(dist, 0.0)  # its check of dist, which every draw below shares
+        cdf = np.add.accumulate(dist)
+        last = cdf.size - 1
+        u = np.fromiter(islice(self._uniforms, n), float)  # what is left of the block first
+        out[:len(u)] = np.minimum(cdf.searchsorted(u, side="right"), last)
+        for lo in range(len(u), n, DRAW_CHUNK):  # the block ran out, so draw refills next
+            u = self._rng.random(min(DRAW_CHUNK, n - lo))
+            out[lo:lo + len(u)] = np.minimum(cdf.searchsorted(u, side="right"), last)

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import cycle, islice
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
                                     generate_block_losses, sample_delays)
 from prudentbanker.prudent import ThresholdFunctions, build_comparator, next_delay_estimate
-from prudentbanker.rng import DRAW_BLOCK, RngSampler, sample_arm, stream
+from prudentbanker.rng import DRAW_BLOCK, DRAW_CHUNK, RngSampler, sample_arm, stream
 
 from reference import block_index, outstanding_counters, sample_arm_stored_guard
 
@@ -390,6 +391,9 @@ def test_queue_discards_post_horizon_feedback():
 def test_sample_arm_rejects_non_distributions(dist):
     with pytest.raises(ProtocolError):
         sample_arm(np.array(dist), 0.9)
+    # the bulk draw runs the same check
+    with pytest.raises(ProtocolError):
+        RngSampler(stream(0, "act")).draw_fixed(np.array(dist), np.zeros(5, np.uint8))
 
 
 @pytest.mark.parametrize("arms", [10, 100])
@@ -404,6 +408,8 @@ def test_sample_arm_rejects_a_negative_or_nan_entry(arms, bad, at):
         assert abs(dist.sum() - 1.0) <= 1e-9
     with pytest.raises(ProtocolError):
         sample_arm(dist, 0.9)
+    with pytest.raises(ProtocolError):
+        RngSampler(stream(0, "act")).draw_fixed(dist, np.zeros(5, np.uint8))
 
 
 @st.composite
@@ -444,6 +450,45 @@ def test_sampler_draws_equal_one_uniform_per_call():
     drawn = [sampler.draw(dist) for dist in dists]
     assert drawn == [sample_arm(dist, g.random()) for dist in dists]
     assert len(set(drawn)) == 5
+
+
+class ListedUniforms:
+    """A generator whose uniforms are the given values, in turn and over again."""
+
+    def __init__(self, values):
+        self.values = cycle(values)
+
+    def random(self, n):
+        return np.fromiter(islice(self.values, n), float, count=n)
+
+
+@pytest.mark.parametrize("dist", [[0.25, 0.25, 0.5], [0.5, 0.5 - 1e-10]],
+                         ids=["exact-cdf", "total-below-1"])
+def test_a_bulk_draw_maps_boundary_uniforms_as_sample_arm_does(dist):
+    # uniforms on the cumulative sums, and past a total below 1
+    dist, uniforms = np.array(dist), [0.0, 0.25, 0.5, 0.5 - 1e-10, 1.0 - 2.0 ** -53, 0.3]
+    sampler = RngSampler(ListedUniforms(uniforms))
+    first = sampler.draw(dist)  # leaves the bulk draw all but one uniform of the block
+    out = np.zeros(DRAW_CHUNK + 3, dtype=np.uint8)
+    sampler.draw_fixed(dist, out)
+    want = [sample_arm(dist, u) for u in islice(cycle(uniforms), 1 + len(out))]
+    assert [first, *out.tolist()] == want
+
+
+@pytest.mark.parametrize("n", [0, 1, DRAW_BLOCK - 1, 2 * DRAW_CHUNK + 1])
+@pytest.mark.parametrize("before", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
+def test_draws_around_a_bulk_draw_take_the_kth_uniform(before, n):
+    gen = np.random.default_rng(3)
+    fixed, other = gen.dirichlet(np.ones(7)), gen.dirichlet(np.ones(7), size=before + 70)
+    sampler, g = RngSampler(stream(4, "act")), stream(4, "act")
+    drawn = [sampler.draw(dist) for dist in other[:before]]
+    out = np.full(n, 99, dtype=np.uint8)
+    sampler.draw_fixed(fixed, out)
+    drawn += [*out.tolist(), *(sampler.draw(dist) for dist in other[before:])]
+    want = [sample_arm(dist, g.random()) for dist in other[:before]]
+    want += [sample_arm(fixed, g.random()) for _ in range(n)]
+    want += [sample_arm(dist, g.random()) for dist in other[before:]]
+    assert drawn == want
 
 
 def test_stream_rejects_a_negative_seed():
