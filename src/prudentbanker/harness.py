@@ -7,10 +7,11 @@ the master seed, so swapping learners never perturbs the environment.
 included, runs through it, except the game of a `PlayDistribution`, whose
 distribution never changes: `play` builds its columns in whole-array calls,
 with the loop's bytes. After the game `run` reads the learner's `alpha`,
-`restarts` and `delay_estimate` directly. A `RunTrace` keeps the four columns
-the game produced and the restart log; the CSV's round, stage, phase and
-alpha columns are rebuilt from the log. `RunConfig` builds the one
-`Regularizer` and the one `ThresholdFunctions` of a run.
+`restarts` and `delay_estimate` directly. A `RunTrace` keeps the learner's
+loss curve, the environment's three shared columns and the restart log; the
+CSV's round, stage, phase and alpha columns are rebuilt from the log.
+`RunConfig` builds the one `Regularizer` and the one `ThresholdFunctions` of
+a run.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .protocol import (DelaySequence, EnvironmentConfig, FeedbackEvent,
                        FeedbackQueue, LossTable, generate_block_losses, sample_delays)
 from .prudent import (PrudentBanker, RestartRecord, ThresholdFunctions, build_comparator,
                       restart_segments)
-from .rng import DRAW_CHUNK, RngSampler, check_seed, stream
+from .rng import RngSampler, check_seed, stream
 
 LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
             "play-comparator", "play-fixed-arm")
@@ -79,17 +80,20 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """One run: the four columns its game produced, its restart log and its summary.
+    """One run: its four data columns, its restart log and its summary.
 
     `loss_B`, `loss_star`, `loss_c` and `arrived` hold entry t - 1 for round
-    t; they must be 1-D and of one length, checked when built. `loss_star`
-    is the table's read-only `hindsight` curve, one array for every trace of
-    the table; `run` builds the other three once and hands them over, and
-    nothing writes them after. The CSV's other columns are not stored: `t`
-    is 1..T, and `stage`, `phase` and `alpha` change only at a restart, so
-    `csv_chunks` formats them once per phase of `restart_segments(restarts,
-    alpha0, T)`, alpha0 being the alpha before the game. `csv_chunks`,
-    `csv_string` and `emit` only read the trace.
+    t; they must be 1-D and of one length, checked when built. Only `loss_B`
+    is the run's own: `run` sums it in place over the game's loss column.
+    The other three are read-only arrays of the environment, one for every
+    trace that reads them: `loss_star` is the table's `hindsight` curve,
+    `loss_c` its `comparator_curve` of the run's comparator and `arrived`
+    the delays' `arrived` counts. Nothing writes any of the four after.
+    The CSV's other columns are not stored: `t` is 1..T, and `stage`,
+    `phase` and `alpha` change only at a restart, so `csv_chunks` formats
+    them once per phase of `restart_segments(restarts, alpha0, T)`, alpha0
+    being the alpha before the game. `csv_chunks`, `csv_string` and `emit`
+    only read the trace.
     """
 
     loss_B: np.ndarray
@@ -161,10 +165,11 @@ def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
 class PlayColumns:
     """Per-round columns of one played game; entry t - 1 belongs to round t.
 
-    `arrived` and `arm` take the smallest unsigned dtypes that hold T and A - 1."""
+    `arm` takes the smallest unsigned dtype that holds A - 1. The feedback
+    each round delivers depends on the delays alone: it is
+    `DelaySequence.arrived`, not a column of the game."""
 
     loss: np.ndarray  # pseudo-loss <p_t, l_t> of the played distribution
-    arrived: np.ndarray  # feedback events delivered at the end of the round
     arm: np.ndarray
 
 
@@ -184,6 +189,8 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     A ``PlayDistribution`` over the table's A arms learns nothing, so its
     game is not played round by round: ``_play_fixed`` builds the same
     columns, byte for byte, and calls neither ``act`` nor ``receive``.
+    The loop counts no arrivals: the queue hands every round's events to
+    the learner, and ``delays.arrived`` holds how many there are.
     """
     T = table.horizon
     if len(delays) != T:
@@ -191,13 +198,12 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     losses, d = table.losses, delays.delays
     # numpy columns, not lists: a list of T floats would add to a run's peak memory
     loss = np.zeros(T)
-    arrived = np.zeros(T, dtype=np.min_scalar_type(T))
     A = losses.shape[1]
     arms = np.zeros(T, dtype=np.min_scalar_type(A - 1))
-    cols = PlayColumns(loss, arrived, arms)
+    cols = PlayColumns(loss, arms)
     if isinstance(learner, baselines.PlayDistribution) and learner.dist.shape == (A,):
         try:
-            _play_fixed(learner.dist, learner.sampler, losses, d, cols)
+            _play_fixed(learner.dist, learner.sampler, losses, cols)
         except Exception as exc:
             _add_note(exc, "round 1")  # the round the loop would raise it in
             raise
@@ -218,9 +224,7 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
             # (origin_round, arm, loss_value, arrival_round): keywords would
             # nearly double the cost of building the event
             enqueue(FeedbackEvent(t, arm, row.item(arm), t + d.item(t - 1)))
-            events = step(t)
-            arrived[t - 1] = len(events)
-            receive(events, t)
+            receive(step(t), t)
         except Exception as exc:
             _add_note(exc, f"round {t}")  # keeps the object and its type
             raise
@@ -228,24 +232,17 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
 
 
 def _play_fixed(dist: np.ndarray, sampler: RngSampler, losses: np.ndarray,
-                d: np.ndarray, cols: PlayColumns) -> None:
+                cols: PlayColumns) -> None:
     """Fill `cols` with the loop's columns for a learner that plays `dist` every round.
 
     ``np.vecdot`` takes each row's dot with `dist` in the kernel that
     ``pseudo_loss``'s ``dot`` uses, so with the same bits; a matrix product
-    or ``einsum`` sums in another order. The arms take the uniforms that T
-    ``draw(dist)`` calls would. Round t's feedback counts in row t + d_t - 1
-    when t + d_t <= T, as the queue delivers it. The rounds go DRAW_CHUNK at
-    a time, so no horizon-sized temporary is built.
+    or ``einsum`` sums in another order. It writes straight into the loss
+    column, so it builds no horizon-sized temporary. The arms take the
+    uniforms that T ``draw(dist)`` calls would (``RngSampler.draw_fixed``).
     """
     sampler.draw_fixed(dist, cols.arm)  # checks dist first, as round 1 of the loop does
-    T = len(d)
-    for lo in range(0, T, DRAW_CHUNK):
-        hi = min(lo + DRAW_CHUNK, T)
-        np.vecdot(losses[lo:hi], dist, out=cols.loss[lo:hi])
-        row, wait = np.arange(lo, hi), d[lo:hi]  # round t is row t - 1
-        due = wait < T - row  # t + d_t <= T, without a sum that a huge delay would wrap
-        np.add.at(cols.arrived, row[due] + wait[due], 1)
+    np.vecdot(losses, dist, out=cols.loss)
 
 
 def run(config: RunConfig, table: LossTable | None = None,
@@ -258,9 +255,12 @@ def run(config: RunConfig, table: LossTable | None = None,
 
     Each of the trace's four columns is built once: ``loss_B`` is summed in
     place over the loss column of the ``PlayColumns`` that ``play`` returns,
-    which is overwritten, and ``loss_c`` in place over the comparator's
-    per-round losses. The arm column is dropped before ``loss_c`` is built.
-    ``loss_star`` is the table's ``hindsight`` curve, shared by its runs.
+    which is overwritten. The other three are the environment's, built by
+    the first run that reads them and shared, read-only, by every later one:
+    ``loss_star`` is the table's ``hindsight`` curve, ``loss_c`` its
+    ``comparator_curve`` of the comparator (one per δ, rebuilt once no trace
+    holds it) and ``arrived`` the delays' ``arrived`` counts. ``arrived`` is read before the game and
+    ``loss_c`` after it, once the arm column is dropped.
     The trace keeps the learner's restart log in place of per-round stage,
     phase and alpha columns. Read through ``restart_segments``, the summary's
     ``stages`` and ``final_alpha`` are those of round T, and ``phases``
@@ -282,13 +282,14 @@ def run(config: RunConfig, table: LossTable | None = None,
     xc = build_comparator(A, config.delta, istar)
     learner = make_learner(config, istar, r0, xc)
     alpha0 = learner.alpha
+    # read before the game, while the learner holds little: the first run
+    # builds the counts here, and its chunks' temporaries set no peak
+    arrived = delays.arrived
     cols = play(learner, table, delays)
     loss_B = np.cumsum(cols.loss, out=cols.loss)
-    arrived = cols.arrived
     del cols  # and with it the arm column, which the trace does not keep
 
-    loss_c = table.losses @ xc
-    np.cumsum(loss_c, out=loss_c)
+    loss_c = table.comparator_curve(xc)
     restarts = list(learner.restarts)
     segments = restart_segments(restarts, alpha0, T)
     _, stages, _, final_alpha = segments[-1]  # the phase of round T
@@ -311,8 +312,8 @@ def run(config: RunConfig, table: LossTable | None = None,
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
-    trace = RunTrace(loss_B=loss_B, loss_star=loss_star, loss_c=loss_c, arrived=arrived,
-                     restarts=restarts, alpha0=alpha0, summary=summary)
+    trace = RunTrace(loss_B=loss_B, loss_star=loss_star, loss_c=loss_c,
+                     arrived=arrived, restarts=restarts, alpha0=alpha0, summary=summary)
     if keep_learner:
         trace.learner = learner
     return trace

@@ -8,14 +8,15 @@ same rounds under each.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-from .rng import check_count, check_seed
+from .rng import DRAW_CHUNK, check_count, check_seed
 
 DELAY_MODELS = ("none", "fixed-one-step", "geometric", "lomax")
 # table entries scanned at a time when rejecting out-of-range losses; later
@@ -27,10 +28,13 @@ REDRAW_CHUNK = 1 << 14
 class LossTable:
     """Full horizon-by-arms loss matrix with entries in [0, 1].
 
-    It marks its float array read-only, as `hindsight` caches what it reads
-    there; a view of that array taken before stays writable."""
+    It marks its float array read-only, as `hindsight` and
+    `comparator_curve` cache what they read there; a view of that array
+    taken before stays writable."""
 
     losses: np.ndarray
+    _curves: weakref.WeakValueDictionary = field(default_factory=weakref.WeakValueDictionary,
+                                                 init=False, repr=False, compare=False)
 
     def __post_init__(self):
         losses = np.asarray(self.losses, dtype=float)
@@ -55,10 +59,28 @@ class LossTable:
         loss_star.flags.writeable = False
         return istar, loss_star, float(np.mean(1.0 - self.losses[:, istar]))
 
+    def comparator_curve(self, x: np.ndarray) -> np.ndarray:
+        """The read-only cumulative loss curve ``cumsum(losses @ x)`` of
+        playing x every round, computed on the first call with x's bytes:
+        while any caller holds that array, every later call with them
+        returns it. The table holds its curves weakly, so a table played at
+        many comparators (one per δ) keeps no curve that no trace holds."""
+        key = x.tobytes()
+        curve = self._curves.get(key)
+        if curve is None:
+            curve = self.losses @ x
+            np.cumsum(curve, out=curve)
+            curve.flags.writeable = False
+            self._curves[key] = curve
+        return curve
+
 
 @dataclass(frozen=True)
 class DelaySequence:
-    """Per-round nonnegative integer delays d_t, as a 1-D array."""
+    """Per-round nonnegative integer delays d_t, as a 1-D array.
+
+    It keeps a read-only int64 copy of the delays it is given, as `arrived`
+    caches what it reads there; the caller's array stays as it was."""
 
     delays: np.ndarray
 
@@ -71,6 +93,7 @@ class DelaySequence:
         delays = delays.astype(np.int64)
         if delays.size and delays.min() < 0:
             raise ConfigError("delays must be nonnegative")
+        delays.flags.writeable = False
         object.__setattr__(self, "delays", delays)
 
     def __len__(self) -> int:
@@ -80,6 +103,26 @@ class DelaySequence:
     def total(self) -> int:
         """Total delay D, computed in exact integer arithmetic."""
         return int(np.sum(self.delays, dtype=object))
+
+    @cached_property
+    def arrived(self) -> np.ndarray:
+        """Feedback events delivered at the end of each round of the T =
+        len(self) round game, computed on first read: entry t - 1 counts the
+        rounds u with u + d_u = t, as a `FeedbackQueue` delivers them; the
+        feedback of a round with u + d_u > T never arrives.
+
+        A read-only array of the smallest unsigned type that holds T, built
+        DRAW_CHUNK rounds at a time, so no horizon-sized temporary is made.
+        """
+        T = len(self.delays)
+        arrived = np.zeros(T, dtype=np.min_scalar_type(T))
+        for lo in range(0, T, DRAW_CHUNK):
+            wait = self.delays[lo:lo + DRAW_CHUNK]
+            row = np.arange(lo, lo + len(wait))  # round t is row t - 1
+            due = wait < T - row  # t + d_t <= T, without a sum that a huge delay would wrap
+            np.add.at(arrived, row[due] + wait[due], 1)
+        arrived.flags.writeable = False
+        return arrived
 
 
 class _FeedbackFields(NamedTuple):

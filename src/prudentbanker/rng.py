@@ -75,9 +75,11 @@ def sample_arm(dist: np.ndarray, u: float) -> int:
 #: calls. A larger block saves little more time and costs peak memory: at 256
 #: the list adds 2% to a short desk run's peak, at 64 under 1%.
 DRAW_BLOCK = 64
-#: draws `draw_fixed` maps at a time, few enough that a game's bulk draw
-#: builds no horizon-sized array
-DRAW_CHUNK = 4096
+#: draws `draw_fixed` maps, and rounds `protocol.DelaySequence.arrived`
+#: counts, at a time: few enough that a game's bulk work builds no
+#: horizon-sized array, and that their int64 temporaries (8 KiB each) stay
+#: below the peak of a game played round by round
+DRAW_CHUNK = 1024
 
 
 class RngSampler:

@@ -270,6 +270,42 @@ def test_delay_sequence_invariants():
     assert empty == 0 and type(empty) is int
 
 
+@pytest.mark.parametrize("given", [np.array([0, 5, 0]), np.array([0, 5, 0], np.int32)],
+                         ids=["int64", "int32"])
+def test_delay_sequence_keeps_a_read_only_copy(given):
+    # arrived caches what it reads there, so its delays must not change after
+    delays = DelaySequence(delays=given).delays
+    assert delays.dtype == np.int64 and not np.shares_memory(delays, given)
+    with pytest.raises(ValueError, match="read-only"):
+        delays[0] = 1
+    given[0] = 7
+    assert given.flags.writeable and delays.tolist() == [0, 5, 0]
+
+
+@st.composite
+def arrival_delays(draw):
+    """T <= 200 rounds of delays 0, 1..T (some arrive, some do not) and T..2^63 - 1."""
+    T = draw(st.integers(1, 200))
+    delay = st.just(0) | st.integers(1, T) | st.integers(T, 2**63 - 1)
+    return np.array(draw(st.lists(delay, min_size=T, max_size=T)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=arrival_delays(), chunk=st.integers(1, 7))
+@example(d=np.array([0, 2**63 - 1, 1, 0, 2**63 - 2, 3, 2, 2**63 - 8]), chunk=3)
+@example(d=np.arange(299, -1, -1), chunk=7)  # all 300 arrive in round 300: uint16
+def test_arrived_counts_what_the_queue_delivers(d, chunk):
+    # chunks of 1-7 rounds split the horizon, so a count can come from an earlier chunk
+    with mock.patch.object(protocol, "DRAW_CHUNK", chunk):
+        arrived = DelaySequence(d).arrived
+    T = len(d)
+    queue = FeedbackQueue(T)
+    for t in range(1, T + 1):
+        queue.enqueue(FeedbackEvent(t, 0, 0.0, t + int(d[t - 1])))
+        assert arrived[t - 1] == len(queue.step(t)), t
+    assert arrived.dtype == np.min_scalar_type(T) and not arrived.flags.writeable
+
+
 def test_delays_none_and_degenerate(monkeypatch):
     cfg = EnvironmentConfig(horizon=100, delay_model="none")
     assert sample_delays(cfg, stream(0, "delays")).total == 0
@@ -475,7 +511,7 @@ def test_a_bulk_draw_maps_boundary_uniforms_as_sample_arm_does(dist):
     assert [first, *out.tolist()] == want
 
 
-@pytest.mark.parametrize("n", [0, 1, DRAW_BLOCK - 1, 2 * DRAW_CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, DRAW_BLOCK - 1, 8 * DRAW_CHUNK + 1])
 @pytest.mark.parametrize("before", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1])
 def test_draws_around_a_bulk_draw_take_the_kth_uniform(before, n):
     gen = np.random.default_rng(3)
