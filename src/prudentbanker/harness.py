@@ -259,8 +259,10 @@ def run(config: RunConfig, table: LossTable | None = None,
     the first run that reads them and shared, read-only, by every later one:
     ``loss_star`` is the table's ``hindsight`` curve, ``loss_c`` its
     ``comparator_curve`` of the comparator (one per δ, rebuilt once no trace
-    holds it) and ``arrived`` the delays' ``arrived`` counts. ``arrived`` is read before the game and
-    ``loss_c`` after it, once the arm column is dropped.
+    holds it) and ``arrived`` the delays' ``arrived`` counts. ``arrived``
+    and the delays' ``total``, the summary's ``realized_D``, are read
+    before the game, and ``loss_c`` after it, once the arm column is
+    dropped. So a sweep sums each environment's delays once.
     The trace keeps the learner's restart log in place of per-round stage,
     phase and alpha columns. Read through ``restart_segments``, the summary's
     ``stages`` and ``final_alpha`` are those of round T, and ``phases``
@@ -283,8 +285,8 @@ def run(config: RunConfig, table: LossTable | None = None,
     learner = make_learner(config, istar, r0, xc)
     alpha0 = learner.alpha
     # read before the game, while the learner holds little: the first run
-    # builds the counts here, and its chunks' temporaries set no peak
-    arrived = delays.arrived
+    # builds the counts and sums D here, and their temporaries set no peak
+    arrived, realized_D = delays.arrived, delays.total
     cols = play(learner, table, delays)
     loss_B = np.cumsum(cols.loss, out=cols.loss)
     del cols  # and with it the arm column, which the trace does not keep
@@ -299,7 +301,7 @@ def run(config: RunConfig, table: LossTable | None = None,
         "horizon": T,
         "arms": A,
         "delay_model": config.env.delay_model,
-        "realized_D": delays.total,
+        "realized_D": realized_D,
         "best_fixed_arm": istar,
         "r0": r0,
         "r0_source": "oracle (hindsight best arm)",

@@ -59,7 +59,7 @@ def greedy_buckets(delays: DelaySequence) -> BucketDecomposition:
         raise PreconditionError("empty delay sequence")
     if d.min() < 1:
         raise PreconditionError("greedy buckets require d_t >= 1")
-    if np.any(np.diff(d) > 0):
+    if np.any(np.diff(d) > 0):  # d's type is signed: a difference cannot wrap
         raise PreconditionError("greedy buckets require non-increasing delays")
     caps = T + 1 - np.arange(1, T + 1)
     if np.any(d > caps):
@@ -107,7 +107,7 @@ def corollary_delays(q: int, N: int) -> DelaySequence:
     check_count("N", N, 1)
     T = (N + 1) * q
     t = np.arange(1, T + 1)
-    return DelaySequence(delays=np.minimum(q, T + 1 - t).astype(np.int64))
+    return DelaySequence(delays=np.minimum(q, T + 1 - t))
 
 
 @dataclass(frozen=True)

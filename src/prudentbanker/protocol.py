@@ -77,10 +77,15 @@ class LossTable:
 
 @dataclass(frozen=True)
 class DelaySequence:
-    """Per-round nonnegative integer delays d_t, as a 1-D array.
+    """Per-round nonnegative integer delays d_t below 2^63, as a 1-D array.
 
-    It keeps a read-only int64 copy of the delays it is given, as `arrived`
-    caches what it reads there; the caller's array stays as it was."""
+    It keeps a read-only copy of the delays it is given, in the smallest
+    signed type that holds their maximum (int8 for the shipped models at
+    seed 0), as `arrived` and `total` cache what they read there; the
+    caller's array stays as it was. The type is signed, so the difference
+    of two delays cannot wrap; a sum of them can, so a reader that adds
+    delays takes them as Python ints (``item``, ``tolist``) or widens them.
+    """
 
     delays: np.ndarray
 
@@ -90,18 +95,23 @@ class DelaySequence:
             raise ConfigError(f"delays must be 1-D, got shape {delays.shape}")
         if delays.size and not np.issubdtype(delays.dtype, np.integer):
             raise ConfigError("delays must be integers")
-        delays = delays.astype(np.int64)
-        if delays.size and delays.min() < 0:
-            raise ConfigError("delays must be nonnegative")
+        top = 0
+        if delays.size:
+            if delays.min() < 0:
+                raise ConfigError("delays must be nonnegative")
+            top = int(delays.max())
+            if top >= 1 << 63:
+                raise ConfigError(f"delays must be below 2^63, got {top}")
+        delays = delays.astype(np.min_scalar_type(-top - 1))  # a copy
         delays.flags.writeable = False
         object.__setattr__(self, "delays", delays)
 
     def __len__(self) -> int:
         return len(self.delays)
 
-    @property
+    @cached_property
     def total(self) -> int:
-        """Total delay D, computed in exact integer arithmetic."""
+        """Total delay D, computed on first read in exact integer arithmetic."""
         return int(np.sum(self.delays, dtype=object))
 
     @cached_property

@@ -208,7 +208,7 @@ def restart_state(restarts, alpha0: float, t: int) -> tuple[int, int, float]:
 def bucket_inequalities_by_definition(decomp: BucketDecomposition,
                                       delays: DelaySequence) -> tuple[bool, bool, bool]:
     """The three bucket facts, each delay sum taken round by round over its buckets."""
-    lengths = decomp.lengths
+    lengths, d = decomp.lengths, delays.delays.tolist()  # Python ints: a sum cannot wrap
 
     def bucket(m):  # rounds of 1-indexed bucket m
         return range(decomp.boundaries[m - 1], decomp.boundaries[m])
@@ -218,11 +218,10 @@ def bucket_inequalities_by_definition(decomp: BucketDecomposition,
 
     mono = all(lengths[i] >= lengths[i + 1] for i in range(len(lengths) - 1))
     dom = all(
-        lengths[m] ** 2 >= sum(delays.delays[t - 1] for t in bucket(m + 2))
+        lengths[m] ** 2 >= sum(d[t - 1] for t in bucket(m + 2))
         for m in range(decomp.count - 1))
     suffix = all(
-        suffix_mass(j) >= sum(int(delays.delays[t - 1])
-                              for mm in range(j + 1, decomp.count + 1)
+        suffix_mass(j) >= sum(d[t - 1] for mm in range(j + 1, decomp.count + 1)
                               for t in bucket(mm))
         for j in range(1, decomp.count + 1))
     return mono, dom, suffix

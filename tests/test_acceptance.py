@@ -118,7 +118,7 @@ def test_criterion_4_missing_count_bound():
         def checked_receive(events, t):
             receive(events, t)
             m = len(learner.base.missing)
-            realized = sum(delays.delays[u - 1] for u in learner.base.missing)
+            realized = sum(delays.delays.item(u - 1) for u in learner.base.missing)
             held.append(m * (m + 1) // 2 <= realized)
 
         learner.receive = checked_receive

@@ -325,14 +325,14 @@ def test_play_looks_up_event_and_pseudo_loss_in_harness_every_round(monkeypatch)
 #: game of 2000 rounds, after a first run; measured on Python 3.11.7 and
 #: numpy 2.4.6, where they repeat exactly
 CALLS_PER_GAME = {
-    ("prudent-banker", NEG_ENTROPY): (55687, 131997),
-    ("prudent-banker", TSALLIS_HALF): (59779, 181900),
-    ("banker-omd", NEG_ENTROPY): (50065, 125728),
-    ("banker-omd", TSALLIS_HALF): (56687, 188965),
-    ("conservative-ucb", NEG_ENTROPY): (14299, 32253),
-    ("safe-exp3ix", NEG_ENTROPY): (16282, 46250),
-    ("play-comparator", NEG_ENTROPY): (148, 193),
-    ("play-fixed-arm", NEG_ENTROPY): (149, 196)}
+    ("prudent-banker", NEG_ENTROPY): (55690, 132002),
+    ("prudent-banker", TSALLIS_HALF): (59782, 181905),
+    ("banker-omd", NEG_ENTROPY): (50068, 125733),
+    ("banker-omd", TSALLIS_HALF): (56690, 188970),
+    ("conservative-ucb", NEG_ENTROPY): (14302, 32258),
+    ("safe-exp3ix", NEG_ENTROPY): (16285, 46255),
+    ("play-comparator", NEG_ENTROPY): (151, 198),
+    ("play-fixed-arm", NEG_ENTROPY): (152, 201)}
 
 
 def calls_per_game(learner, regularizer, T=2000) -> tuple[int, int]:
@@ -674,19 +674,22 @@ def test_a_sweep_shares_the_hindsight_curve_and_keeps_integer_columns_narrow():
     # own hindsight curve and int64 arm and arrival columns, and 6.0 with the
     # table's one read-only hindsight curve and uint8/uint16 integer columns;
     # with one comparator curve and one uint16 arrival column for all three
-    # runs it is 4.7. A comparator curve per run would add about one column,
-    # an arrival column per run a quarter of one
+    # runs it is 4.7, and 4.6 with the total delay D summed before the game,
+    # not after it. A comparator curve per run would add about one column, an
+    # arrival column per run a quarter of one, and D's object-dtype sum after
+    # the game an eighth of one. The delays, held as int8 here, are not counted
     def sweep(T):
         env = EnvironmentConfig(horizon=T, blocks=min(T, 100), delay_model="geometric")
         table, delays = build_environment(env)
         for learner in ("safe-exp3ix", "conservative-ucb", "play-comparator"):
             trace = run(RunConfig(env=env, learner=learner), table, delays)  # noqa: F841
+        assert delays.delays.dtype == np.int8  # the seed-0 maximum is 14
         return table.losses.nbytes + delays.delays.nbytes
 
     sweep(100)  # a process's first runs allocate a few caches of their own
     T, held = 20000, []
     peak = traced_peak(lambda: held.append(sweep(T)))
-    assert peak - held[0] <= 4.8 * T * 8
+    assert peak - held[0] <= 4.65 * T * 8
 
 
 def test_emit_holds_a_chunk_of_text_not_the_csv(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from prudentbanker import lowerbound as lb
 from prudentbanker import protocol
-from prudentbanker.errors import ConfigError, ProtocolError
+from prudentbanker.errors import ConfigError, PreconditionError, ProtocolError
 from prudentbanker.mirror import NEG_ENTROPY, Regularizer
 from prudentbanker.protocol import (DelaySequence, EnvironmentConfig,
                                     FeedbackEvent, FeedbackQueue, LossTable,
@@ -260,9 +260,12 @@ def test_loss_table_invariants():
 
 
 def test_delay_sequence_invariants():
-    # a 2-D array would be read flattened by play, and a 0-d one has no len()
+    # a 2-D array would be read flattened by play, and a 0-d one has no len();
+    # no signed type holds a uint64 delay of 2^63 or more
     for bad, error in ((np.array([[0, 5], [0, 0], [0, 0]]), "1-D"), (np.array(3), "1-D"),
-                       (np.array([0, -1]), "nonnegative"), (np.array([0.0, 1.5]), "integers")):
+                       (np.array([0, -1]), "nonnegative"), (np.array([0.0, 1.5]), "integers"),
+                       (np.array([0, 2**63], np.uint64), "below 2\\^63, got 9223372036854775808"),
+                       (np.array([2**64 - 1, 0], np.uint64), "below 2\\^63")):
         with pytest.raises(ConfigError, match=error):
             DelaySequence(delays=bad)
     assert len(DelaySequence(delays=np.array([0, 5, 0]))) == 3
@@ -275,11 +278,57 @@ def test_delay_sequence_invariants():
 def test_delay_sequence_keeps_a_read_only_copy(given):
     # arrived caches what it reads there, so its delays must not change after
     delays = DelaySequence(delays=given).delays
-    assert delays.dtype == np.int64 and not np.shares_memory(delays, given)
+    assert delays.dtype == np.int8 and not np.shares_memory(delays, given)
     with pytest.raises(ValueError, match="read-only"):
         delays[0] = 1
     given[0] = 7
     assert given.flags.writeable and delays.tolist() == [0, 5, 0]
+
+
+#: each signed type's largest value and the integer above it; int64's and the one below
+BOUNDARY_DELAYS = (127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 2, 2**63 - 1)
+
+
+def int64_delays(values: list[int]) -> DelaySequence:
+    """A sequence that holds `values` as int64, whatever their range, bypassing the narrow copy."""
+    ref = object.__new__(DelaySequence)
+    object.__setattr__(ref, "delays", np.array(values, dtype=np.int64))
+    return ref
+
+
+def buckets_or_error(delays: DelaySequence):
+    try:
+        decomp = lb.greedy_buckets(delays)
+    except PreconditionError as exc:
+        return str(exc)
+    return decomp, lb.bucket_inequalities(decomp, delays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.integers(1, 200).flatmap(lambda T: st.lists(
+           st.integers(0, T) | st.sampled_from(BOUNDARY_DELAYS), min_size=T, max_size=T)),
+       given_type=st.sampled_from(["int64", "uint64", "narrowest unsigned"]))
+@example(values=[127] + [1] * 126, given_type="int64")
+@example(values=[128] + [1] * 127, given_type="narrowest unsigned")  # uint8 in, int16 kept
+@example(values=[2**63 - 1, 0, 2**31], given_type="uint64")
+def test_narrow_delays_read_as_their_int64_values(values, given_type):
+    top = max(values)
+    dtype = np.min_scalar_type(top) if given_type == "narrowest unsigned" else given_type
+    seq, ref = DelaySequence(np.array(values, dtype=dtype)), int64_delays(values)
+    narrowest = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    assert seq.delays.dtype == narrowest
+    assert seq.delays.tolist() == values
+    assert seq.total == ref.total == sum(values)
+    assert seq.arrived.dtype == ref.arrived.dtype
+    np.testing.assert_array_equal(seq.arrived, ref.arrived)
+    # the buckets on non-increasing delays: as drawn (a delay of 0 or one past
+    # the horizon breaks a precondition), then clipped to 1..T + 1 - t
+    ordered = sorted(values, reverse=True)
+    clipped = [max(1, min(d, len(values) + 1 - t)) for t, d in enumerate(ordered, 1)]
+    for delays in (ordered, clipped):
+        got = buckets_or_error(DelaySequence(np.array(delays, dtype=dtype)))
+        assert got == buckets_or_error(int64_delays(delays))
+    assert not isinstance(got, str)  # the clipped sequence meets every precondition
 
 
 @st.composite

@@ -369,7 +369,7 @@ def test_missing_count_bound_during_run():
     def checked_receive(events, t):
         receive(events, t)
         m = len(learner.base.missing)
-        realized = sum(delays.delays[u - 1] for u in learner.base.missing)
+        realized = sum(delays.delays.item(u - 1) for u in learner.base.missing)
         assert m * (m + 1) // 2 <= realized
 
     learner.receive = checked_receive
