@@ -36,8 +36,11 @@ LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
 CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
 #: CSV columns a RunTrace stores; the others are rebuilt from its restart log
 DATA_COLUMNS = ("loss_B", "loss_star", "loss_c", "arrived")
-#: rows of the CSV formatted at a time, so that emit never holds the whole text
-CSV_CHUNK = 1024
+#: rows of the CSV formatted at a time, so that emit never holds the whole text;
+#: a chunk's cell strings all live until its one join, so emit's peak grows with
+#: the chunk: on 20,000 rows of full-width floats it is near 0.23 MiB at 512
+#: rows and 0.45 MiB at 1024
+CSV_CHUNK = 512
 
 
 def pseudo_loss(p: np.ndarray, loss_row: np.ndarray) -> float:
@@ -111,24 +114,41 @@ class RunTrace:
             raise ConfigError(f"trace columns must be 1-D and of one length, got {shapes}")
 
     def csv_chunks(self):
-        """The CSV text: the header line, then CSV_CHUNK rows at a time."""
+        """The CSV text: the header line, then CSV_CHUNK rows at a time.
+
+        A chunk is one ``",".join`` over five cells per row: the row's
+        stage,phase,alpha text (the chunk's first row with its t in front),
+        its three floats, and its arrived count with the newline and the next
+        row's t. One cursor walks the phases across the chunks.
+        """
         yield CSV_HEADER + "\n"
         T = len(self.arrived)
-        segments = restart_segments(self.restarts, self.alpha0, T)
-        first = [s[0] for s in segments]
-        # as int64 and float64 columns print: repr(np.float64(x)) names its type
-        state = [f"{int(stage)},{int(phase)},{float(alpha)!r}"
-                 for _, stage, phase, alpha in segments]
+        # (first row, stage,phase,alpha text) of each phase, then a sentinel at
+        # T; as int64 and float64 columns print: repr(np.float64(x)) names its type
+        phases = [(first, f"{int(stage)},{int(phase)},{float(alpha)!r}")
+                  for first, stage, phase, alpha in restart_segments(self.restarts,
+                                                                     self.alpha0, T)]
+        phases.append((T, None))
+        k = 0  # the phase of row lo
         for lo in range(0, T, CSV_CHUNK):
             hi = min(lo + CSV_CHUNK, T)
-            which = np.searchsorted(first, np.arange(lo, hi), side="right") - 1
+            while phases[k + 1][0] <= lo:
+                k += 1
+            cells = [None] * (5 * (hi - lo))
+            j = k
+            while phases[j][0] < hi:  # each phase that overlaps [lo, hi)
+                a, b = max(phases[j][0], lo) - lo, min(phases[j + 1][0], hi) - lo
+                cells[5 * a:5 * b:5] = [phases[j][1]] * (b - a)
+                j += 1
+            cells[0] = f"{lo + 1},{cells[0]}"
             # float columns print in repr's round-trip form
-            chunk = (map(str, range(lo + 1, hi + 1)), map(state.__getitem__, which.tolist()),
-                     *(map(repr, getattr(self, name)[lo:hi].tolist())
-                       for name in ("loss_B", "loss_star", "loss_c")),
-                     map(str, self.arrived[lo:hi].tolist()))
-            # a list display: join over a bare map over-allocates the rows it lists
-            yield "\n".join([*map(",".join, zip(*chunk))]) + "\n"
+            cells[1::5] = map(repr, self.loss_B[lo:hi].tolist())
+            cells[2::5] = map(repr, self.loss_star[lo:hi].tolist())
+            cells[3::5] = map(repr, self.loss_c[lo:hi].tolist())
+            arrived = self.arrived[lo:hi].tolist()
+            cells[4::5] = [f"{n}\n{t}" for n, t in zip(arrived, range(lo + 2, hi + 2))]
+            cells[-1] = f"{arrived[-1]}\n"
+            yield ",".join(cells)
 
     def csv_string(self) -> str:
         return "".join(self.csv_chunks())
@@ -324,9 +344,9 @@ def run(config: RunConfig, table: LossTable | None = None,
 def emit(trace: RunTrace, out_base: str | Path) -> list[Path]:
     """Write the trace to <out_base>.csv and its summary to <out_base>.json.
 
-    The CSV is written chunk by chunk from ``RunTrace.csv_chunks``, so emit
-    holds CSV_CHUNK rows of text at a time; it reads the trace and writes
-    none of it.
+    The CSV is written chunk by chunk from ``RunTrace.csv_chunks`` through
+    one open file, so emit holds one chunk at a time: the cells of CSV_CHUNK
+    rows, then their joined text. It reads the trace and writes none of it.
     """
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)

@@ -508,8 +508,8 @@ def stepped_trace(T: int, C: int) -> RunTrace:
                     restarts=restarts, alpha0=-0.0, summary={})
 
 
-# the shipped chunk, a tiny one, and 4096, a chunk larger than the shipped one
-@pytest.mark.parametrize("C", sorted({3, harness.CSV_CHUNK, 4096}))
+# the shipped chunk, a tiny one, and two larger ones, 1024 and 4096
+@pytest.mark.parametrize("C", sorted({3, harness.CSV_CHUNK, 1024, 4096}))
 @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
                          ids=["0", "1", "C-1", "C", "C+1", "2C+1"])
 def test_csv_chunks_join_to_the_csv_of_every_entry(monkeypatch, tmp_path, C, chunks, extra):
@@ -705,7 +705,8 @@ def test_emit_holds_a_chunk_of_text_not_the_csv(tmp_path):
 
 def test_emit_peak_is_a_small_chunk_of_rows(tmp_path):
     # a 20000-row trace of full-width floats, built without playing a game:
-    # formatting 1024 rows at a time peaks near 0.34 MiB, 4096 near 1.3 MiB
+    # emit formats 512 rows at a time, one join over their cells, and peaks
+    # near 0.23 MiB; a chunk of 1024 rows would peak near 0.45 MiB
     T = 20000
     rng = np.random.default_rng(0)
     loss = np.cumsum(rng.random(T))
@@ -713,7 +714,7 @@ def test_emit_peak_is_a_small_chunk_of_rows(tmp_path):
     trace = RunTrace(loss_B=loss, loss_star=loss / 3, loss_c=np.sqrt(loss),
                      arrived=rng.integers(0, 3, T), restarts=restarts, alpha0=0.125,
                      summary={})
-    assert traced_peak(lambda: emit(trace, tmp_path / "run")) <= 0.5 * 2**20
+    assert traced_peak(lambda: emit(trace, tmp_path / "run")) <= 0.3 * 2**20
 
 
 def test_csv_round_trip_exact(tmp_path):
