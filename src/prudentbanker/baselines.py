@@ -9,7 +9,8 @@ Each safe baseline decides inside `act`: Conservative-UCB passes the
 the current one included.
 
 Both safe baselines and `RunConfig` call `check_alpha_safe`, the one statement
-of the alpha_safe rule.
+of the alpha_safe rule; both constructors check all their settings with
+`check_safe_baseline`.
 """
 from __future__ import annotations
 
@@ -21,12 +22,28 @@ from .banker import BankerOMD
 from .errors import ConfigError
 from .mirror import Regularizer
 from .protocol import FeedbackEvent
+from .rng import check_count, check_integer
 
 
 def check_alpha_safe(alpha_safe: float) -> None:
     """The safety-budget rule of the safe baselines: alpha_safe lies in [0, 1]."""
     if not (0.0 <= alpha_safe <= 1.0):  # NaN fails too
         raise ConfigError("alpha_safe must lie in [0, 1]")
+
+
+def check_safe_baseline(arms: int, horizon: int, default_arm: int, r0: float,
+                        alpha_safe: float) -> None:
+    """The settings rule of the safe baselines: arms and horizon are counts of
+    at least 1, the default arm is one of the arms 0..A-1, its known mean r0
+    lies in [0, 1], and so does alpha_safe."""
+    check_count("arms", arms, 1)
+    check_count("horizon", horizon, 1)
+    check_integer("default_arm", default_arm)
+    if not (0 <= default_arm < arms):
+        raise ConfigError(f"default_arm must lie in 0..{arms - 1}, got {default_arm!r}")
+    if not (0.0 <= r0 <= 1.0):  # NaN fails too
+        raise ConfigError(f"r0 must lie in [0, 1], got {r0!r}")
+    check_alpha_safe(alpha_safe)
 
 
 class OneStage:
@@ -36,29 +53,24 @@ class OneStage:
     restarts = ()
 
 
-def cucb_bounds(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
-                delta_ucb: float, default_arm: int, r0: float) -> tuple[np.ndarray, np.ndarray]:
+def cucb_bounds(n: np.ndarray, mean: np.ndarray, t0: int, arms: int,
+                delta_ucb: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-arm (LCB, UCB) reward bounds at 0-indexed round t0.
 
-    c_i = sqrt(2 log(max{3, 2A(t0+1)^2 / delta_ucb}) / N_i_obs), clamped to
-    [0, 1]; unobserved arms get (0, 1); the default arm's interval is
-    collapsed to its known mean (r0, r0). sums[i], a sum of rewards in
-    [0, 1], lies in [0, n_obs[i]].
+    c_i = sqrt(2 log(max{3, 2A(t0+1)^2 / delta_ucb}) / n_i), and the bounds
+    mean_i - c_i and mean_i + c_i are clamped to [0, 1]. n[i] is arm i's
+    count of observations floored at 1 and mean[i] its sum of rewards over
+    n[i]: an unobserved arm (n = 1, mean = 0) has c >= sqrt(2 ln 3) > 1, so
+    the clamps alone give it (0, 1). The default arm, whose mean r0 in
+    [0, 1] is known, is held as an arm observed infinitely often (n = inf,
+    mean = r0): its c is exactly 0 and the clamps return (r0, r0).
     """
     log_arg = max(3.0, 2.0 * arms * (t0 + 1) ** 2 / delta_ucb)
-    # Whole-array ops: an observed arm's entries are the same IEEE operations on
-    # the same operands as on its own, so the same bits. An unobserved arm,
-    # taken at n = 1 with a zero sum, has c >= sqrt(2 ln 3) > 1, so the clamps
-    # alone give it (0, 1).
-    n = np.maximum(n_obs, 1.0)
     c = np.sqrt(2.0 * math.log(log_arg) / n)
-    mean = sums / n
     lcb = mean - c
     np.maximum(0.0, lcb, out=lcb)
     ucb = mean + c
     np.minimum(1.0, ucb, out=ucb)
-    lcb[default_arm] = r0
-    ucb[default_arm] = r0
     return lcb, ucb
 
 
@@ -70,11 +82,20 @@ class ConservativeUCB(OneStage):
     budget, the LCBs of the past plays and of the candidate, reaches
     (1 - alpha_safe) t r0; otherwise it falls back to the default arm, whose
     mean reward r0 is known.
+
+    `receive` keeps the operands of `cucb_bounds` current: n_obs and sums
+    count each arm's observations and rewards, and for the arm of each
+    arriving event other than the default arm it refreshes n =
+    max(n_obs, 1) and mean = sums / n, the same operations on the same
+    operands as over the whole arrays, so the bounds keep their bits. The
+    default arm's mean r0 is known, as if it had been observed infinitely
+    often: its n is inf and its mean r0 from the start, so `cucb_bounds`
+    gives it (r0, r0) with no per-round store and no feedback changes them.
     """
 
     def __init__(self, arms: int, default_arm: int, r0: float, horizon: int,
                  alpha_safe: float = 0.1):
-        check_alpha_safe(alpha_safe)
+        check_safe_baseline(arms, horizon, default_arm, r0, alpha_safe)
         self.arms = arms
         self.default_arm = default_arm
         self.r0 = r0
@@ -84,27 +105,39 @@ class ConservativeUCB(OneStage):
         self.n_obs = np.zeros(arms)
         self.sums = np.zeros(arms)
         self.n_play = np.zeros(arms)
+        self.n = np.ones(arms)
+        self.mean = np.zeros(arms)
+        self.n[default_arm] = math.inf
+        self.mean[default_arm] = r0
+        # act returns row `arm` as its point mass: read-only, as it is shared
+        self.point_masses = np.eye(arms)
+        self.point_masses.flags.writeable = False
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
-        lcb, ucb = cucb_bounds(self.n_obs, self.sums, t - 1, self.arms,
-                               self.delta_ucb, self.default_arm, self.r0)
+        lcb, ucb = cucb_bounds(self.n, self.mean, t - 1, self.arms, self.delta_ucb)
         arm = int(ucb.argmax())  # ties to lowest index
         budget = float(self.n_play.dot(lcb)) + lcb.item(arm)
         if not budget >= (1.0 - self.alpha_safe) * t * self.r0:  # NaN falls back too
             arm = self.default_arm
         self.n_play[arm] += 1
-        dist = np.zeros(self.arms)
-        dist[arm] = 1.0
-        return dist, arm
+        return self.point_masses[arm], arm
 
     def receive(self, events: list[FeedbackEvent], t: int) -> None:
+        n_obs, sums = self.n_obs, self.sums
         for ev in events:
-            self.n_obs[ev.arm] += 1
-            self.sums[ev.arm] += 1.0 - ev.loss_value
+            arm = ev.arm
+            n_obs[arm] += 1
+            sums[arm] += 1.0 - ev.loss_value
+            if arm != self.default_arm:
+                # n_obs[arm] >= 1 now, so it is max(n_obs[arm], 1)
+                n = self.n[arm] = n_obs[arm]
+                self.mean[arm] = sums[arm] / n
 
 
 def exp3ix_rate(arms: int, horizon: int) -> float:
     """eta = min{1/2, sqrt(log A / (A T))}; the IX bias is gamma = eta/2."""
+    check_count("arms", arms, 1)
+    check_count("horizon", horizon, 1)
     return min(0.5, math.sqrt(math.log(arms) / (arms * horizon)))
 
 
@@ -121,7 +154,7 @@ class SafeExp3IX(OneStage):
 
     def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
                  sampler, alpha_safe: float = 0.1):
-        check_alpha_safe(alpha_safe)
+        check_safe_baseline(arms, horizon, default_arm, r0, alpha_safe)
         self.arms = arms
         self.default_arm = default_arm
         self.r0 = r0

@@ -19,11 +19,24 @@ def fresh_cucb(arms=4, r0=0.6, alpha_safe=0.1, horizon=1000):
                            horizon=horizon)
 
 
+def kept_statistics(n_obs, sums, default_arm, r0):
+    """The (n, mean) that ConservativeUCB keeps for the raw counts and sums."""
+    n = np.maximum(n_obs, 1.0)
+    mean = sums / n
+    n[default_arm] = math.inf
+    mean[default_arm] = r0
+    return n, mean
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # -- Conservative-UCB -------------------------------------------------------
 
 def test_cucb_unobserved_and_default_bounds():
     c = fresh_cucb()
-    lcb, ucb = cucb_bounds(c.n_obs, c.sums, 0, c.arms, c.delta_ucb, c.default_arm, c.r0)
+    lcb, ucb = cucb_bounds(c.n, c.mean, 0, c.arms, c.delta_ucb)
     np.testing.assert_allclose(lcb[1:], 0.0)
     np.testing.assert_allclose(ucb[1:], 1.0)
     assert lcb[0] == ucb[0] == 0.6  # default arm collapsed to r0
@@ -35,7 +48,7 @@ def test_cucb_bound_formula():
     sums = np.zeros(arms)
     n_obs[5] = 8
     sums[5] = 4.0  # mean 0.5
-    lcb, ucb = cucb_bounds(n_obs, sums, t0, arms, delta_ucb, default_arm=0, r0=0.6)
+    lcb, ucb = cucb_bounds(*kept_statistics(n_obs, sums, 0, 0.6), t0, arms, delta_ucb)
     c = math.sqrt(2.0 * math.log(max(3.0, 2 * arms * (t0 + 1) ** 2 / delta_ucb)) / 8)
     assert lcb[5] == max(0.0, 0.5 - c)
     assert ucb[5] == min(1.0, 0.5 + c)
@@ -51,12 +64,42 @@ def test_cucb_bounds_match_masked_reference(data):
     n_obs = np.array(data.draw(st.lists(counts, min_size=arms, max_size=arms)),
                      dtype=data.draw(st.sampled_from([np.int64, np.float64])))
     sums = np.array([data.draw(st.floats(0.0, float(n))) for n in n_obs.tolist()])
-    args = (n_obs, sums, data.draw(st.integers(0, 10**6)), arms,
-            data.draw(st.floats(1e-9, 0.5)), data.draw(st.integers(0, arms - 1)),
-            data.draw(st.floats(0.0, 1.0)))
+    t0, delta_ucb = data.draw(st.integers(0, 10**6)), data.draw(st.floats(1e-9, 0.5))
+    default_arm, r0 = data.draw(st.integers(0, arms - 1)), data.draw(st.floats(0.0, 1.0))
+    kept = kept_statistics(n_obs, sums, default_arm, r0)
     # the same bits, not merely equal values
-    for got, want in zip(cucb_bounds(*args), cucb_bounds_masked(*args)):
+    for got, want in zip(cucb_bounds(*kept, t0, arms, delta_ucb),
+                         cucb_bounds_masked(n_obs, sums, t0, arms, delta_ucb, default_arm, r0)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cucb_game_matches_masked_reference_every_round(data):
+    arms = data.draw(st.integers(1, 12))
+    default_arm = data.draw(st.integers(0, arms - 1))
+    r0, alpha_safe = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    T = data.draw(st.integers(1, 200))
+    # short delays: some rounds deliver several events, often of one arm
+    delays = data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T))
+    losses = data.draw(st.lists(st.floats(0.0, 1.0), min_size=T, max_size=T))
+    c = ConservativeUCB(arms, default_arm, r0, T, alpha_safe=alpha_safe)
+    pending = {}
+    for t in range(1, T + 1):
+        lcb, ucb = cucb_bounds_masked(c.n_obs, c.sums, t - 1, arms, c.delta_ucb,
+                                      default_arm, r0)
+        want = int(ucb.argmax())
+        if not float(c.n_play.dot(lcb)) + lcb.item(want) >= (1.0 - alpha_safe) * t * r0:
+            want = default_arm
+        _, arm = c.act(t)
+        assert arm == want, t
+        arrival = t + delays[t - 1]
+        pending.setdefault(arrival, []).append(FeedbackEvent(t, arm, losses[t - 1], arrival))
+        events = pending.pop(t, [])
+        # origins arrive in any order within a round
+        c.receive(data.draw(st.permutations(events)), t)
+        n, mean = kept_statistics(c.n_obs, c.sums, default_arm, r0)
+        assert same_bits(c.n, n) and same_bits(c.mean, mean), t
 
 
 def test_cucb_first_round_plays_default():
@@ -80,7 +123,7 @@ def test_cucb_budget_invariant_per_round():
     pending = []
     for t in range(1, 401):
         t0 = t - 1
-        lcb, _ = cucb_bounds(c.n_obs, c.sums, t0, c.arms, c.delta_ucb, c.default_arm, c.r0)
+        lcb, _ = cucb_bounds(c.n, c.mean, t0, c.arms, c.delta_ucb)
         _, arm = c.act(t)
         if arm != c.default_arm:
             # replaying the documented test: the play must have been certified
@@ -137,6 +180,21 @@ def test_safe_baselines_reject_alpha_safe_outside_unit_interval(alpha_safe):
     for build in (make_safe, fresh_cucb):
         with pytest.raises(ConfigError, match="alpha_safe"):
             build(alpha_safe=alpha_safe)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arms", 0), ("arms", -1), ("arms", 3.0), ("horizon", 0), ("horizon", True),
+    ("default_arm", -1), ("default_arm", 3), ("default_arm", 5), ("default_arm", 1.0),
+    ("r0", float("nan")), ("r0", 2.0), ("r0", -0.1)])
+def test_safe_baselines_reject_bad_settings(field, value):
+    settings = {"arms": 3, "horizon": 100, "default_arm": 0, "r0": 0.5, field: value}
+    with pytest.raises(ConfigError, match=field):
+        ConservativeUCB(**settings)
+    with pytest.raises(ConfigError, match=field):
+        SafeExp3IX(**settings, sampler=RngSampler(stream(0, "a")))
+    if field in ("arms", "horizon"):
+        with pytest.raises(ConfigError, match=field):
+            exp3ix_rate(settings["arms"], settings["horizon"])
 
 
 def test_exp3ix_update_rules():

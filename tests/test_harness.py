@@ -329,8 +329,8 @@ CALLS_PER_GAME = {
     ("prudent-banker", TSALLIS_HALF): (59782, 181905),
     ("banker-omd", NEG_ENTROPY): (50068, 125733),
     ("banker-omd", TSALLIS_HALF): (56690, 188970),
-    ("conservative-ucb", NEG_ENTROPY): (14302, 32258),
-    ("safe-exp3ix", NEG_ENTROPY): (16285, 46255),
+    ("conservative-ucb", NEG_ENTROPY): (14310, 32266),
+    ("safe-exp3ix", NEG_ENTROPY): (16295, 46265),
     ("play-comparator", NEG_ENTROPY): (151, 198),
     ("play-fixed-arm", NEG_ENTROPY): (152, 201)}
 
