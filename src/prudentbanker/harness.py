@@ -9,7 +9,8 @@ distribution never changes: `play` builds its columns in whole-array calls,
 with the loop's bytes. After the game `run` reads the learner's `alpha`,
 `restarts` and `delay_estimate` directly. A `RunTrace` keeps the learner's
 loss curve, the environment's three shared columns and the restart log; the
-CSV's round, stage, phase and alpha columns are rebuilt from the log.
+CSV's round, stage, phase and alpha columns are rebuilt from the log, and
+its loss_star column is summed from the best arm's losses as it is written.
 `RunConfig` builds the one `Regularizer` and the one `ThresholdFunctions` of
 a run.
 """
@@ -34,8 +35,9 @@ LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
             "play-comparator", "play-fixed-arm")
 
 CSV_HEADER = "t,stage,phase,alpha,loss_B,loss_star,loss_c,arrived"
-#: CSV columns a RunTrace stores; the others are rebuilt from its restart log
-DATA_COLUMNS = ("loss_B", "loss_star", "loss_c", "arrived")
+#: the per-round arrays a RunTrace stores: three CSV columns and the best arm's
+#: losses, which the loss_star column sums; the others are rebuilt from its restart log
+DATA_COLUMNS = ("loss_B", "best_arm_losses", "loss_c", "arrived")
 #: rows of the CSV formatted at a time, so that emit never holds the whole text;
 #: a chunk's cell strings all live until its one join, so emit's peak grows with
 #: the chunk: on 20,000 rows of full-width floats it is near 0.23 MiB at 512
@@ -85,22 +87,24 @@ class RunConfig:
 class RunTrace:
     """One run: its four data columns, its restart log and its summary.
 
-    `loss_B`, `loss_star`, `loss_c` and `arrived` hold entry t - 1 for round
-    t; they must be 1-D and of one length, checked when built. Only `loss_B`
-    is the run's own: `run` sums it in place over the game's loss column.
-    The other three are read-only arrays of the environment, one for every
-    trace that reads them: `loss_star` is the table's `hindsight` curve,
-    `loss_c` its `comparator_curve` of the run's comparator and `arrived`
-    the delays' `arrived` counts. Nothing writes any of the four after.
-    The CSV's other columns are not stored: `t` is 1..T, and `stage`,
-    `phase` and `alpha` change only at a restart, so `csv_chunks` formats
-    them once per phase of `restart_segments(restarts, alpha0, T)`, alpha0
-    being the alpha before the game. `csv_chunks`, `csv_string` and `emit`
-    only read the trace.
+    `loss_B`, `best_arm_losses`, `loss_c` and `arrived` hold entry t - 1 for
+    round t; they must be 1-D and of one length, checked when built. Only
+    `loss_B` is the run's own: `run` sums it in place over the game's loss
+    column. The other three are read-only arrays of the environment, one
+    for every trace that reads them: `best_arm_losses` is the hindsight-best
+    arm's column of the loss table, a view that keeps the table's array
+    alive, `loss_c` the table's `comparator_curve` of the run's comparator
+    and `arrived` the delays' `arrived` counts. Nothing writes any of the
+    four after. The CSV's other columns are not stored: `loss_star` is the
+    cumulative sum of `best_arm_losses`, which `csv_chunks` builds a chunk
+    at a time; `t` is 1..T; and `stage`, `phase` and `alpha` change only at
+    a restart, so `csv_chunks` formats them once per phase of
+    `restart_segments(restarts, alpha0, T)`, alpha0 being the alpha before
+    the game. `csv_chunks`, `csv_string` and `emit` only read the trace.
     """
 
     loss_B: np.ndarray
-    loss_star: np.ndarray
+    best_arm_losses: np.ndarray
     loss_c: np.ndarray
     arrived: np.ndarray
     restarts: list[RestartRecord]
@@ -120,6 +124,12 @@ class RunTrace:
         stage,phase,alpha text (the chunk's first row with its t in front),
         its three floats, and its arrived count with the newline and the next
         row's t. One cursor walks the phases across the chunks.
+
+        The loss_star cells are the chunk's best arm losses summed in a copy
+        by ``np.cumsum``, the first with the sum carried from the chunk
+        before added in front; the sum starts at -0.0, which adds nothing,
+        not even to a -0.0. ``np.cumsum`` adds in sequence, so the column has
+        the bits of one ``np.cumsum`` over all T entries.
         """
         yield CSV_HEADER + "\n"
         T = len(self.arrived)
@@ -130,6 +140,7 @@ class RunTrace:
                                                                      self.alpha0, T)]
         phases.append((T, None))
         k = 0  # the phase of row lo
+        star = -0.0  # the loss_star of row lo - 1
         for lo in range(0, T, CSV_CHUNK):
             hi = min(lo + CSV_CHUNK, T)
             while phases[k + 1][0] <= lo:
@@ -143,7 +154,10 @@ class RunTrace:
             cells[0] = f"{lo + 1},{cells[0]}"
             # float columns print in repr's round-trip form
             cells[1::5] = map(repr, self.loss_B[lo:hi].tolist())
-            cells[2::5] = map(repr, self.loss_star[lo:hi].tolist())
+            loss_star = self.best_arm_losses[lo:hi].copy()
+            loss_star[0] += star
+            star = np.cumsum(loss_star, out=loss_star)[-1]
+            cells[2::5] = map(repr, loss_star.tolist())
             cells[3::5] = map(repr, self.loss_c[lo:hi].tolist())
             arrived = self.arrived[lo:hi].tolist()
             cells[4::5] = [f"{n}\n{t}" for n, t in zip(arrived, range(lo + 2, hi + 2))]
@@ -277,9 +291,12 @@ def run(config: RunConfig, table: LossTable | None = None,
     place over the loss column of the ``PlayColumns`` that ``play`` returns,
     which is overwritten. The other three are the environment's, built by
     the first run that reads them and shared, read-only, by every later one:
-    ``loss_star`` is the table's ``hindsight`` curve, ``loss_c`` its
-    ``comparator_curve`` of the comparator (one per δ, rebuilt once no trace
-    holds it) and ``arrived`` the delays' ``arrived`` counts. ``arrived``
+    ``best_arm_losses`` is the hindsight-best arm's column of the table, a
+    view, so the trace keeps the table's loss array alive; ``loss_c`` is the
+    table's ``comparator_curve`` of the comparator (one per δ, rebuilt once
+    no trace holds it) and ``arrived`` the delays' ``arrived`` counts. The
+    table's ``hindsight`` keeps the best arm's total loss, not its curve,
+    and the summary's regret is taken from it. ``arrived``
     and the delays' ``total``, the summary's ``realized_D``, are read
     before the game, and ``loss_c`` after it, once the arm column is
     dropped. So a sweep sums each environment's delays once.
@@ -300,7 +317,7 @@ def run(config: RunConfig, table: LossTable | None = None,
                           f"{T} rounds and {A} arms")
 
     # r0, the oracle-derived default reward, is the hindsight-best arm's mean reward
-    istar, loss_star, r0 = table.hindsight
+    istar, star_total, r0 = table.hindsight
     xc = build_comparator(A, config.delta, istar)
     learner = make_learner(config, istar, r0, xc)
     alpha0 = learner.alpha
@@ -330,11 +347,11 @@ def run(config: RunConfig, table: LossTable | None = None,
         "phases": len(segments),
         "final_alpha": float(final_alpha),
         "final_delay_estimate": int(learner.delay_estimate),
-        "regret_vs_best_fixed_arm": float(loss_B[-1] - loss_star[-1]),
+        "regret_vs_best_fixed_arm": float(loss_B[-1] - star_total),
         "comparator_gap": float(loss_B[-1] - loss_c[-1]),
         "threshold_scale": config.threshold_scale,
     }
-    trace = RunTrace(loss_B=loss_B, loss_star=loss_star, loss_c=loss_c,
+    trace = RunTrace(loss_B=loss_B, best_arm_losses=table.losses[:, istar], loss_c=loss_c,
                      arrived=arrived, restarts=restarts, alpha0=alpha0, summary=summary)
     if keep_learner:
         trace.learner = learner

@@ -29,7 +29,8 @@ class LossTable:
     """Full horizon-by-arms loss matrix with entries in [0, 1].
 
     It marks its float array read-only, as `hindsight` and
-    `comparator_curve` cache what they read there; a view of that array
+    `comparator_curve` cache what they read there and every trace of a run
+    on the table reads the best arm's column in place; a view of that array
     taken before stays writable."""
 
     losses: np.ndarray
@@ -50,14 +51,20 @@ class LossTable:
         return len(self.losses)
 
     @cached_property
-    def hindsight(self) -> tuple[int, np.ndarray, float]:
-        """(istar, loss_star, r0), computed on first read: the hindsight-best
-        arm (lowest index on ties), its read-only cumulative loss curve and its
-        mean reward."""
+    def hindsight(self) -> tuple[int, float, float]:
+        """(istar, total, r0), computed on first read: the hindsight-best arm
+        (lowest index on ties), its total loss and its mean reward.
+
+        `total` is the last value of ``np.cumsum(losses[:, istar])``, so it
+        has the bits of the CSV's last loss_star; the curve itself is not
+        kept, as a trace reads the arm's column of `losses`.
+        A table with no entries has no best arm and raises ``ConfigError``.
+        """
+        if not self.losses.size:
+            raise ConfigError(f"empty loss table of shape {self.losses.shape} has no best arm")
         istar = int(np.argmin(self.losses.sum(axis=0)))
-        loss_star = np.cumsum(self.losses[:, istar])
-        loss_star.flags.writeable = False
-        return istar, loss_star, float(np.mean(1.0 - self.losses[:, istar]))
+        column = self.losses[:, istar]
+        return istar, float(np.cumsum(column)[-1]), float(np.mean(1.0 - column))
 
     def comparator_curve(self, x: np.ndarray) -> np.ndarray:
         """The read-only cumulative loss curve ``cumsum(losses @ x)`` of
@@ -121,8 +128,10 @@ class DelaySequence:
         rounds u with u + d_u = t, as a `FeedbackQueue` delivers them; the
         feedback of a round with u + d_u > T never arrives.
 
-        A read-only array of the smallest unsigned type that holds T, built
-        DRAW_CHUNK rounds at a time, so no horizon-sized temporary is made.
+        A read-only array of the smallest unsigned type that holds its
+        largest count (uint8 for the shipped models at seed 0: no round
+        delivers more than 3 events), counted DRAW_CHUNK rounds at a time in
+        the type that holds T and narrowed once, after the count.
         """
         T = len(self.delays)
         arrived = np.zeros(T, dtype=np.min_scalar_type(T))
@@ -131,6 +140,7 @@ class DelaySequence:
             row = np.arange(lo, lo + len(wait))  # round t is row t - 1
             due = wait < T - row  # t + d_t <= T, without a sum that a huge delay would wrap
             np.add.at(arrived, row[due] + wait[due], 1)
+        arrived = arrived.astype(np.min_scalar_type(arrived.max(initial=0)), copy=False)
         arrived.flags.writeable = False
         return arrived
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from prudentbanker import lowerbound
 from prudentbanker.errors import ConfigError, DomainError, NumericalError
-from prudentbanker.harness import CSV_HEADER, DATA_COLUMNS, PlayColumns, play
+from prudentbanker.harness import CSV_HEADER, PlayColumns, play
 from prudentbanker.lowerbound import SPECIAL_ARM, BucketDecomposition, HardInstancePair
 from prudentbanker.mirror import (GRAD_FLOOR, NEG_ENTROPY, Regularizer, _two_pole_root,
                                   grad_psi, grad_psi_star_with_dual)
@@ -121,14 +121,16 @@ def cucb_bounds_masked(n_obs: np.ndarray, sums: np.ndarray, t0: int, arms: int,
 
 
 def trace_columns(trace) -> dict[str, np.ndarray]:
-    """A trace's eight CSV columns in full: t is 1..T, and stage, phase and
-    alpha are read off the restart log round by round by ``restart_state``."""
+    """A trace's eight CSV columns in full: t is 1..T, stage, phase and
+    alpha are read off the restart log round by round by ``restart_state``,
+    and loss_star is one ``np.cumsum`` over the best arm's losses."""
     T = len(trace.arrived)
     states = [restart_state(trace.restarts, trace.alpha0, t) for t in range(1, T + 1)]
     stage, phase, alpha = zip(*states) if states else ((),) * 3
     return {"t": np.arange(1, T + 1, dtype=np.int64), "stage": np.array(stage, dtype=np.int64),
             "phase": np.array(phase, dtype=np.int64), "alpha": np.array(alpha, dtype=float),
-            **{name: getattr(trace, name) for name in DATA_COLUMNS}}
+            "loss_B": trace.loss_B, "loss_star": np.cumsum(trace.best_arm_losses),
+            "loss_c": trace.loss_c, "arrived": trace.arrived}
 
 
 def csv_string_each_entry(trace) -> str:

@@ -349,10 +349,13 @@ def test_arrived_counts_what_the_queue_delivers(d, chunk):
         arrived = DelaySequence(d).arrived
     T = len(d)
     queue = FeedbackQueue(T)
+    delivered = []
     for t in range(1, T + 1):
         queue.enqueue(FeedbackEvent(t, 0, 0.0, t + int(d[t - 1])))
-        assert arrived[t - 1] == len(queue.step(t)), t
-    assert arrived.dtype == np.min_scalar_type(T) and not arrived.flags.writeable
+        delivered.append(len(queue.step(t)))
+        assert arrived[t - 1] == delivered[-1], t
+    # the smallest unsigned type that holds the largest count, not one that holds T
+    assert arrived.dtype == np.min_scalar_type(max(delivered)) and not arrived.flags.writeable
 
 
 def test_delays_none_and_degenerate(monkeypatch):
