@@ -8,9 +8,9 @@ Each safe baseline decides inside `act`: Conservative-UCB passes the
 0-indexed round t - 1 to `cucb_bounds` and budgets on the t plays so far,
 the current one included.
 
-Both safe baselines and `RunConfig` call `check_alpha_safe`, the one statement
-of the alpha_safe rule; both constructors check all their settings with
-`check_safe_baseline`.
+Both safe baselines are a `SafeBaseline`, which checks their settings and
+holds their point masses; it and `RunConfig` call `check_alpha_safe`, the one
+statement of the alpha_safe rule.
 """
 from __future__ import annotations
 
@@ -31,26 +31,37 @@ def check_alpha_safe(alpha_safe: float) -> None:
         raise ConfigError("alpha_safe must lie in [0, 1]")
 
 
-def check_safe_baseline(arms: int, horizon: int, default_arm: int, r0: float,
-                        alpha_safe: float) -> None:
-    """The settings rule of the safe baselines: arms and horizon are counts of
-    at least 1, the default arm is one of the arms 0..A-1, its known mean r0
-    lies in [0, 1], and so does alpha_safe."""
-    check_count("arms", arms, 1)
-    check_count("horizon", horizon, 1)
-    check_integer("default_arm", default_arm)
-    if not (0 <= default_arm < arms):
-        raise ConfigError(f"default_arm must lie in 0..{arms - 1}, got {default_arm!r}")
-    if not (0.0 <= r0 <= 1.0):  # NaN fails too
-        raise ConfigError(f"r0 must lie in [0, 1], got {r0!r}")
-    check_alpha_safe(alpha_safe)
-
-
 class OneStage:
     """The stage read-outs of a learner without stages: stage 1, phase 1 and alpha = 1."""
     alpha = 1.0
     delay_estimate = 0
     restarts = ()
+
+
+class SafeBaseline(OneStage):
+    """A learner that falls back to a default arm of known mean reward r0.
+
+    Arms and horizon are counts of at least 1, the default arm is one of the
+    arms 0..A-1, and r0 and alpha_safe lie in [0, 1]; a subclass takes its
+    own settings after r0 and before alpha_safe."""
+
+    def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
+                 alpha_safe: float = 0.1):
+        check_count("arms", arms, 1)
+        check_count("horizon", horizon, 1)
+        check_integer("default_arm", default_arm)
+        if not (0 <= default_arm < arms):
+            raise ConfigError(f"default_arm must lie in 0..{arms - 1}, got {default_arm!r}")
+        if not (0.0 <= r0 <= 1.0):  # NaN fails too
+            raise ConfigError(f"r0 must lie in [0, 1], got {r0!r}")
+        check_alpha_safe(alpha_safe)
+        self.arms = arms
+        self.default_arm = default_arm
+        self.r0 = r0
+        self.alpha_safe = alpha_safe
+        # row `arm` is the point mass on arm: read-only, as every play shares it
+        self.point_masses = np.eye(arms)
+        self.point_masses.flags.writeable = False
 
 
 def cucb_bounds(n: np.ndarray, mean: np.ndarray, t0: int, arms: int,
@@ -74,7 +85,7 @@ def cucb_bounds(n: np.ndarray, mean: np.ndarray, t0: int, arms: int,
     return lcb, ucb
 
 
-class ConservativeUCB(OneStage):
+class ConservativeUCB(SafeBaseline):
     """Conservative-UCB with delayed observations.
 
     At round t, `act` takes the candidate of highest UCB from `cucb_bounds`
@@ -93,13 +104,9 @@ class ConservativeUCB(OneStage):
     gives it (r0, r0) with no per-round store and no feedback changes them.
     """
 
-    def __init__(self, arms: int, default_arm: int, r0: float, horizon: int,
+    def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
                  alpha_safe: float = 0.1):
-        check_safe_baseline(arms, horizon, default_arm, r0, alpha_safe)
-        self.arms = arms
-        self.default_arm = default_arm
-        self.r0 = r0
-        self.alpha_safe = alpha_safe
+        super().__init__(arms, horizon, default_arm, r0, alpha_safe)
         self.delta_ucb = 1.0 / max(horizon, 2)
         # float64 counts are exact, and the bounds and the dot then cast nothing
         self.n_obs = np.zeros(arms)
@@ -109,9 +116,6 @@ class ConservativeUCB(OneStage):
         self.mean = np.zeros(arms)
         self.n[default_arm] = math.inf
         self.mean[default_arm] = r0
-        # act returns row `arm` as its point mass: read-only, as it is shared
-        self.point_masses = np.eye(arms)
-        self.point_masses.flags.writeable = False
 
     def act(self, t: int) -> tuple[np.ndarray, int]:
         lcb, ucb = cucb_bounds(self.n, self.mean, t - 1, self.arms, self.delta_ucb)
@@ -141,7 +145,7 @@ def exp3ix_rate(arms: int, horizon: int) -> float:
     return min(0.5, math.sqrt(math.log(arms) / (arms * horizon)))
 
 
-class SafeExp3IX(OneStage):
+class SafeExp3IX(SafeBaseline):
     """EXP3-IX behind a conservative budget gate.
 
     Default-arm plays are credited at the known mean r0 immediately;
@@ -154,11 +158,7 @@ class SafeExp3IX(OneStage):
 
     def __init__(self, arms: int, horizon: int, default_arm: int, r0: float,
                  sampler, alpha_safe: float = 0.1):
-        check_safe_baseline(arms, horizon, default_arm, r0, alpha_safe)
-        self.arms = arms
-        self.default_arm = default_arm
-        self.r0 = r0
-        self.alpha_safe = alpha_safe
+        super().__init__(arms, horizon, default_arm, r0, alpha_safe)
         self.sampler = sampler
         self.eta = exp3ix_rate(arms, horizon)
         self.gamma = self.eta / 2.0
@@ -176,9 +176,7 @@ class SafeExp3IX(OneStage):
             self._q_played[t] = q.item(arm)
             return q, arm
         self.budget += self.r0
-        dist = np.zeros(self.arms)
-        dist[self.default_arm] = 1.0
-        return dist, self.default_arm
+        return self.point_masses[self.default_arm], self.default_arm
 
     def receive(self, events: list[FeedbackEvent], t: int) -> None:
         for ev in events:

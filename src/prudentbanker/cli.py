@@ -137,6 +137,7 @@ def cmd_sweep(args) -> int:
     _make_out_dir(out_dir)
     summaries = []
     for configs in grid:
+        table = delays = trace = None  # a trace holds its table: free both before the next build
         table, delays = build_environment(configs[0].env)
         for config in configs:
             trace = run(config, table=table, delays=delays)

@@ -185,7 +185,7 @@ def make_learner(config: RunConfig, istar: int, r0: float, xc: np.ndarray):
     if name == "banker-omd":
         return baselines.BankerOMDLearner(config.reg, sampler)
     if name == "conservative-ucb":
-        return baselines.ConservativeUCB(A, istar, r0, T, alpha_safe=config.alpha_safe)
+        return baselines.ConservativeUCB(A, T, istar, r0, alpha_safe=config.alpha_safe)
     if name == "safe-exp3ix":
         return baselines.SafeExp3IX(A, T, istar, r0, sampler,
                                     alpha_safe=config.alpha_safe)

@@ -83,7 +83,7 @@ def test_cucb_game_matches_masked_reference_every_round(data):
     # short delays: some rounds deliver several events, often of one arm
     delays = data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T))
     losses = data.draw(st.lists(st.floats(0.0, 1.0), min_size=T, max_size=T))
-    c = ConservativeUCB(arms, default_arm, r0, T, alpha_safe=alpha_safe)
+    c = ConservativeUCB(arms, T, default_arm, r0, alpha_safe=alpha_safe)
     pending = {}
     for t in range(1, T + 1):
         lcb, ucb = cucb_bounds_masked(c.n_obs, c.sums, t - 1, arms, c.delta_ucb,
@@ -188,13 +188,26 @@ def test_safe_baselines_reject_alpha_safe_outside_unit_interval(alpha_safe):
     ("r0", float("nan")), ("r0", 2.0), ("r0", -0.1)])
 def test_safe_baselines_reject_bad_settings(field, value):
     settings = {"arms": 3, "horizon": 100, "default_arm": 0, "r0": 0.5, field: value}
+    args = settings.values()  # both classes take (arms, horizon, default_arm, r0, ...)
     with pytest.raises(ConfigError, match=field):
-        ConservativeUCB(**settings)
+        ConservativeUCB(*args)
     with pytest.raises(ConfigError, match=field):
-        SafeExp3IX(**settings, sampler=RngSampler(stream(0, "a")))
+        SafeExp3IX(*args, RngSampler(stream(0, "a")))
     if field in ("arms", "horizon"):
         with pytest.raises(ConfigError, match=field):
             exp3ix_rate(settings["arms"], settings["horizon"])
+
+
+@pytest.mark.parametrize("build", [fresh_cucb, make_safe])
+def test_safe_baselines_fall_back_to_a_read_only_row_of_their_point_masses(build):
+    learner = build(arms=4, r0=0.6)
+    for t in (1, 2):  # budgets 0 and r0 fall short of 0.9 r0 and 1.8 r0
+        dist, arm = learner.act(t)
+        assert arm == learner.default_arm
+        assert dist.base is learner.point_masses
+        assert dist.tobytes() == np.eye(4)[learner.default_arm].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            dist[arm] = 0.5
 
 
 def test_exp3ix_update_rules():

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,28 @@ def test_sweep_runs_the_other_learners_on_one_arm(tmp_path, capsys):
                      "--learners", "play-comparator,safe-exp3ix", "--delay-models", "none",
                      "--horizon", "50", "--blocks", "5", "--out", str(out)]) == 0
     assert (out / "safe-exp3ix_none_s0.csv").exists()
+
+
+def test_a_sweep_frees_each_environment_before_it_builds_the_next(tmp_path, capsys):
+    # a trace holds its table's best-arm column, a view of the loss table; while
+    # the sweep kept the last environment's table, delays and trace through the
+    # next build, a second environment added one table (1.6 MB here) to the peak
+    T, arms = 4000, 50
+
+    def sweep_peak(seeds):
+        argv = ["sweep", "--seeds", seeds, "--learners", "play-comparator",
+                "--delay-models", "geometric", "--horizon", str(T), "--arms", str(arms),
+                "--out", str(tmp_path / seeds)]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep_peak("0")  # a process's first runs allocate a few caches of their own
+    one, two = sweep_peak("0"), sweep_peak("0,1")
+    assert two - one < T * arms * 8 / 4, (one, two)
 
 
 def test_sweep_checks_every_seed_before_writing(configs, tmp_path, capsys):
