@@ -207,11 +207,6 @@ class PlayColumns:
     arm: np.ndarray
 
 
-def _add_note(exc: BaseException, note: str) -> None:
-    """BaseException.add_note (Python 3.11+; 3.10 lacks it)."""
-    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-
-
 def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
     """Play the delayed game; round t's feedback arrives at the end of t + d_t.
 
@@ -239,7 +234,7 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
         try:
             _play_fixed(learner.dist, learner.sampler, losses, cols)
         except Exception as exc:
-            _add_note(exc, "round 1")  # the round the loop would raise it in
+            exc.add_note("round 1")  # the round the loop would raise it in
             raise
         return cols
     queue = FeedbackQueue(T)
@@ -260,7 +255,7 @@ def play(learner, table: LossTable, delays: DelaySequence) -> PlayColumns:
             enqueue(FeedbackEvent(t, arm, row.item(arm), t + d.item(t - 1)))
             receive(step(t), t)
         except Exception as exc:
-            _add_note(exc, f"round {t}")  # keeps the object and its type
+            exc.add_note(f"round {t}")  # keeps the object and its type
             raise
     return cols
 

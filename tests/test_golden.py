@@ -37,14 +37,16 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from prudentbanker import harness
 from prudentbanker.harness import LEARNERS, RunConfig, build_environment, emit, run
 from prudentbanker.mirror import TSALLIS_HALF
 from prudentbanker.protocol import DELAY_MODELS, EnvironmentConfig
+from prudentbanker.prudent import build_comparator
 
-from reference import trace_columns
+from reference import parse_csv, trace_columns
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
 INT_COLUMNS = ("t", "stage", "phase", "arrived")
@@ -184,6 +186,27 @@ def test_run_matches_golden(name):
     want = dict(golden()[name])
     del got[BYTES], want[BYTES]  # compared only by --bytes
     assert mismatches(want, got, config.env.horizon) == []
+
+
+@pytest.mark.parametrize("name", sorted(name for name, config in CONFIGS.items()
+                                         if config.learner == "prudent-banker"))
+def test_prudent_banker_golden_run_stays_within_alpha_of_its_comparator(name, tmp_path):
+    """Round t's increment of loss_B - loss_c is alpha_t <x-hat_t - x^c, l_t>,
+    at most alpha_t max_a |l_t(a) - <x^c, l_t>| in absolute value. Read from
+    the CSV that emit writes, the check holds across a re-record of
+    golden.json. Each increment is the difference of two cumulative sums
+    below T, off by at most about one ulp of T, so the bound allows four."""
+    config = CONFIGS[name]
+    table, delays = environment(config.env)
+    csv_path, _ = emit(run(config, table, delays), tmp_path / "run")
+    cols = parse_csv(csv_path)
+    xc = build_comparator(config.env.arms, config.delta, table.hindsight[0])
+    comparator = table.losses @ xc
+    step = np.diff(cols["loss_B"], prepend=0.0) - np.diff(cols["loss_c"], prepend=0.0)
+    cap = cols["alpha"] * np.abs(table.losses - comparator[:, None]).max(axis=1)
+    excess = np.abs(step) - cap
+    tol = 4 * np.spacing(float(config.env.horizon))
+    assert excess.max() <= tol, (int(excess.argmax()) + 1, float(excess.max()))
 
 
 def test_restart_rounds_and_integer_fields_compare_exactly():

@@ -345,10 +345,7 @@ CALLS_PER_GAME = {
 
 
 def calls_per_game(learner, regularizer, T=2000) -> tuple[int, int]:
-    """The "call" and "c_call" events of one CALLS_PER_GAME game, as measured there.
-
-    CI prints them for every case on each Python version it tests.
-    """
+    """The "call" and "c_call" events of one CALLS_PER_GAME game, as measured there."""
     cfg = RunConfig(env=EnvironmentConfig(horizon=T, delay_model="geometric"),
                     learner=learner, regularizer=regularizer)
     run(cfg)  # a process's first run makes a few more calls than later ones
@@ -379,7 +376,9 @@ def test_calls_per_round_stay_below_the_measured_plus_one(learner, regularizer):
                                       CALLS_PER_GAME[learner, regularizer]):
         assert count < measured + T, (event, count / T, measured / T)
         # a change that removes a call every round stores the new count, or a
-        # call added back later would pass; the table was measured on 3.11
+        # call added back later would pass; the table was measured on 3.11,
+        # the one CI version, and this guard leaves a local interpreter newer
+        # than 3.11, whose counts are unmeasured, with the upper bound alone
         if sys.version_info[:2] == (3, 11):
             assert count > measured - T, (event, count / T, measured / T)
 
@@ -997,19 +996,26 @@ class FailingLearner(OneStage):
             raise self.exc
 
 
+def noted_error() -> TwoArgError:
+    exc = TwoArgError(3, "noted")
+    exc.add_note("inner")
+    return exc
+
+
 @pytest.mark.parametrize("where", ["act", "receive"])
 @pytest.mark.parametrize("make_exc", [lambda: TwoArgError(7, "bad state"),
-                                      lambda: NumericalError("no convergence")],
-                         ids=["two-arg", "numerical"])
+                                      lambda: NumericalError("no convergence"),
+                                      noted_error],
+                         ids=["two-arg", "numerical", "noted"])
 def test_round_error_keeps_object_and_type(monkeypatch, where, make_exc):
     exc = make_exc()
-    args = exc.args
+    args, notes = exc.args, [*getattr(exc, "__notes__", ())]  # add_note appends in place
     monkeypatch.setattr(harness, "make_learner", lambda *a: FailingLearner(exc, 5, where))
     with pytest.raises(type(exc)) as info:
         run(small_cfg(horizon=20))
     assert info.value is exc
     assert info.value.args == args
-    assert info.value.__notes__ == ["round 5"]
+    assert info.value.__notes__ == [*notes, "round 5"]
 
 
 class FixedArmLearner(OneStage):
