@@ -163,7 +163,7 @@ class BankerOMD:
             x = np.maximum(x, GRAD_FLOOR)
         theta = grad_psi(self.reg, x)
         theta[event.arm] -= w / rec.sigma
-        _, rec.dual_z = grad_psi_star_with_dual(self.reg, theta)
+        _, rec.dual_z = grad_psi_star_with_dual(self.reg, theta, primal=False)
         self.missing.remove(u)
         heapq.heappush(self._credit_heap, u)
         self.g.add(w, event.arm)

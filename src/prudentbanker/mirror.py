@@ -19,11 +19,14 @@ against 0.7 us for 1.0 / v (numpy 2.4, x86-64, best of 7 timeit repeats).
 r * r is formed only where a step needs the slope or x is returned.
 
 Each conjugate also returns a dual of its output, grad Psi(x) up to an
-additive constant, which the callers may ignore. For negative entropy that
-dual is theta - max theta, so no normalizer is computed for it. For
-1/2-Tsallis it is theta - max theta - lam, grad Psi(x) with a constant of 0:
-the solve's start -max theta is the root only at such a dual, so a dual off
-by a constant would cost evaluations on every later solve that reads it.
+additive constant, as (x, dual); with primal=False it returns (None, dual)
+and does not form x. A prediction (BankerOMD.begin_round) reads x, and
+arrived feedback (BankerOMD.ingest) asks for the dual alone. For negative
+entropy that dual is theta - max theta, so ingest computes no softmax and no
+normalizer. For 1/2-Tsallis it is theta - max theta - lam, grad Psi(x) with
+a constant of 0, so ingest still solves for lam but forms no x. The solve's
+start -max theta is the root only at such a dual, so a dual off by a
+constant would cost evaluations on every later solve that reads it.
 
 Extrema are read by index, as ``v.item(v.argmax())``, because on a 10- or
 100-vector that costs about 0.5 us against 1.4 us for ``np.maximum.reduce``
@@ -62,6 +65,8 @@ class Regularizer:
         check_count("arms", self.arms, 1)
         if not (0.0 < self.delta <= 1.0 / self.arms):
             raise ConfigError("delta must lie in (0, 1/arms]")
+        if not math.isfinite(self.constants[1]):  # 1/delta or 2/delta overflows
+            raise ConfigError("delta is too small: the stability constant C2 overflows")
 
     @cached_property
     def constants(self) -> tuple[float, float]:
@@ -99,7 +104,8 @@ def grad_psi(reg: Regularizer, x: np.ndarray) -> np.ndarray:
     return -1.0 / np.sqrt(x)
 
 
-def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray, *,
+                            primal: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Simplex-constrained conjugate map, plus the gradient at the output.
 
     Returns (x, g) with x = argmax_{simplex} <theta, .> - Psi and g = grad Psi(x)
@@ -107,6 +113,10 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
     evaluating log/1/sqrt on coordinates that underflowed to zero in x. For
     negative entropy g is theta - max theta; for 1/2-Tsallis it is grad Psi(x)
     itself (see the module docstring).
+
+    With primal=False x is not formed and (None, g) is returned, with the same
+    g, after the same input checks and, for 1/2-Tsallis, the same solve.
+    BankerOMD.begin_round asks for x; BankerOMD.ingest asks for g alone.
     """
     theta = _require_arms(reg, theta)
     # argmax and argmin both find the first NaN, so this rejects NaN and +-inf
@@ -116,6 +126,8 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
     shifted = theta - top
     if reg.kind == NEG_ENTROPY:
         # grad Psi(x) = 1 + shifted - log(sum exp(shifted)): the constant is dropped
+        if not primal:
+            return None, shifted
         x = np.exp(shifted)
         x /= np.add.reduce(x)
         return x, shifted
@@ -170,6 +182,8 @@ def grad_psi_star_with_dual(reg: Regularizer, theta: np.ndarray) -> tuple[np.nda
         lam = guess if lo < guess < hi else step  # NaN fails too
     if abs(f - 1.0) > 1e-12:
         raise NumericalError("tsallis conjugate Newton solve did not converge")
+    if not primal:
+        return None, shifted - lam
     x = r * r
     x /= f  # remove the residual normalization error
     # grad Psi(x) with constant 0, which the warm start above relies on; a

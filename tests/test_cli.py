@@ -269,14 +269,21 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
                                     for out in ("", ".", "/", "out/..")),
                                   ["run", "--config", "missing.cfg"],
                                   ["run", "--config", "."],
-                                  ["run", "--horizon", "50"]],
+                                  ["run", "--horizon", "50"],
+                                  # C2 = 1/delta or 2/delta overflows to inf
+                                  ["run", "--delta", "1e-320"],
+                                  ["run", "--delta", "1e-320", "--regularizer", "tsallis-half"],
+                                  ["run", "--delta", "1e-308", "--regularizer", "tsallis-half"],
+                                  ["sweep", "--delta", "1e-320"]],
                          ids=["lowerbound-q", "lowerbound-delta", "sweep-seeds",
                               "alpha-safe-above-1", "alpha-safe-below-0", "run-negative-seed",
                               "sweep-negative-seed", "lowerbound-negative-seed",
                               "verify-negative-seed", "run-one-arm", "threshold-scale-nan",
                               "threshold-scale-inf", "out-empty", "out-dot", "out-root",
                               "out-dotdot", "config-missing", "config-directory",
-                              "profile-blocks-above-horizon"])
+                              "profile-blocks-above-horizon", "delta-c2-inf",
+                              "tsallis-delta-c2-inf", "tsallis-delta-1e-308-c2-inf",
+                              "sweep-delta-c2-inf"])
 def test_bad_flag_values_exit_2(configs, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2

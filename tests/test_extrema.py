@@ -47,6 +47,10 @@ def outcome(f, *args):
     return tuple(np.asarray(o).tobytes() for o in (out if isinstance(out, tuple) else (out,)))
 
 
+def dual_alone(reg, theta):
+    return grad_psi_star_with_dual(reg, theta, primal=False)[1]
+
+
 def regularizers(arms):
     return [Regularizer(kind, arms, 1.0 / arms) for kind in REGULARIZERS]
 
@@ -61,6 +65,7 @@ def test_conjugate_matches_reduction_form(theta):
         want_x, want_dual = grad_psi_star_with_dual_by_reduction(reg, theta)
         assert x.tobytes() == want_x.tobytes()
         assert np.array_equal(dual, want_dual)
+        assert dual_alone(reg, theta).tobytes() == dual.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,6 +104,7 @@ def test_a_non_finite_entry_anywhere_is_a_domain_error(v, bad, data):
     x[at] = bad
     for reg in regularizers(v.size):
         assert outcome(grad_psi_star_with_dual, reg, v) is DomainError
+        assert outcome(dual_alone, reg, v) is DomainError
         assert outcome(grad_psi_star_with_dual_by_reduction, reg, v) is DomainError
         assert outcome(grad_psi, reg, v) is DomainError
         assert outcome(grad_psi, reg, x) is DomainError

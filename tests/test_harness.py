@@ -334,9 +334,9 @@ def test_play_looks_up_event_and_pseudo_loss_in_harness_every_round(monkeypatch)
 #: game of 2000 rounds, after a first run; measured on Python 3.11.7 and
 #: numpy 2.4.6, where they repeat exactly
 CALLS_PER_GAME = {
-    ("prudent-banker", NEG_ENTROPY): (55692, 132005),
+    ("prudent-banker", NEG_ENTROPY): (55692, 130011),
     ("prudent-banker", TSALLIS_HALF): (59784, 181908),
-    ("banker-omd", NEG_ENTROPY): (50070, 125736),
+    ("banker-omd", NEG_ENTROPY): (50070, 123736),
     ("banker-omd", TSALLIS_HALF): (56692, 188973),
     ("conservative-ucb", NEG_ENTROPY): (14313, 30272),
     ("safe-exp3ix", NEG_ENTROPY): (16298, 46262),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from prudentbanker import banker, mirror
 from prudentbanker.errors import ConfigError, DomainError
 from prudentbanker.harness import RunConfig, build_environment, run
-from prudentbanker.mirror import (NEG_ENTROPY, TSALLIS_HALF, Regularizer,
+from prudentbanker.mirror import (NEG_ENTROPY, REGULARIZERS, TSALLIS_HALF, Regularizer,
                                   grad_psi, grad_psi_star_with_dual)
 from prudentbanker.protocol import EnvironmentConfig
 
@@ -44,9 +44,19 @@ def test_invalid_regularizer_config():
     for kind, arms, delta, message in [("unknown", 4, 0.1, "unknown regularizer kind 'unknown'"),
                                        (NEG_ENTROPY, 0, 0.1, "arms must be at least 1, got 0"),
                                        (NEG_ENTROPY, 2.5, 0.1, "arms must be an integer"),
-                                       (NEG_ENTROPY, 4, 0.3, "delta must lie in")]:  # delta > 1/A
+                                       (NEG_ENTROPY, 4, 0.3, "delta must lie in"),  # delta > 1/A
+                                       # C2 = 1/delta or 2/delta overflows to inf
+                                       (NEG_ENTROPY, 4, 1e-320, "C2 overflows"),
+                                       (NEG_ENTROPY, 4, 5e-309, "C2 overflows"),
+                                       (TSALLIS_HALF, 4, 1e-320, "C2 overflows"),
+                                       (TSALLIS_HALF, 4, 1e-308, "C2 overflows")]:
         with pytest.raises(ConfigError, match=message):
             Regularizer(kind, arms, delta)
+
+
+def test_a_tiny_delta_whose_c2_is_finite_is_accepted():
+    assert Regularizer(NEG_ENTROPY, 4, 6e-309).constants[1] == 1.0 / 6e-309
+    assert Regularizer(TSALLIS_HALF, 4, 1.2e-308).constants[1] == 2.0 / 1.2e-308
 
 
 def test_gradients_at_uniform():
@@ -68,14 +78,20 @@ def test_gradient_domain_error():
                 grad_psi(reg, np.array(bad))
 
 
+def conjugate_error(reg, theta, primal):
+    """The arguments of the DomainError the conjugate raises on theta."""
+    with pytest.raises(DomainError) as exc:
+        grad_psi_star_with_dual(reg, theta, primal=primal)
+    return exc.value.args
+
+
 @pytest.mark.parametrize("v", [np.full(2, 0.5), np.array([]), np.full((1, 4), 0.25)],
                          ids=["2-vector", "empty", "1x4"])
 def test_a_vector_of_the_wrong_shape_is_a_domain_error(v):
     for reg in regs(arms=4):
         with pytest.raises(DomainError):
             grad_psi(reg, v)
-        with pytest.raises(DomainError):
-            grad_psi_star_with_dual(reg, v)
+        assert conjugate_error(reg, v, primal=True) == conjugate_error(reg, v, primal=False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -84,8 +100,7 @@ def test_conjugate_rejects_a_non_finite_entry(bad, at):
     for reg in regs(arms=4):
         theta = np.array([0.5, -1.0, 2.0, 0.0])
         theta[at] = bad
-        with pytest.raises(DomainError):
-            grad_psi_star_with_dual(reg, theta)
+        assert conjugate_error(reg, theta, primal=True) == conjugate_error(reg, theta, primal=False)
 
 
 def test_conjugate_constant_dual_is_uniform():
@@ -286,10 +301,10 @@ def lowered_gradient(draw, reg, rng):
     return theta
 
 
-def draw_regularizer(draw):
+def draw_regularizer(draw, kind):
     A = draw(st.integers(1, 1000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return Regularizer(TSALLIS_HALF, A, 1.0 / A), rng
+    return Regularizer(kind, A, 1.0 / A), rng
 
 
 def draw_offset(draw):
@@ -297,19 +312,19 @@ def draw_offset(draw):
 
 
 @st.composite
-def ingest_duals(draw, offset=True):
+def ingest_duals(draw, offset=True, kind=TSALLIS_HALF):
     """theta = grad_psi(x) - c e_a, built as BankerOMD.ingest builds it, plus an offset."""
-    reg, rng = draw_regularizer(draw)
+    reg, rng = draw_regularizer(draw, kind)
     theta = lowered_gradient(draw, reg, rng)
     return reg, theta + draw_offset(draw) if offset else theta
 
 
 @st.composite
-def begin_round_duals(draw, offset=True):
+def begin_round_duals(draw, offset=True, kind=TSALLIS_HALF):
     """theta as BankerOMD.begin_round builds it, plus an offset: a convex mixture
     of the conjugate duals of 1-3 ingest-style theta and of the borrow term
     grad_psi(x0)."""
-    reg, rng = draw_regularizer(draw)
+    reg, rng = draw_regularizer(draw, kind)
     terms = [grad_psi_star_with_dual(reg, lowered_gradient(draw, reg, rng))[1]
              for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
@@ -317,6 +332,43 @@ def begin_round_duals(draw, offset=True):
     weights = rng.dirichlet(np.ones(len(terms)))
     theta = sum(w * term for w, term in zip(weights, terms))
     return reg, theta + draw_offset(draw) if offset else theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*(duals(kind=kind) for duals in (ingest_duals, begin_round_duals)
+                   for kind in REGULARIZERS)))
+def test_the_dual_alone_has_the_bytes_of_the_pair_calls_dual(case):
+    reg, theta = case
+    _, dual = grad_psi_star_with_dual(reg, theta)
+    x, dual_alone = grad_psi_star_with_dual(reg, theta, primal=False)
+    assert x is None and dual_alone.tobytes() == dual.tobytes()
+
+
+@pytest.mark.parametrize("regularizer", REGULARIZERS)
+def test_every_dual_the_ledger_stores_is_the_pair_calls_dual(regularizer, monkeypatch):
+    """On a 1,000-round seed-0 desk geometric Banker-OMD game, each applied
+    feedback stores the dual that the (x, dual) call gives on the same theta."""
+    thetas, real_conjugate = [], banker.grad_psi_star_with_dual
+    checked, real_ingest = [], banker.BankerOMD.ingest
+
+    def recording_conjugate(reg, theta, **kwargs):
+        thetas.append(theta.copy())
+        return real_conjugate(reg, theta, **kwargs)
+
+    def checking_ingest(self, event):
+        w = real_ingest(self, event)
+        if w is not None:
+            want = real_conjugate(self.reg, thetas[-1])[1]
+            assert self.records[event.origin_round].dual_z.tobytes() == want.tobytes()
+            checked.append(event.origin_round)
+        return w
+
+    monkeypatch.setattr(banker, "grad_psi_star_with_dual", recording_conjugate)
+    monkeypatch.setattr(banker.BankerOMD, "ingest", checking_ingest)
+    config = RunConfig(env=EnvironmentConfig(horizon=1000, delay_model="geometric"),
+                       learner="banker-omd", regularizer=regularizer)
+    run(config, *build_environment(config.env))
+    assert len(checked) > 900  # every round but those whose feedback is still due
 
 
 @settings(max_examples=300, deadline=None)
@@ -369,8 +421,8 @@ def test_tsallis_solves_of_a_short_desk_game_take_about_two_evaluations(monkeypa
     once, so a solve's evaluations are its model calls plus one."""
     inputs, real_conjugate = [], banker.grad_psi_star_with_dual
     monkeypatch.setattr(banker, "grad_psi_star_with_dual",
-                        lambda reg, theta: inputs.append((reg, theta.copy()))
-                        or real_conjugate(reg, theta))
+                        lambda reg, theta, **kwargs: inputs.append((reg, theta.copy()))
+                        or real_conjugate(reg, theta, **kwargs))
     config = RunConfig(env=EnvironmentConfig(horizon=1000, delay_model="geometric"),
                        regularizer=TSALLIS_HALF)
     run(config, *build_environment(config.env))
