@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def _make_out_dir(path: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    if Path(args.out).name in ("", ".."):  # "", ".", "/" or "out/.." name no file
+    if os.path.basename(args.out) in ("", ".", ".."):  # not Path: Path("d/.") is Path("d")
         raise ConfigError(f"--out {args.out!r} names no file")
     config = _cells(args)(args.learner, args.delay_model, args.seed)
     _make_out_dir(Path(args.out).parent)

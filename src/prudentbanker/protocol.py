@@ -301,9 +301,11 @@ def sample_delays(config: EnvironmentConfig, rng: np.random.Generator) -> DelayS
 class FeedbackQueue:
     """Delivers feedback events at their arrival rounds, exactly once each.
 
-    Events whose arrival round lies beyond the horizon are discarded at
-    enqueue time (the game ends at T; late feedback is never observed).
-    Within a round, events are delivered in origin-round order.
+    An event is enqueued in the round it was generated, before that round is
+    stepped, so it cannot arrive at a round already stepped, and each
+    arrival round's list fills in origin-round order. Events whose arrival
+    round lies beyond the horizon are discarded at enqueue time (the game
+    ends at T; late feedback is never observed).
     """
 
     def __init__(self, horizon: int):
@@ -312,11 +314,9 @@ class FeedbackQueue:
         self._cursor = 0  # last round already stepped
 
     def enqueue(self, event: FeedbackEvent) -> None:
-        if event.arrival_round <= self._cursor:
-            raise ProtocolError(
-                f"event for round {event.origin_round} arrives at already-queried "
-                f"round {event.arrival_round}"
-            )
+        if event.origin_round != self._cursor + 1:
+            raise ProtocolError(f"event for round {event.origin_round} enqueued in "
+                                f"round {self._cursor + 1}")
         if event.arrival_round > self.horizon:
             return
         self._pending.setdefault(event.arrival_round, []).append(event)
@@ -326,7 +326,4 @@ class FeedbackQueue:
         if t != self._cursor + 1:
             raise ProtocolError(f"queue stepped out of order: expected {self._cursor + 1}, got {t}")
         self._cursor = t
-        events = self._pending.pop(t, [])
-        if len(events) > 1:
-            events.sort(key=lambda e: e.origin_round)
-        return events
+        return self._pending.pop(t, [])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -225,6 +226,13 @@ def test_the_exit_status_does_not_depend_on_the_seed(capsys, argv):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_lowerbound_with_delays_up_to_200(capsys):
+    # the delays are held as int16: a difference of two that wrapped would warn,
+    # and a warning is an error here
+    assert cli.main(["lowerbound", "--q", "200", "--n", "2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_lowerbound_fails_an_inconsistent_instance(monkeypatch, capsys):
     real = cli.lb.HardInstancePair
 
@@ -266,7 +274,7 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
                                   ["run", "--threshold-scale", "nan"],
                                   ["run", "--threshold-scale", "inf"],
                                   *(["run", "--horizon", "50", "--blocks", "5", "--out", out]
-                                    for out in ("", ".", "/", "out/..")),
+                                    for out in ("", ".", "/", "out/..", "d/", "d/.", "d//")),
                                   ["run", "--config", "missing.cfg"],
                                   ["run", "--config", "."],
                                   ["run", "--horizon", "50"],
@@ -280,7 +288,8 @@ def test_lowerbound_identity_plays_the_instance(monkeypatch, capsys):
                               "sweep-negative-seed", "lowerbound-negative-seed",
                               "verify-negative-seed", "run-one-arm", "threshold-scale-nan",
                               "threshold-scale-inf", "out-empty", "out-dot", "out-root",
-                              "out-dotdot", "config-missing", "config-directory",
+                              "out-dotdot", "out-trailing-slash", "out-trailing-dot",
+                              "out-trailing-slashes", "config-missing", "config-directory",
                               "profile-blocks-above-horizon", "delta-c2-inf",
                               "tsallis-delta-c2-inf", "tsallis-delta-1e-308-c2-inf",
                               "sweep-delta-c2-inf"])
@@ -312,8 +321,10 @@ def test_out_under_a_regular_file_exits_2_before_anything_runs(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("argv", [["--q", "0"], ["--n", "0"], ["--delta", "0.9"],
-                                  ["--seed", "-1"], ["--delta", "nan"]],
-                         ids=["q", "n-zero", "delta", "seed", "delta-nan"])
+                                  ["--seed", "-1"], ["--delta", "nan"],
+                                  # below L1/(64 V) = 1/256, the hard instance's precondition
+                                  ["--q", "1", "--n", "3", "--delta", "0.001"]],
+                         ids=["q", "n-zero", "delta", "seed", "delta-nan", "delta-below-l1-64v"])
 def test_lowerbound_bad_flag_prints_no_report(capsys, argv):
     assert cli.main(["lowerbound", *argv]) == 2
     out, err = capsys.readouterr()
@@ -347,6 +358,33 @@ def test_sweep_checks_the_grid_before_writing(configs, tmp_path, capsys, grid, e
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}") and err.count("\n") == 1
     assert configs == [] and not out.exists()
+
+
+LEARNERS = ("prudent-banker", "banker-omd", "conservative-ucb", "safe-exp3ix",
+            "play-comparator", "play-fixed-arm")
+
+
+@pytest.mark.parametrize("learners, flags", [
+    (LEARNERS, []),
+    (("conservative-ucb", "safe-exp3ix"), ["--alpha-safe", "0"]),
+    (("conservative-ucb", "safe-exp3ix"), ["--alpha-safe", "1"])],
+    ids=["every-learner", "alpha-safe-0", "alpha-safe-1"])
+def test_run_writes_the_bytes_of_its_sweep_cell(tmp_path, capsys, learners, flags):
+    # the runs of one sweep environment share its table and delays; a cell of the
+    # later environment still equals its own run, so nothing leaks into the next one.
+    # At alpha-safe 0 the safe baselines' fallback dominates; at 1 it never fires
+    flags = [*flags, "--horizon", "500", "--blocks", "5"]
+    models, seeds = ("geometric", "lomax"), ("0", "3")
+    assert cli.main(["sweep", *flags, "--learners", ",".join(learners),
+                     "--delay-models", ",".join(models), "--seeds", ",".join(seeds),
+                     "--out", str(tmp_path / "sweep")]) == 0
+    for learner, model, seed in itertools.product(learners, models, seeds):
+        name = f"{learner}_{model}_s{seed}"
+        assert cli.main(["run", *flags, "--learner", learner, "--delay-model", model,
+                         "--seed", seed, "--out", str(tmp_path / "run" / name)]) == 0
+        for ext in (".csv", ".json"):
+            ran = (tmp_path / "run" / name).with_suffix(ext).read_bytes()
+            assert ran == (tmp_path / "sweep" / name).with_suffix(ext).read_bytes(), name + ext
 
 
 def test_sweep_runs_the_other_learners_on_one_arm(tmp_path, capsys):

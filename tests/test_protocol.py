@@ -236,7 +236,7 @@ def stepped_queue():
     (lambda: EnvironmentConfig(horizon=0), ConfigError, "horizon must be at least 1, got 0"),
     (lambda: EnvironmentConfig(arms=0), ConfigError, "arms must be at least 1, got 0"),
     (lambda: stepped_queue().enqueue(FeedbackEvent(1, 0, 0.5, 1)), ProtocolError,
-     "event for round 1 arrives at already-queried round 1")],
+     "event for round 1 enqueued in round 2")],
     ids=["horizon-zero", "arms-zero", "enqueue-for-a-stepped-round"])
 def test_protocol_rejects_bad_input(call, error, message):
     with pytest.raises(error, match=message):
@@ -447,12 +447,17 @@ def test_queue_batched_arrivals_in_origin_order():
     assert [e.origin_round for e in q.step(3)] == [2, 3]
 
 
-def test_queue_delivers_in_origin_order_whatever_the_enqueue_order():
+@pytest.mark.parametrize("origin, stepped", [(2, 0), (3, 1), (1, 1)],
+                         ids=["ahead", "two-ahead", "behind"])
+def test_queue_takes_an_event_only_in_its_own_round(origin, stepped):
+    # enqueued in its own round, each arrival round's list fills in origin order
     q = FeedbackQueue(horizon=4)
-    for origin in (3, 1, 2):
+    for t in range(1, stepped + 1):
+        q.step(t)
+    with pytest.raises(ProtocolError, match=f"^event for round {origin} enqueued in "
+                                            f"round {stepped + 1}$"):
         q.enqueue(FeedbackEvent(origin, 0, 0.0, 4))
-    assert q.step(1) == q.step(2) == q.step(3) == []
-    assert [e.origin_round for e in q.step(4)] == [1, 2, 3]
+    assert [q.step(t) for t in range(stepped + 1, 5)] == [[]] * (4 - stepped)
 
 
 def test_queue_out_of_order_and_single_delivery():
@@ -469,8 +474,8 @@ def test_queue_out_of_order_and_single_delivery():
 
 def test_queue_discards_post_horizon_feedback():
     q = FeedbackQueue(horizon=2)
+    assert q.step(1) == []
     q.enqueue(FeedbackEvent(2, 0, 0.5, 5))
-    q.step(1)
     assert q.step(2) == []
 
 
